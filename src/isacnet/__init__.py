@@ -7,13 +7,8 @@ station deployments, cross-validated by a vectorized Monte Carlo simulator.
 from .approx import AlphaFit, fit_alpha, fitted_alpha, ks_distance, verify_conjecture1
 from .coverage import (CoverageCurve, coverage_closed_form, coverage_curve,
                        coverage_integral, interference_exponent)
-from .fading import (FadingLaw, desired_gain_law, interference_gain_law,
-                     sample_desired_gain, sample_interference_gain)
-from .geometry import (InsufficientPointsError, OrderedDistances, Realization,
-                       nearest_k, pdf_eta, pdf_kth_distance, required_radius,
-                       sample_hppp)
 from .montecarlo import (McConfig, McResult, SimulationWindowError,
-                         mc_coverage, mc_radar_rate)
+                         mc_coverage, mc_radar_rate, required_radius)
 from .params import SystemParams
 from .radar import (RateEstimate, echo_laplace_exponent, echo_power_laplace,
                     hole_exclusion_integral, interference_laplace_factor,
@@ -28,11 +23,8 @@ __all__ = [
     "AlphaFit", "fit_alpha", "fitted_alpha", "ks_distance", "verify_conjecture1",
     "CoverageCurve", "coverage_closed_form", "coverage_curve",
     "coverage_integral", "interference_exponent",
-    "FadingLaw", "desired_gain_law", "interference_gain_law",
-    "sample_desired_gain", "sample_interference_gain",
-    "InsufficientPointsError", "OrderedDistances", "Realization",
-    "nearest_k", "pdf_eta", "pdf_kth_distance", "required_radius", "sample_hppp",
     "McConfig", "McResult", "SimulationWindowError", "mc_coverage", "mc_radar_rate",
+    "required_radius",
     "SystemParams",
     "RateEstimate", "echo_laplace_exponent", "echo_power_laplace",
     "hole_exclusion_integral", "interference_laplace_factor",

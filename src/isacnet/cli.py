@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-# let option values like "-10:2:20" pass as values, not flags
+# let option values like "-10:20:2" pass as values, not flags
 _NEG_VALUE = re.compile(r"^-\d")
 
 from .config import ConfigError, build_experiment, parse_config_file
@@ -56,7 +56,7 @@ def build_parser():
 
     cov = subs.add_parser("coverage", help="communication coverage probability")
     _add_common(cov)
-    cov.add_argument("--t-db", default="-10:2:20",
+    cov.add_argument("--t-db", default="-10:20:2",
                      help="SIR threshold grid LO:HI:STEP in dB")
 
     rad = subs.add_parser("radar-rate", help="radar information rate (nats)")

@@ -2,18 +2,11 @@
 
 The general path evaluates the cluster-size-L coverage integral: an
 alternating binomial sum of out-of-cluster interference Laplace factors,
-averaged over the joint law of the cluster distances.  After substituting
-s_i = pi * lam * r_i^2 the deployment density drops out exactly, which is
-why the closed form below carries no density argument at all.
-
-Two readings of the distance averaging are supported:
-
-* "ordered"  - the joint law of the ordered nearest distances (gap
-  representation s_1 < ... < s_L).  Default; this is the law the simulator
-  realizes and the one that reproduces it.
-* "marginal" - the literal product of the k-th nearest-distance marginals,
-  integrated without an ordering constraint.  Kept for comparison; it
-  overshoots the simulation noticeably for L >= 2 (see tests).
+averaged over the joint law of the ordered nearest distances (gap
+representation s_1 < ... < s_L, the law the simulator realizes).  After
+substituting s_i = pi * lam * r_i^2 the deployment density drops out
+exactly, which is why the closed form below carries no density argument
+at all.
 """
 
 from __future__ import annotations
@@ -24,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (QuadratureSpec, PHYSICAL_QUAD, beta_incomplete,
+from .specfun import (INNER_QUAD, PHYSICAL_QUAD, beta_incomplete,
                       integrate_semi_infinite)
 
 __all__ = [
@@ -37,17 +30,21 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_INNER_QUAD = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14, max_subdivisions=4000)
-
 
 @dataclass(frozen=True)
 class CoverageCurve:
-    """Coverage estimates over a grid of linear SIR thresholds."""
+    """Coverage estimates over a grid of linear SIR thresholds.
+
+    Simulated curves also carry the per-threshold truncation-bias bounds
+    and the simulator's bookkeeping (`montecarlo.McResult`).
+    """
 
     thresholds: np.ndarray
     values: np.ndarray
     method: str
     uncertainty: np.ndarray
+    bias_bounds: np.ndarray | None = None
+    mc_result: object | None = None
 
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=float)
@@ -155,8 +152,8 @@ def _integrand_factory(params, threshold):
     return survival
 
 
-def coverage_integral(params, threshold, quad=None, distance_model="ordered",
-                      integration_samples=400_000, seed=0):
+def coverage_integral(params, threshold, quad=None, integration_samples=400_000,
+                      seed=0):
     """Cluster-size-L coverage by averaging the interference Laplace sum.
 
     Deterministic nested quadrature for L <= 2; for L >= 3 the distance
@@ -167,18 +164,16 @@ def coverage_integral(params, threshold, quad=None, distance_model="ordered",
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    if distance_model not in ("ordered", "marginal"):
-        raise ValueError("distance_model must be 'ordered' or 'marginal'")
     quad = quad or PHYSICAL_QUAD
-    value, _ = _coverage_integral_impl(params, threshold, quad, distance_model,
+    value, _ = _coverage_integral_impl(params, threshold, quad,
                                        integration_samples, seed)
     if value < -1e-9 or value > 1.0 + 1e-9:
         log.warning("coverage integral %.6g outside [0,1]; clamping", value)
     return min(max(value, 0.0), 1.0)
 
 
-def _coverage_integral_impl(params, threshold, quad, distance_model,
-                            integration_samples, seed):
+def _coverage_integral_impl(params, threshold, quad, integration_samples,
+                            seed):
     survival = _integrand_factory(params, threshold)
     L = params.L
 
@@ -188,41 +183,21 @@ def _coverage_integral_impl(params, threshold, quad, distance_model,
         return integrate_semi_infinite(f, 0.0, quad, scale=1.0), 0.0
 
     if L == 2:
-        if distance_model == "ordered":
-            # gaps: s1 = t1, s2 = t1 + t2, weight e^(-t1) e^(-t2)
-            def outer(t1_arr):
-                out = np.empty_like(t1_arr)
-                for i, t1 in enumerate(t1_arr):
-                    def inner(t2):
-                        s = np.column_stack([np.full_like(t2, t1), t1 + t2])
-                        return survival(s) * np.exp(-t2)
-                    out[i] = integrate_semi_infinite(inner, 0.0, _INNER_QUAD,
-                                                     scale=1.0)
-                return out * np.exp(-t1_arr)
-        else:
-            # independent marginals: s1 ~ Gamma(1), s2 ~ Gamma(2)
-            def outer(s2_arr):
-                out = np.empty_like(s2_arr)
-                for i, s2 in enumerate(s2_arr):
-                    def inner(s1):
-                        s = np.column_stack([s1, np.full_like(s1, s2)])
-                        return survival(s) * np.exp(-s1)
-                    out[i] = integrate_semi_infinite(inner, 0.0, _INNER_QUAD,
-                                                     scale=1.0)
-                return out * s2_arr * np.exp(-s2_arr)
+        # gaps: s1 = t1, s2 = t1 + t2, weight e^(-t1) e^(-t2)
+        def outer(t1_arr):
+            out = np.empty_like(t1_arr)
+            for i, t1 in enumerate(t1_arr):
+                def inner(t2):
+                    s = np.column_stack([np.full_like(t2, t1), t1 + t2])
+                    return survival(s) * np.exp(-t2)
+                out[i] = integrate_semi_infinite(inner, 0.0, INNER_QUAD,
+                                                 scale=1.0)
+            return out * np.exp(-t1_arr)
         return integrate_semi_infinite(outer, 0.0, quad, scale=1.0), 0.0
 
     # L >= 3: Monte Carlo integration over the distance law
     rng = np.random.Generator(np.random.Philox(key=seed))
-    gaps = rng.standard_exponential((integration_samples, L))
-    if distance_model == "ordered":
-        s = np.cumsum(gaps, axis=1)
-    else:
-        # k-th marginal is Gamma(k, 1): sum k exponentials per column
-        s = np.empty_like(gaps)
-        for k in range(L):
-            extra = rng.standard_exponential((integration_samples, k)).sum(axis=1)
-            s[:, k] = gaps[:, k] + extra
+    s = np.cumsum(rng.standard_exponential((integration_samples, L)), axis=1)
     vals = survival(s)
     mean = float(vals.mean())
     half_width = 1.96 * float(vals.std(ddof=1)) / math.sqrt(integration_samples)
@@ -230,8 +205,7 @@ def _coverage_integral_impl(params, threshold, quad, distance_model,
 
 
 def coverage_curve(params, thresholds, method="integral", quad=None,
-                   distance_model="ordered", integration_samples=400_000,
-                   seed=0):
+                   integration_samples=400_000, seed=0):
     """Coverage over a threshold grid; method 'integral' or 'closed-form'."""
     thresholds = np.asarray(thresholds, dtype=float)
     values = np.empty_like(thresholds)
@@ -242,12 +216,11 @@ def coverage_curve(params, thresholds, method="integral", quad=None,
         elif method == "integral":
             if params.L >= 3:
                 v, hw = _coverage_integral_impl(params, t, quad or PHYSICAL_QUAD,
-                                                distance_model,
                                                 integration_samples, seed)
                 values[i] = min(max(v, 0.0), 1.0)
                 unc[i] = hw
             else:
-                values[i] = coverage_integral(params, t, quad, distance_model,
+                values[i] = coverage_integral(params, t, quad,
                                               integration_samples, seed)
         else:
             raise ValueError("method must be 'integral' or 'closed-form'")

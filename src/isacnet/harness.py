@@ -284,15 +284,15 @@ def emit_plotdata(rows, layout, path):
 # regime (lam ~ 0.1 per unit area) where the factorized rate integral is a
 # faithful description; the chosen density is recorded in the sidecar.
 FIGURE_PRESETS = {
-    4: dict(metric="coverage", method="both", t_db="-10:2:20",
+    4: dict(metric="coverage", method="both", t_db="-10:20:2",
             sweep=("l", "1,2,3,4,5"), params={}, trials=200_000),
-    5: dict(metric="coverage", method="both", t_db="-10:2:20",
+    5: dict(metric="coverage", method="both", t_db="-10:20:2",
             sweep=("mt", "4,6,8,10"), params={"params.l": "1"},
             trials=200_000),
-    6: dict(metric="coverage", method="both", t_db="-10:2:20",
+    6: dict(metric="coverage", method="both", t_db="-10:20:2",
             sweep=("mt", "4,6,8,10"), params={"params.l": "2"},
             trials=200_000),
-    7: dict(metric="coverage", method="mc", t_db="-10:2:20",
+    7: dict(metric="coverage", method="mc", t_db="-10:20:2",
             sweep=("lambda", "1e-5,1e-4,1e-3"), params={"params.l": "1"},
             trials=200_000),
     8: dict(metric="radar-rate", method="both",

@@ -13,8 +13,8 @@ Windowing: the deployment is truncated at a mean in-window count set by
 the window policy.  In the default "compensated" mode the truncated
 interference tail is replaced by its exact mean and the residual bias is
 tracked per estimate; "strict" mode instead sizes the window from
-`geometry.required_radius` so the neglected tail is below the ratio
-policy outright (much larger windows, no compensation term).
+`required_radius` below so the neglected tail is below the ratio policy
+outright (much larger windows, no compensation term).
 
 Reproducibility: trials are processed in fixed-size batches; batch k draws
 from Philox(key=seed) jumped k times.  Batch statistics are reduced in
@@ -29,13 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import pdtr
 
 from .coverage import CoverageCurve
-from .geometry import required_radius
 from .radar import RateEstimate
 
 __all__ = ["McConfig", "McResult", "SimulationWindowError",
-           "mc_coverage", "mc_radar_rate"]
+           "mc_coverage", "mc_radar_rate", "required_radius"]
 
 
 class SimulationWindowError(RuntimeError):
@@ -69,13 +69,67 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Reduced Monte Carlo estimate with normal-approximation confidence."""
+    """Trial bookkeeping of one simulator run.
 
-    estimate: float
+    `ci_half_width` is the normal-approximation half-width of the rate, or
+    of the coverage at the first threshold; `truncation_bias_bound` is the
+    largest bias bound over the estimates.
+    """
+
     ci_half_width: float
     trials_used: int
     truncation_bias_bound: float = 0.0
     window_mean_count: float = 0.0
+
+
+def required_radius(lam, min_points, tail_prob, *, beta=4.0,
+                    interference_ratio=1e-4, mean_count_floor=500.0,
+                    count_margin=10.0):
+    """Smallest window radius satisfying the truncation policy.
+
+    Three constraints, the max wins:
+      * P[Poisson(lam pi R^2) < min_points] <= tail_prob,
+      * mean count lam pi R^2 >= max(mean_count_floor,
+        count_margin * min_points),
+      * expected interference from beyond R (integral of 2 pi lam r^(1-beta),
+        closed form for beta > 2) below `interference_ratio` times the
+        expected in-window interference seen from the cluster edge.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if min_points < 0:
+        raise ValueError("min_points must be >= 0")
+    if not 0 < tail_prob < 1:
+        raise ValueError("tail_prob must be in (0, 1)")
+    if beta <= 2:
+        raise ValueError("beta must exceed 2 for a finite interference tail")
+
+    mean_floor = max(mean_count_floor, count_margin * min_points)
+
+    mean_tail = 0.0
+    if min_points > 0:
+        # invert the Poisson tail P[count <= min_points - 1] by bisection
+        # on the mean
+        lo_m, hi_m = float(min_points), float(min_points)
+        while pdtr(min_points - 1, hi_m) > tail_prob:
+            hi_m *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo_m + hi_m)
+            if pdtr(min_points - 1, mid) > tail_prob:
+                lo_m = mid
+            else:
+                hi_m = mid
+            if hi_m - lo_m <= 1e-9 * hi_m:
+                break
+        mean_tail = hi_m
+
+    # interference floor: tail/in-window ratio rho gives R = rbar * ((1+rho)/rho)^(1/(beta-2))
+    rbar = math.sqrt(max(min_points, 1) / (math.pi * lam))
+    r_interf = rbar * ((1.0 + interference_ratio) / interference_ratio) ** (1.0 / (beta - 2.0))
+
+    mean_needed = max(mean_floor, mean_tail)
+    r_count = math.sqrt(mean_needed / (math.pi * lam))
+    return max(r_count, r_interf)
 
 
 def _window_mean_count(params, cfg, cluster_size):
@@ -177,8 +231,9 @@ def mc_coverage(params, thresholds, cfg):
     i.i.d. Gamma(mt-1, 1) gains; every other in-window station interferes
     at full power with an exp(1) gain.  One SIR draw per trial is compared
     against the whole grid, which guarantees the curve is non-increasing
-    in the threshold.  Returns a CoverageCurve whose `mc_result` attribute
-    carries trial bookkeeping and the truncation-bias estimate.
+    in the threshold.  Returns a CoverageCurve whose `bias_bounds` hold the
+    per-threshold truncation-bias estimates and whose `mc_result` carries
+    the trial bookkeeping.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or len(thresholds) == 0:
@@ -220,14 +275,12 @@ def mc_coverage(params, thresholds, cfg):
         perturb = params.pt * _tail_mean(u_max, params.beta) * mean_inv
     bias = slopes * perturb
 
-    curve = CoverageCurve(thresholds=thresholds, values=values,
-                          method="monte-carlo", uncertainty=ci)
-    object.__setattr__(curve, "bias_bounds", bias)
-    object.__setattr__(curve, "mc_result", McResult(
-        estimate=float(values[0]), ci_half_width=float(ci[0]),
-        trials_used=done, truncation_bias_bound=float(bias.max()),
-        window_mean_count=u_max))
-    return curve
+    return CoverageCurve(
+        thresholds=thresholds, values=values, method="monte-carlo",
+        uncertainty=ci, bias_bounds=bias,
+        mc_result=McResult(ci_half_width=float(ci[0]), trials_used=done,
+                           truncation_bias_bound=float(bias.max()),
+                           window_mean_count=u_max))
 
 
 def _local_slopes(values, thresholds):
@@ -301,8 +354,8 @@ def mc_radar_rate(params, cfg):
     Gamma(mt-1, 1) gains; the nearest one receives the echo, and every
     in-window station outside the cluster interferes at its true 2-D
     distance from that receiver with an exp(1) gain.  Returns a
-    RateEstimate whose `mc_result` attribute carries trial bookkeeping and
-    the truncation-bias estimate.
+    RateEstimate whose `mc_result` carries trial bookkeeping and the
+    truncation-bias estimate.
     """
     N = params.N
     u_max = _window_mean_count(params, cfg, N)
@@ -331,9 +384,8 @@ def mc_radar_rate(params, cfg):
         else _tail_mean(u_max, params.beta)
     bias = spread * (sens_sum / done)
 
-    est = RateEstimate(value=max(mean, 0.0), method="monte-carlo",
-                       uncertainty=ci)
-    object.__setattr__(est, "mc_result", McResult(
-        estimate=mean, ci_half_width=ci, trials_used=done,
-        truncation_bias_bound=bias, window_mean_count=u_max))
-    return est
+    return RateEstimate(
+        value=max(mean, 0.0), method="monte-carlo", uncertainty=ci,
+        mc_result=McResult(ci_half_width=ci, trials_used=done,
+                           truncation_bias_bound=bias,
+                           window_mean_count=u_max))

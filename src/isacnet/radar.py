@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .specfun import (QuadratureSpec, PHYSICAL_QUAD, beta_complete,
+from .specfun import (INNER_QUAD, PHYSICAL_QUAD, beta_complete,
                       beta_incomplete, integrate_finite,
                       integrate_semi_infinite)
 
@@ -34,16 +34,19 @@ __all__ = [
     "radar_rate_single",
 ]
 
-_INNER_QUAD = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14, max_subdivisions=4000)
-
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Radar information rate in nats with its method tag and uncertainty."""
+    """Radar information rate in nats with its method tag and uncertainty.
+
+    Simulated rates also carry the simulator's bookkeeping
+    (`montecarlo.McResult`).
+    """
 
     value: float
     method: str
     uncertainty: float = 0.0
+    mc_result: object | None = None
 
     def __post_init__(self):
         if self.value < 0:
@@ -115,7 +118,7 @@ def echo_power_laplace(z, params, quad=None, complement=False):
         raise ValueError("z must be nonnegative")
     if z == 0:
         return 0.0 if complement else 1.0
-    quad = quad or _INNER_QUAD
+    quad = quad or INNER_QUAD
     n = params.N
     lam = params.lam
     pref = 2.0 * math.pi * lam / params.beta
@@ -144,7 +147,7 @@ def interference_laplace_factor(z, params, quad=None):
         raise ValueError("z must be nonnegative")
     if z == 0:
         return 1.0
-    quad = quad or _INNER_QUAD
+    quad = quad or INNER_QUAD
     n = params.N
 
     def f(eta):
@@ -249,7 +252,7 @@ def radar_rate_single(params, include_hole=True, quad=None):
             return np.exp(expo)
 
         scale = 1.0 / (1.0 + math.sqrt(a_quad))
-        return integrate_semi_infinite(f, 0.0, _INNER_QUAD, scale=scale)
+        return integrate_semi_infinite(f, 0.0, INNER_QUAD, scale=scale)
 
     def outer(z_arr):
         out = np.empty_like(z_arr)

@@ -127,15 +127,6 @@ class TestCoverageIntegral:
             total += (-1) ** (n + 1) * math.comb(q, n) / (1.0 + h0)
         assert coverage_integral(params, t) == pytest.approx(total, rel=1e-6)
 
-    def test_two_station_orderings_differ(self, paper_params):
-        # the ordered-joint average sits below the marginal-product reading
-        # at high thresholds; both stay in [0, 1]
-        params = paper_params.with_(L=2)
-        t = 10.0
-        ordered = coverage_integral(params, t)
-        marginal = coverage_integral(params, t, distance_model="marginal")
-        assert 0.0 < ordered < marginal < 1.0
-
     def test_monte_carlo_integration_path(self, paper_params):
         # L = 3 falls back to fixed-seed integration over the distance law
         params = paper_params.with_(L=3)
@@ -155,10 +146,6 @@ class TestCoverageIntegral:
         lo = coverage_integral(params.with_(ps=0.7, pc=0.3), 2.0)
         hi = coverage_integral(params.with_(ps=0.3, pc=0.7), 2.0)
         assert hi > lo
-
-    def test_bad_model_name(self, paper_params):
-        with pytest.raises(ValueError):
-            coverage_integral(paper_params, 1.0, distance_model="sorted")
 
 
 class TestCoverageCurve:

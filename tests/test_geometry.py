@@ -1,31 +1,56 @@
-"""Deployment sampling and distance laws, checked against direct statistics."""
+"""Distance laws of a brute-force Cartesian PPP, the oracle for the radial sampler.
+
+The simulator draws ordered distances as a unit-rate arrival process in
+pi*lam*r^2.  The sampler here instead places a Poisson number of uniform
+points in a disk, independently of that representation, and checks the
+laws the radial sampler relies on.
+"""
 
 import math
 
 import numpy as np
-import pytest
 from scipy import stats
 
-from isacnet.geometry import (InsufficientPointsError, Realization,
-                              nearest_k, pdf_eta, pdf_kth_distance,
-                              required_radius, sample_hppp)
-from isacnet.specfun import integrate_finite, integrate_semi_infinite
+
+def sample_hppp(lam, window_radius, seed):
+    """Points of a homogeneous PPP of intensity lam in a disk, shape (n, 2).
+
+    Philox(key=seed) draws the Poisson count, then the radii, then the angles.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n = rng.poisson(lam * math.pi * window_radius ** 2)
+    radius = window_radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+def nearest_k(points, k):
+    """The k smallest origin distances of a point set, ascending."""
+    d = np.hypot(points[:, 0], points[:, 1])
+    sel = np.partition(d, k - 1)[:k]
+    sel.sort()
+    return sel
+
+
+def ks_gap(sorted_draws, cdf):
+    """One-sample K-S statistic of sorted draws against cdf(sorted_draws)."""
+    n = len(sorted_draws)
+    return np.max(np.maximum(np.arange(1, n + 1) / n - cdf,
+                             cdf - np.arange(0, n) / n))
 
 
 class TestSampleHppp:
     def test_deterministic_per_seed(self):
         a = sample_hppp(1e-4, 2000.0, seed=7)
         b = sample_hppp(1e-4, 2000.0, seed=7)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_vanishing_intensity(self):
-        real = sample_hppp(1e-12, 1.0, seed=0)
-        assert len(real) == 0
+        assert len(sample_hppp(1e-12, 1.0, seed=0)) == 0
 
     def test_points_inside_window(self):
-        real = sample_hppp(1e-3, 500.0, seed=3)
-        r = np.hypot(real.points[:, 0], real.points[:, 1])
-        assert np.all(r <= real.window_radius)
+        pts = sample_hppp(1e-3, 500.0, seed=3)
+        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 500.0)
 
     def test_mean_count(self):
         # lam pi R^2 = 2827.43; the empirical mean over seeds sits within 1%
@@ -34,7 +59,7 @@ class TestSampleHppp:
         counts = [len(sample_hppp(lam, radius, seed=s)) for s in range(2000)]
         assert abs(np.mean(counts) / expect - 1.0) < 0.01
 
-    def test_subdisk_counts_are_poisson(self, rng):
+    def test_subdisk_counts_are_poisson(self):
         # chi^2 goodness of fit for the count in an off-center sub-disk
         lam, radius = 2e-3, 120.0
         center = np.array([30.0, -20.0])
@@ -42,7 +67,7 @@ class TestSampleHppp:
         mean = lam * math.pi * sub_r ** 2
         counts = []
         for s in range(10_000):
-            pts = sample_hppp(lam, radius, seed=s).points
+            pts = sample_hppp(lam, radius, seed=s)
             inside = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]) <= sub_r
             counts.append(int(inside.sum()))
         counts = np.asarray(counts)
@@ -57,30 +82,15 @@ class TestSampleHppp:
         _, p = stats.chisquare(observed, expected)
         assert p > 0.01
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sample_hppp(0.0, 100.0, seed=0)
-        with pytest.raises(ValueError):
-            sample_hppp(1e-4, -5.0, seed=0)
-
 
 class TestNearestK:
     def test_sorting(self):
         pts = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        real = Realization(points=pts, window_radius=10.0, density=1e-2)
-        sel = nearest_k(real, 2)
-        assert np.allclose(sel.distances, [1.0, 2.0])
+        assert np.allclose(nearest_k(pts, 2), [1.0, 2.0])
 
     def test_all_points(self):
         pts = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        real = Realization(points=pts, window_radius=10.0, density=1e-2)
-        assert len(nearest_k(real, 3)) == 3
-
-    def test_insufficient(self):
-        real = Realization(points=np.empty((0, 2)), window_radius=1.0,
-                           density=1e-6)
-        with pytest.raises(InsufficientPointsError):
-            nearest_k(real, 1)
+        assert len(nearest_k(pts, 3)) == 3
 
     def test_nearest_distance_law(self):
         # empirical r_1 against the k=1 law, one-sample K-S on 1e5 draws
@@ -88,104 +98,18 @@ class TestNearestK:
         r1 = np.empty(100_000)
         for s in range(len(r1)):
             r1[s] = nearest_k(sample_hppp(lam, radius, seed=s), 1)[0]
-        cdf = 1.0 - np.exp(-lam * math.pi * np.sort(r1) ** 2)
-        n = len(cdf)
-        gaps = np.maximum(np.arange(1, n + 1) / n - cdf,
-                          cdf - np.arange(0, n) / n)
-        assert gaps.max() < 0.01
-
-
-class TestDistancePdfs:
-    def test_nearest_normalizes(self):
-        val = integrate_semi_infinite(lambda r: pdf_kth_distance(r, 1, 1e-4), 0.0)
-        assert val == pytest.approx(1.0, rel=1e-9)
-
-    def test_nearest_mean(self):
-        lam = 3e-4
-        mean = integrate_semi_infinite(
-            lambda r: r * pdf_kth_distance(r, 1, lam), 0.0)
-        assert mean == pytest.approx(1.0 / (2.0 * math.sqrt(lam)), rel=1e-9)
-
-    def test_third_normalizes(self):
-        val = integrate_semi_infinite(lambda r: pdf_kth_distance(r, 3, 1e-4), 0.0)
-        assert val == pytest.approx(1.0, rel=1e-9)
-
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_normalization_through_order_eight(self, k):
-        val = integrate_semi_infinite(lambda r: pdf_kth_distance(r, k, 2e-4), 0.0)
-        assert val == pytest.approx(1.0, abs=1e-6)
-
-    def test_k1_closed_form(self):
-        r = np.linspace(1.0, 200.0, 50)
-        lam = 1e-4
-        ref = 2 * math.pi * lam * r * np.exp(-math.pi * lam * r ** 2)
-        assert np.allclose(pdf_kth_distance(r, 1, lam), ref, rtol=1e-12)
+        r1.sort()
+        assert ks_gap(r1, 1.0 - np.exp(-lam * math.pi * r1 ** 2)) < 0.01
 
 
 class TestEtaPdf:
-    def test_two_station_cluster_is_linear(self):
-        eta = np.linspace(0.0, 1.0, 11)
-        assert np.allclose(pdf_eta(eta, 2), 2.0 * eta)
-        val = integrate_finite(lambda e: pdf_eta(e, 2), 0.0, 1.0)
-        assert val == pytest.approx(1.0, rel=1e-10)
-
-    def test_five_station_normalizes(self):
-        val = integrate_finite(lambda e: pdf_eta(e, 5), 0.0, 1.0)
-        assert val == pytest.approx(1.0, rel=1e-9)
-
-    def test_single_station_degenerate(self):
-        with pytest.raises(ValueError):
-            pdf_eta(0.5, 1)
-
     def test_empirical_ratio_law(self):
-        # r_1 / r_N from sampled deployments against the closed-form density
+        # r_1 / r_N from sampled deployments against the closed-form law:
+        # eta^2 ~ Beta(1, N-1), so F(e) = 1 - (1 - e^2)^(N-1)
         lam, radius, n_cl = 1e-3, 120.0, 3
         draws = np.empty(100_000)
         for s in range(len(draws)):
             d = nearest_k(sample_hppp(lam, radius, seed=10_000_000 + s), n_cl)
             draws[s] = d[0] / d[n_cl - 1]
         draws.sort()
-        # closed-form CDF: eta^2 ~ Beta(1, N-1) so F(e) = 1 - (1 - e^2)^(N-1)
-        cdf = 1.0 - (1.0 - draws ** 2) ** (n_cl - 1)
-        n = len(cdf)
-        gaps = np.maximum(np.arange(1, n + 1) / n - cdf,
-                          cdf - np.arange(0, n) / n)
-        assert gaps.max() < 0.01
-
-
-class TestRequiredRadius:
-    def test_interference_floor_dominates_when_count_vacuous(self):
-        lam = 1e-4
-        r = required_radius(lam, 0, 1e-6)
-        rbar = math.sqrt(1.0 / (math.pi * lam))
-        expect = rbar * ((1 + 1e-4) / 1e-4) ** 0.5
-        assert r == pytest.approx(expect, rel=1e-12)
-
-    def test_poisson_inversion_against_direct_summation(self):
-        lam, min_pts, tail = 1e-4, 50, 1e-6
-        # loosen the other constraints so the Poisson inversion binds
-        r = required_radius(lam, min_pts, tail, interference_ratio=1e6,
-                            mean_count_floor=1.0, count_margin=1.0)
-        mu = lam * math.pi * r ** 2
-
-        def tail_prob(mean):
-            k = np.arange(min_pts)
-            logp = k * np.log(mean) - mean - np.array(
-                [math.lgamma(i + 1) for i in k])
-            return float(np.exp(logp).sum())
-
-        assert tail_prob(mu) <= tail
-        assert tail_prob(mu * 0.995) > tail   # smallest such radius
-
-    def test_monotone_in_density(self):
-        r1 = required_radius(1e-4, 50, 1e-6)
-        r2 = required_radius(2e-4, 50, 1e-6)
-        assert r2 <= r1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            required_radius(-1.0, 10, 1e-6)
-        with pytest.raises(ValueError):
-            required_radius(1e-4, 10, 1.5)
-        with pytest.raises(ValueError):
-            required_radius(1e-4, 10, 1e-6, beta=2.0)
+        assert ks_gap(draws, 1.0 - (1.0 - draws ** 2) ** (n_cl - 1)) < 0.01

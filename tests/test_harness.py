@@ -8,12 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from isacnet.cli import main
+from isacnet.cli import build_parser, main
 from isacnet.config import (ConfigError, build_experiment, parse_config_file,
                             parse_t_db)
-from isacnet.harness import (ResultRow, emit_plotdata, figure_preset,
-                             read_rows, run_experiment, write_rows)
+from isacnet.harness import (FIGURE_PRESETS, ResultRow, emit_plotdata,
+                             figure_preset, read_rows, run_experiment,
+                             write_rows)
 from isacnet.specfun import ConvergenceError
+
+
+# the threshold grid the README documents for the coverage figures
+DOCUMENTED_T_DB = tuple(float(t) for t in range(-10, 21, 2))
 
 
 def entries_of(text, tmp_path, name="exp.cfg"):
@@ -160,8 +165,20 @@ class TestRunAndPersist:
             assert cfg.metric in ("coverage", "radar-rate")
             assert "x" in layout
 
+    def test_coverage_presets_use_documented_grid(self):
+        coverage = [n for n, p in FIGURE_PRESETS.items()
+                    if p["metric"] == "coverage"]
+        assert coverage == [4, 5, 6, 7]
+        for n in coverage:
+            cfg = build_experiment(dict(figure_preset(n)[0]))
+            assert cfg.t_db == DOCUMENTED_T_DB
+
 
 class TestCli:
+    def test_default_grid_is_documented_grid(self):
+        args = build_parser().parse_args(["coverage"])
+        assert parse_t_db(args.t_db) == DOCUMENTED_T_DB
+
     def test_analytic_coverage_exit_zero(self, tmp_path):
         out = str(tmp_path / "cov.csv")
         code = main(["coverage", "--method", "analytic", "--l", "1",

@@ -14,6 +14,36 @@ from isacnet.specfun import (ConvergenceError, QuadratureSpec, beta_complete,
 P_9_9 = 0.5443473956775813
 # frozen composite-Simpson (1e6 panels) value of 2 arccos(t/2) t on (0, 2)
 ARC_KERNEL_INTEGRAL = 3.1415926526712936
+# frozen from mpmath.betainc at 40 digits (mpmath is not a dependency):
+# (x, a, b, B(x; a, b)) on the library's two shape families,
+# (1 - 2/beta, 2/beta) and (q - i + 2/beta, i - 2/beta), at
+# beta in {2.0001, 2.5, 4, 6}
+BETA_INCOMPLETE_ORACLE = [
+    (1e-12, 4.999750012513182e-05, 0.9999500024998749, 19973.388055921843),
+    (0.001, 4.999750012513182e-05, 0.9999500024998749, 19994.09343744589),
+    (0.5, 4.999750012513182e-05, 0.9999500024998749, 20000.306893883248),
+    (0.5, 8.999950002499874, 4.999750012513182e-05, 0.00039699830551664211),
+    (0.999, 8.999950002499874, 4.999750012513182e-05, 4.1969169207920146),
+    (1.0, 8.999950002499874, 4.999750012513182e-05, 19998.282371504965),
+    (0.001, 0.19999999999999996, 0.8, 1.2559850942367598),
+    (0.5, 0.19999999999999996, 0.8, 4.4415678632589443),
+    (0.999, 0.19999999999999996, 0.8, 5.3398185505564467),
+    (0.999, 4.8, 4.2, 0.0034316160062711445),
+    (1.0, 4.8, 4.2, 0.003431616006330768),
+    (1e-12, 4.8, 4.2, 5.2330967322977919e-59),
+    (0.5, 0.5, 0.5, 1.5707963267948966),
+    (0.999, 0.5, 0.5, 3.0783365547146499),
+    (1.0, 0.5, 0.5, 3.1415926535897932),
+    (1.0, 0.5, 8.5, 0.61694789812775633),
+    (1e-12, 0.5, 8.5, 1.999999999995e-6),
+    (0.001, 0.5, 8.5, 0.063087747239029024),
+    (0.999, 0.6666666666666667, 0.3333333333333333, 3.3275737189394375),
+    (1.0, 0.6666666666666667, 0.3333333333333333, 3.6275987284684357),
+    (1e-12, 0.6666666666666667, 0.3333333333333333, 1.5000000000003967e-8),
+    (1e-12, 1.3333333333333333, 1.6666666666666667, 7.4999999999971584e-17),
+    (0.001, 1.3333333333333333, 1.6666666666666667, 7.4971425236955141e-5),
+    (0.5, 1.3333333333333333, 1.6666666666666667, 0.23688294942157371),
+]
 
 
 class TestBetaComplete:
@@ -73,6 +103,10 @@ class TestBetaIncomplete:
         ours = beta_incomplete(x, a, b)
         ref = special.betainc(a, b, x) * special.beta(a, b)
         assert np.allclose(ours, ref, rtol=2e-11, atol=1e-300)
+
+    def test_frozen_oracle_values(self):
+        x, a, b, ref = np.array(BETA_INCOMPLETE_ORACLE).T
+        assert np.allclose(beta_incomplete(x, a, b), ref, rtol=1e-13, atol=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
