@@ -1,15 +1,21 @@
-"""Distance laws of a brute-force Cartesian PPP, the oracle for the radial sampler.
+"""Distance laws of a PPP, and the simulation window's radius policy.
 
 The simulator draws ordered distances as a unit-rate arrival process in
 pi*lam*r^2.  The sampler here instead places a Poisson number of uniform
 points in a disk, independently of that representation, and checks the
-laws the radial sampler relies on.
+laws the radial sampler relies on.  The ordered-distance densities below
+also check that the library's quadrature rules normalize them.
 """
 
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
+from scipy.special import gammaln
+
+from isacnet.montecarlo import required_radius
+from isacnet.specfun import integrate_finite, integrate_semi_infinite
 
 
 def sample_hppp(lam, window_radius, seed):
@@ -30,6 +36,28 @@ def nearest_k(points, k):
     sel = np.partition(d, k - 1)[:k]
     sel.sort()
     return sel
+
+
+def pdf_kth_distance(r, k, lam):
+    """PDF of the distance from the origin to the k-th nearest point.
+
+    f(r) = 2 (lam pi r^2)^k exp(-lam pi r^2) / (Gamma(k) r).
+    """
+    r = np.asarray(r, dtype=float)
+    u = lam * math.pi * r ** 2
+    return 2.0 * np.exp(k * np.log(u) - u - gammaln(k)) / r
+
+
+def pdf_eta(eta, n_cluster):
+    """PDF of the nearest-to-farthest distance ratio in an n-point cluster.
+
+    f(eta) = 2 (n-1) eta (1 - eta^2)^(n-2) on [0, 1]; the ratio is
+    degenerate for a single-point cluster.
+    """
+    if n_cluster < 2:
+        raise ValueError("distance ratio is degenerate for a 1-point cluster")
+    eta = np.asarray(eta, dtype=float)
+    return 2.0 * (n_cluster - 1) * eta * (1.0 - eta ** 2) ** (n_cluster - 2)
 
 
 def ks_gap(sorted_draws, cdf):
@@ -102,7 +130,48 @@ class TestNearestK:
         assert ks_gap(r1, 1.0 - np.exp(-lam * math.pi * r1 ** 2)) < 0.01
 
 
+class TestDistancePdfs:
+    def test_nearest_normalizes(self):
+        val = integrate_semi_infinite(lambda r: pdf_kth_distance(r, 1, 1e-4), 0.0)
+        assert val == pytest.approx(1.0, rel=1e-9)
+
+    def test_nearest_mean(self):
+        lam = 3e-4
+        mean = integrate_semi_infinite(
+            lambda r: r * pdf_kth_distance(r, 1, lam), 0.0)
+        assert mean == pytest.approx(1.0 / (2.0 * math.sqrt(lam)), rel=1e-9)
+
+    def test_third_normalizes(self):
+        val = integrate_semi_infinite(lambda r: pdf_kth_distance(r, 3, 1e-4), 0.0)
+        assert val == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_normalization_through_order_eight(self, k):
+        val = integrate_semi_infinite(lambda r: pdf_kth_distance(r, k, 2e-4), 0.0)
+        assert val == pytest.approx(1.0, abs=1e-6)
+
+    def test_k1_closed_form(self):
+        r = np.linspace(1.0, 200.0, 50)
+        lam = 1e-4
+        ref = 2 * math.pi * lam * r * np.exp(-math.pi * lam * r ** 2)
+        assert np.allclose(pdf_kth_distance(r, 1, lam), ref, rtol=1e-12)
+
+
 class TestEtaPdf:
+    def test_two_station_cluster_is_linear(self):
+        eta = np.linspace(0.0, 1.0, 11)
+        assert np.allclose(pdf_eta(eta, 2), 2.0 * eta)
+        val = integrate_finite(lambda e: pdf_eta(e, 2), 0.0, 1.0)
+        assert val == pytest.approx(1.0, rel=1e-10)
+
+    def test_five_station_normalizes(self):
+        val = integrate_finite(lambda e: pdf_eta(e, 5), 0.0, 1.0)
+        assert val == pytest.approx(1.0, rel=1e-9)
+
+    def test_single_station_degenerate(self):
+        with pytest.raises(ValueError):
+            pdf_eta(0.5, 1)
+
     def test_empirical_ratio_law(self):
         # r_1 / r_N from sampled deployments against the closed-form law:
         # eta^2 ~ Beta(1, N-1), so F(e) = 1 - (1 - e^2)^(N-1)
@@ -113,3 +182,41 @@ class TestEtaPdf:
             draws[s] = d[0] / d[n_cl - 1]
         draws.sort()
         assert ks_gap(draws, 1.0 - (1.0 - draws ** 2) ** (n_cl - 1)) < 0.01
+
+
+class TestRequiredRadius:
+    def test_interference_floor_dominates_when_count_vacuous(self):
+        lam = 1e-4
+        r = required_radius(lam, 0, 1e-6)
+        rbar = math.sqrt(1.0 / (math.pi * lam))
+        expect = rbar * ((1 + 1e-4) / 1e-4) ** 0.5
+        assert r == pytest.approx(expect, rel=1e-12)
+
+    def test_poisson_inversion_against_direct_summation(self):
+        lam, min_pts, tail = 1e-4, 50, 1e-6
+        # loosen the other constraints so the Poisson inversion binds
+        r = required_radius(lam, min_pts, tail, interference_ratio=1e6,
+                            mean_count_floor=1.0, count_margin=1.0)
+        mu = lam * math.pi * r ** 2
+
+        def tail_prob(mean):
+            k = np.arange(min_pts)
+            logp = k * np.log(mean) - mean - np.array(
+                [math.lgamma(i + 1) for i in k])
+            return float(np.exp(logp).sum())
+
+        assert tail_prob(mu) <= tail
+        assert tail_prob(mu * 0.995) > tail   # smallest such radius
+
+    def test_monotone_in_density(self):
+        r1 = required_radius(1e-4, 50, 1e-6)
+        r2 = required_radius(2e-4, 50, 1e-6)
+        assert r2 <= r1
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            required_radius(-1.0, 10, 1e-6)
+        with pytest.raises(ValueError):
+            required_radius(1e-4, 10, 1.5)
+        with pytest.raises(ValueError):
+            required_radius(1e-4, 10, 1e-6, beta=2.0)

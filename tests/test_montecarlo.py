@@ -1,15 +1,12 @@
 """Simulator: determinism, confidence scaling, agreement with exact laws."""
 
-import math
-
 import numpy as np
 import pytest
 
 from isacnet import SystemParams
 from isacnet.coverage import coverage_closed_form
 from isacnet.montecarlo import (McConfig, SimulationWindowError,
-                                _coverage_batch, mc_coverage, mc_radar_rate,
-                                required_radius)
+                                _coverage_batch, mc_coverage, mc_radar_rate)
 from isacnet.radar import radar_rate_single
 
 T_GRID = 10 ** (np.arange(-10.0, 21.0, 5.0) / 10.0)
@@ -133,41 +130,3 @@ class TestWindowPolicy:
         a = mc_coverage(paper_params, T_GRID,
                         McConfig(trials=5_000, seed=1, min_points=900))
         assert a.mc_result.window_mean_count >= 901.0
-
-
-class TestRequiredRadius:
-    def test_interference_floor_dominates_when_count_vacuous(self):
-        lam = 1e-4
-        r = required_radius(lam, 0, 1e-6)
-        rbar = math.sqrt(1.0 / (math.pi * lam))
-        expect = rbar * ((1 + 1e-4) / 1e-4) ** 0.5
-        assert r == pytest.approx(expect, rel=1e-12)
-
-    def test_poisson_inversion_against_direct_summation(self):
-        lam, min_pts, tail = 1e-4, 50, 1e-6
-        # loosen the other constraints so the Poisson inversion binds
-        r = required_radius(lam, min_pts, tail, interference_ratio=1e6,
-                            mean_count_floor=1.0, count_margin=1.0)
-        mu = lam * math.pi * r ** 2
-
-        def tail_prob(mean):
-            k = np.arange(min_pts)
-            logp = k * np.log(mean) - mean - np.array(
-                [math.lgamma(i + 1) for i in k])
-            return float(np.exp(logp).sum())
-
-        assert tail_prob(mu) <= tail
-        assert tail_prob(mu * 0.995) > tail   # smallest such radius
-
-    def test_monotone_in_density(self):
-        r1 = required_radius(1e-4, 50, 1e-6)
-        r2 = required_radius(2e-4, 50, 1e-6)
-        assert r2 <= r1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            required_radius(-1.0, 10, 1e-6)
-        with pytest.raises(ValueError):
-            required_radius(1e-4, 10, 1.5)
-        with pytest.raises(ValueError):
-            required_radius(1e-4, 10, 1e-6, beta=2.0)
