@@ -76,7 +76,7 @@ def _coverage_rows(cfg):
                 curve = coverage_curve(params, t_lin, method="integral")
                 values = curve.values.tolist()
                 unc = curve.uncertainty.tolist()
-                quad_err = [1e-6 * v for v in values]
+                quad_err = curve.quad_error.tolist()
             ms = (time.perf_counter() - t0) * 1e3 / max(len(t_lin), 1)
             for tdb, v, u, qe in zip(cfg.t_db, values, unc, quad_err):
                 rows.append(ResultRow(sweep=sweep, value=v, method="analytic",

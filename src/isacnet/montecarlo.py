@@ -72,8 +72,8 @@ class McResult:
     """Trial bookkeeping of one simulator run.
 
     `ci_half_width` is the normal-approximation half-width of the rate, or
-    of the coverage at the first threshold; `truncation_bias_bound` is the
-    largest bias bound over the estimates.
+    the widest half-width over a coverage curve's thresholds;
+    `truncation_bias_bound` is the largest bias bound over the estimates.
     """
 
     ci_half_width: float
@@ -278,7 +278,7 @@ def mc_coverage(params, thresholds, cfg):
     return CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
         uncertainty=ci, bias_bounds=bias,
-        mc_result=McResult(ci_half_width=float(ci[0]), trials_used=done,
+        mc_result=McResult(ci_half_width=float(ci.max()), trials_used=done,
                            truncation_bias_bound=float(bias.max()),
                            window_mean_count=u_max))
 

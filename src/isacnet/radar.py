@@ -9,6 +9,13 @@ independent.  For a single sensing station the transform pair is exact and
 includes the interference-free disk around the target (the station-free
 region implied by conditioning on the nearest-station distance), whose
 neglect underestimates the rate.
+
+Both rates are fixed composite Gauss-Kronrod 7-15 rules in log variables,
+evaluated as array expressions over all outer nodes (in slices of bounded
+size): ln z outside; inside, ln s for the cluster-edge and single-station
+distance laws and logit(eta^2) for the distance ratio.  Each rule's range
+follows from its integrand's tail decay rates and transition points, and
+the embedded 7-point Gauss sums give the error bound each result reports.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import (erfcx, expit, gammainccinv, gammaincinv,
+                           roots_legendre)
 
-from .specfun import (INNER_QUAD, PHYSICAL_QUAD, beta_complete,
-                      beta_incomplete, integrate_finite,
-                      integrate_semi_infinite)
+from .specfun import (beta_complete, beta_incomplete, check_bound, gk_rule,
+                      gk_sum, panel_edges)
 
 __all__ = [
     "RateEstimate",
@@ -33,6 +40,22 @@ __all__ = [
     "radar_rate",
     "radar_rate_single",
 ]
+
+# Budget of the fixed rules.  Outer rules run in u = ln z with core panels
+# _Z_STEP decay lengths wide; the inner rules have fixed panel counts.
+# Cores reach _MARGIN decay lengths beyond the transitions they cover.
+_Z_STEP = 2.0
+_MARGIN = 4.0
+_S_PANELS = 16          # ln s, Gamma(N) cluster-edge law
+_ETA_PANELS = 24        # logit(eta^2), distance-ratio law
+_HOLE_S_PANELS = 12     # ln s, single-station law with the exclusion disk
+_GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the ln s rule
+_DEPTH = 36.0           # e-folds below its scale at which a core may stop
+# Temporary elements per slice of outer nodes.  Slices this small keep a
+# rate's working set near 1 MB; at 1 << 19 one radar-rate call raised the
+# calling process's peak resident set by 13 MB, which the simulator's pool
+# workers, forked afterwards, inherit.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,12 +122,82 @@ def interference_laplace_kernel(z, eta, params):
     z, eta_a = np.broadcast_arrays(z, eta_a)
     tb = 2.0 / params.beta
     zeta = z * eta_a ** params.beta
-    x = zeta / (1.0 + zeta)          # complement of the Beta argument
-    out = z ** tb / params.beta * beta_incomplete(x, 1.0 - tb, tb)
+    # B(x; 1 - tb, tb) at x = zeta / (1 + zeta).  For large zeta, x keeps
+    # few digits of its distance 1 - x, on which B(x) depends like
+    # (1 - x)^tb, so there B comes from the exactly computed complement
+    # 1 / (1 + zeta): B(x; a, b) = B(a, b) - B(1 - x; b, a).
+    low = zeta <= 1.0
+    part = beta_incomplete(np.where(low, zeta, 1.0) / (1.0 + zeta),
+                           np.where(low, 1.0 - tb, tb),
+                           np.where(low, tb, 1.0 - tb))
+    full = beta_complete(1.0 - tb, tb)
+    out = z ** tb / params.beta * np.where(low, part, full - part)
     return float(out) if scalar else out
 
 
-def echo_power_laplace(z, params, quad=None, complement=False):
+def _in_chunks(f, z, cost):
+    """Apply f to consecutive slices of z and join its (values, bounds).
+
+    `cost` is the number of temporary elements f holds per z; each slice
+    keeps that under _CHUNK, so the peak memory does not grow with the
+    number of outer nodes.
+    """
+    step = max(1, _CHUNK // cost)
+    parts = [f(z[i:i + step]) for i in range(0, len(z), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _echo_transform(z, params, complement):
+    """Echo-power transform over the Gamma(N) cluster-edge law, vectorized.
+
+    z is a 1-D array of positive arguments.  The rule runs in ln s over
+    the central 1 - 2 * _GAMMA_TAIL of the law s = pi lam r_far^2 ~
+    Gamma(N).  Returns (values, error bounds).
+    """
+    n = params.N
+    lam = params.lam
+    sig, wk, wg = gk_rule(np.linspace(math.log(gammaincinv(n, _GAMMA_TAIL)),
+                                      math.log(gammainccinv(n, _GAMMA_TAIL)),
+                                      _S_PANELS + 1))
+    s = np.exp(sig)
+    weight = np.exp(n * sig - s - math.lgamma(n))   # density times ds/dsig
+    r_far = np.sqrt(s / (math.pi * lam))
+    w = (2.0 * math.pi * lam / params.beta
+         * echo_laplace_exponent(z[:, None, None], r_far, params))
+    core = -np.expm1(-w) if complement else np.exp(-w)
+    return gk_sum(core * weight, wk, wg)
+
+
+def _interference_factor(z, params):
+    """Interference transform over the distance-ratio law, vectorized.
+
+    z is a 1-D array of positive arguments.  The rule runs in
+    l = logit(eta^2), in which the law (N-1)(1-eta^2)^(N-2) d(eta^2) has
+    exponential tails of rates 1 (eta -> 0) and N-1 (eta -> 1).  Its core
+    reaches below the two places where the integrand bends: zeta = z
+    eta^beta = 1, and h4 = 1/2 on the small-zeta branch, where h4 ~ z
+    eta^(beta-2)/(beta-2).  The core stops where the law's weight has
+    fallen by e^-_DEPTH below the integrand's scale z^(-2/beta).
+    Returns (values, error bounds).
+    """
+    n = params.N
+    beta = params.beta
+    tb = 2.0 / beta
+    lz = np.log(z)
+    bend_zeta = -tb * lz
+    bend_h4 = 2.0 * (math.log((beta - 2.0) / 2.0) - lz) / (beta - 2.0)
+    lo = np.maximum(np.minimum(np.minimum(bend_zeta, bend_h4), 0.0) - _MARGIN,
+                    -(_DEPTH + np.maximum(tb * lz, 0.0)))
+    # the law itself bends at eta^2 = 1/2 (l = 0) and decays at rate N-1 above
+    ell, wk, wg = gk_rule(panel_edges(lo, _MARGIN / 2.0, _ETA_PANELS,
+                                      1.0, n - 1.0))
+    v = expit(ell)                                  # eta^2
+    h4 = interference_laplace_kernel(z[:, None, None], np.sqrt(v), params)
+    y = (n - 1) * v * expit(-ell) ** (n - 1) / (1.0 + 2.0 * h4)
+    return gk_sum(y, wk, wg)
+
+
+def echo_power_laplace(z, params, complement=False):
     """Echo-power Laplace transform marginalized over the cluster-edge law.
 
     Returns E[exp(-z X)] for the echo power X of an N-station cluster; with
@@ -112,33 +205,23 @@ def echo_power_laplace(z, params, quad=None, complement=False):
     At z = 0 the transform is exactly 1.  The in-disk treatment of the
     cluster keeps a nonzero large-z limit of 2^-N (the weight of an empty
     equivalent disk), so the transform decreases toward that floor rather
-    than to 0.
+    than to 0.  Scalar form of the fixed rule `radar_rate` uses.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
     if z == 0:
         return 0.0 if complement else 1.0
-    quad = quad or INNER_QUAD
-    n = params.N
-    lam = params.lam
-    pref = 2.0 * math.pi * lam / params.beta
-    lgn = math.lgamma(n)
-
-    def f(s):
-        r_far = np.sqrt(s / (math.pi * lam))
-        w = pref * echo_laplace_exponent(z, r_far, params)
-        density = np.exp((n - 1) * np.log(s) - s - lgn)
-        core = -np.expm1(-w) if complement else np.exp(-w)
-        return core * density
-
-    return integrate_semi_infinite(f, 0.0, quad, scale=float(n))
+    value, bound = _echo_transform(np.array([float(z)]), params, complement)
+    check_bound(value, bound, "echo_power_laplace")
+    return float(value[0])
 
 
-def interference_laplace_factor(z, params, quad=None):
+def interference_laplace_factor(z, params):
     """Interference Laplace transform marginalized over the distance-ratio law.
 
     Only defined for clusters of two or more stations; the single-station
-    case is handled exactly by `radar_rate_single`.
+    case is handled exactly by `radar_rate_single`.  Scalar form of the
+    fixed rule `radar_rate` uses.
     """
     if params.N < 2:
         raise ValueError("distance-ratio law degenerates for N=1; "
@@ -147,15 +230,9 @@ def interference_laplace_factor(z, params, quad=None):
         raise ValueError("z must be nonnegative")
     if z == 0:
         return 1.0
-    quad = quad or INNER_QUAD
-    n = params.N
-
-    def f(eta):
-        h4 = interference_laplace_kernel(z, eta, params)
-        density = 2.0 * (n - 1) * eta * (1.0 - eta * eta) ** (n - 2)
-        return density / (1.0 + 2.0 * h4)
-
-    return integrate_finite(f, 0.0, 1.0, quad)
+    value, bound = _interference_factor(np.array([float(z)]), params)
+    check_bound(value, bound, "interference_laplace_factor")
+    return float(value[0])
 
 
 # fixed Gauss-Legendre rule for the exclusion-disk integral after the
@@ -189,78 +266,112 @@ def hole_exclusion_integral(c, beta=4.0):
     return float(out[0]) if scalar else out
 
 
-def radar_rate(params, quad=None):
+def radar_rate(params):
     """Cooperative radar information rate (cluster of N >= 2 stations).
 
-    Outer integral of (1 - echo transform) times the interference factor
-    over log-spaced z.  The echo/interference independence baked into the
-    factorization underestimates the rate in regimes dominated by rare
-    near-target deployments; the Monte Carlo estimator is the reference.
+    Outer integral over u = ln z of (1 - echo transform) times the
+    interference factor.  The echo factor bends where c0 z (pi lam)^(beta/2)
+    = 1 and the interference factor near z = 1; beyond both, the integrand
+    decays like z^(+-2/beta), so the rule's tails are sized by that rate.
+    Raises ConvergenceError when the achieved bound (outer K15 - G7 plus
+    the propagated inner bounds) exceeds PHYSICAL_QUAD.  The
+    echo/interference independence baked into the factorization
+    underestimates the rate in regimes dominated by rare near-target
+    deployments; the Monte Carlo estimator is the reference.
     """
     if params.N < 2:
         raise ValueError("cooperative rate needs N >= 2; "
                          "use radar_rate_single for N=1")
-    quad = quad or PHYSICAL_QUAD
     if params.ps == 0.0:
         return RateEstimate(value=0.0, method="cooperative-integral")
 
-    def f(z_arr):
-        out = np.empty_like(z_arr)
-        for i, z in enumerate(z_arr):
-            comp = echo_power_laplace(z, params, complement=True)
-            factor = interference_laplace_factor(z, params)
-            out[i] = comp * factor / z
-        return out
+    tb = 2.0 / params.beta
+    c0 = params.sigma2 * params.mr * params.ps
+    u_echo = -math.log(c0) - math.log(math.pi * params.lam) / tb
+    lo = min(u_echo, 0.0) - _MARGIN / tb
+    hi = max(u_echo, 0.0) + _MARGIN / tb
+    u, wk, wg = gk_rule(panel_edges(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP),
+                                    tb, tb))
+    z = np.exp(u.ravel())
+    comp, comp_err = _in_chunks(
+        lambda zc: _echo_transform(zc, params, complement=True), z,
+        _S_PANELS * 15 * params.q_shape)
+    factor, factor_err = _in_chunks(      # core plus two six-panel tails
+        lambda zc: _interference_factor(zc, params), z, (_ETA_PANELS + 12) * 15)
+    value, err = gk_sum((comp * factor).reshape(u.shape), wk, wg)
+    err += np.sum((comp_err * factor + comp * factor_err).reshape(u.shape) * wk)
+    check_bound(value, err, "radar_rate")
+    return RateEstimate(value=max(float(value), 0.0),
+                        method="cooperative-integral", uncertainty=float(err))
 
-    value, err, _ = integrate_semi_infinite(f, 0.0, quad, full_output=True)
-    return RateEstimate(value=max(value, 0.0), method="cooperative-integral",
-                        uncertainty=err)
+
+def _hole_transform(omega, params, k):
+    """Single-station interference transform with the exclusion disk.
+
+    omega = (z pt)^(2/beta) / (pi lam) is a 1-D array.  Over s = pi lam
+    r1^2 the no-hole exponent is -s - k omega s^2 and the hole adds
+    (s/pi) * hole(c), c = (omega s)^(beta/2).  The rule runs in ln s; its
+    core starts below the hole's bend at s = 1/omega and ends where
+    exp(-s) or exp(-k omega s^2) has fallen by e^-_DEPTH.
+    Returns (values, error bounds).
+    """
+    beta = params.beta
+    ln_hi = np.log(np.minimum(_DEPTH, np.sqrt(_DEPTH / (k * omega))))
+    ln_lo = np.minimum(0.0, -np.log(omega)) - _MARGIN
+    sig, wk, wg = gk_rule(panel_edges(ln_lo, ln_hi, _HOLE_S_PANELS, 1.0))
+    s = np.exp(sig)
+    om = omega[:, None, None]
+    c = (om * s) ** (beta / 2.0)
+    expo = -s - k * om * s * s + s / math.pi * hole_exclusion_integral(c, beta)
+    return gk_sum(np.exp(expo) * s, wk, wg)
 
 
-def radar_rate_single(params, include_hole=True, quad=None):
+def radar_rate_single(params, include_hole=True):
     """Radar information rate for a single sensing station (N = 1), exact.
 
     With include_hole=True the interference transform accounts for the
     station-free disk of radius r1 around the target; with False that
     correction is dropped, which overestimates interference and lowers the
     rate (the shortfall grows with the normalized deployment density).
+    The no-hole transform is closed form (a scaled complementary error
+    function); with the hole it is a fixed rule in ln s.  The outer rule
+    runs in u = ln z: the echo factor bends at z = 1/(sigma2 mr ps) and
+    decays like z below it; the interference transform bends at omega = 1
+    and decays like omega^(-1/2) = z^(-1/beta) above it.  Raises
+    ConvergenceError when the achieved bound exceeds PHYSICAL_QUAD.
     """
     if params.N != 1:
         raise ValueError("single-station rate requires N = 1")
-    quad = quad or PHYSICAL_QUAD
+    method = "single-bs-hole" if include_hole else "single-bs-no-hole"
     if params.ps == 0.0:
-        method = "single-bs-hole" if include_hole else "single-bs-no-hole"
         return RateEstimate(value=0.0, method=method)
 
     q = params.q_shape
     lam = params.lam
     beta = params.beta
     tb = 2.0 / beta
-    bc = beta_complete(tb, 1.0 - tb)
+    k = tb * beta_complete(tb, 1.0 - tb)
     c_echo = params.sigma2 * params.mr * params.ps
-
-    def interference_transform(z):
-        # s = pi lam r1^2; the no-hole exponent is -s - A s^2, and the hole
-        # correction adds +(s/pi) * hole(c) with c = z p_t r1^beta
-        a_quad = tb * (z * params.pt) ** tb * bc / (math.pi * lam)
-
-        def f(s):
-            expo = -s - a_quad * s * s
-            if include_hole:
-                c = z * params.pt * (s / (math.pi * lam)) ** (beta / 2.0)
-                expo = expo + s / math.pi * hole_exclusion_integral(c, beta)
-            return np.exp(expo)
-
-        scale = 1.0 / (1.0 + math.sqrt(a_quad))
-        return integrate_semi_infinite(f, 0.0, INNER_QUAD, scale=scale)
-
-    def outer(z_arr):
-        out = np.empty_like(z_arr)
-        for i, z in enumerate(z_arr):
-            echo = -np.expm1(-q * np.log1p(z * c_echo))
-            out[i] = echo * interference_transform(z) / z
-        return out
-
-    value, err, _ = integrate_semi_infinite(outer, 0.0, quad, full_output=True)
-    method = "single-bs-hole" if include_hole else "single-bs-no-hole"
-    return RateEstimate(value=max(value, 0.0), method=method, uncertainty=err)
+    u_echo = -math.log(c_echo)
+    u_hole = math.log(math.pi * lam) / tb - math.log(params.pt)   # omega = 1
+    lo = min(u_echo, u_hole) - _MARGIN
+    hi = max(u_echo, u_hole) + _MARGIN
+    u, wk, wg = gk_rule(panel_edges(lo, hi, math.ceil((hi - lo) / _Z_STEP),
+                                    1.0, 1.0 / beta))
+    z = np.exp(u.ravel())
+    echo = -np.expm1(-q * np.log1p(z * c_echo))
+    omega = (z * params.pt) ** tb / (math.pi * lam)
+    if include_hole:
+        transform, transform_err = _in_chunks(   # core, one tail, disk rule
+            lambda om: _hole_transform(om, params, k), omega,
+            (_HOLE_S_PANELS + 6) * 15 * len(_HKERNEL))
+    else:
+        # int_0^inf exp(-s - k omega s^2) ds
+        r = 0.5 / np.sqrt(k * omega)
+        transform = math.sqrt(math.pi) * r * erfcx(r)
+        transform_err = np.zeros_like(transform)
+    value, err = gk_sum((echo * transform).reshape(u.shape), wk, wg)
+    err += np.sum((echo * transform_err).reshape(u.shape) * wk)
+    check_bound(value, err, method)
+    return RateEstimate(value=max(float(value), 0.0), method=method,
+                        uncertainty=float(err))

@@ -1,10 +1,11 @@
-"""Special functions and adaptive quadrature underlying the analytic expressions.
+"""Special functions and quadrature underlying the analytic expressions.
 
 Everything here is pure and deterministic: incomplete Beta / Gamma kernels
-(thin vectorized wrappers over scipy.special), plus a Gauss-Kronrod
-adaptive integrator and a log-substitution engine for semi-infinite
-integrals.  Integrands passed to the integrators must accept
-1-D numpy arrays.
+(thin vectorized wrappers over scipy.special), a Gauss-Kronrod adaptive
+integrator with a log-substitution engine for semi-infinite integrals, and
+the fixed composite Gauss-Kronrod rules that the deterministic analytic
+paths evaluate in one array pass.  Integrands passed to the adaptive
+integrators must accept 1-D numpy arrays.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ __all__ = [
     "ConvergenceError",
     "DEFAULT_QUAD",
     "PHYSICAL_QUAD",
-    "INNER_QUAD",
     "beta_complete",
     "beta_incomplete",
     "gamma_reg_lower",
     "integrate_finite",
     "integrate_semi_infinite",
+    "panel_edges",
+    "gk_rule",
+    "gk_sum",
+    "check_bound",
 ]
 
 
@@ -63,8 +67,6 @@ class QuadratureSpec:
 # integrals where the acceptance tolerances are percent-level anyway.
 DEFAULT_QUAD = QuadratureSpec()
 PHYSICAL_QUAD = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=4000)
-# Tighter spec for integrals nested inside a PHYSICAL_QUAD outer integral.
-INNER_QUAD = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14, max_subdivisions=4000)
 
 
 def _prepare(x):
@@ -131,6 +133,9 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
 _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])           # positions of G7 nodes
 _WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
+# the G7 weights on the 15 Kronrod nodes, zero where G7 has no node
+_WEIGHTS_G15 = np.zeros(15)
+_WEIGHTS_G15[_GAUSS_IDX] = _WEIGHTS_G
 
 
 def _gk_panels(f, a, b):
@@ -275,3 +280,74 @@ def integrate_semi_infinite(f, lo, spec=None, scale=None, full_output=False):
     if full_output:
         return acc, acc_err, used
     return acc
+
+
+# Tail edges of a composite rule beyond its core, in units of the decay
+# length 1/rate: each panel is twice as wide as the last, and the outermost
+# edge lies where an integrand decaying like exp(-rate * distance) has
+# fallen by e^-63, below double precision.
+_TAIL_EDGES = 2.0 ** np.arange(7) - 1.0
+
+
+def panel_edges(lo, hi, panels, rate_lo=None, rate_hi=None):
+    """Edges of a composite rule: `panels` equal panels on [lo, hi] plus tails.
+
+    lo and hi broadcast against each other, so every row of a batch gets
+    its own core.  With rate_lo (rate_hi) given, six panels of doubling
+    width extend the rule below lo (above hi) over an integrand tail that
+    decays like exp(-rate * distance).  Returns an array (..., n_edges).
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    shape = np.broadcast_shapes(lo.shape, hi.shape)[:-1]
+    parts = [lo + (hi - lo) * np.linspace(0.0, 1.0, panels + 1)]
+    if rate_lo is not None:
+        parts.insert(0, lo - _TAIL_EDGES[:0:-1] / rate_lo)
+    if rate_hi is not None:
+        parts.append(hi + _TAIL_EDGES[1:] / rate_hi)
+    return np.concatenate([np.broadcast_to(p, shape + p.shape[-1:])
+                           for p in parts], axis=-1)
+
+
+def gk_rule(edges):
+    """Nodes and weights of the composite GK15 rule between consecutive edges.
+
+    edges: (..., n_edges), ascending along the last axis.  Returns the
+    nodes x and the Kronrod weights wk, both (..., n_edges - 1, 15), and
+    the embedded G7 weights wg on the same nodes (zero where G7 has none).
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    return mid + half * _NODES, half * _WEIGHTS_K, half * _WEIGHTS_G15
+
+
+def gk_sum(y, wk, wg):
+    """Integral of the node values y over the last two axes, with its bound.
+
+    The bound is the sum over panels of |K15 - G7|, floored per panel at 50
+    machine epsilons of the panel's absolute integral, as in `_gk_panels`.
+    """
+    vk = (y * wk).sum(axis=-1)
+    vg = (y * wg).sum(axis=-1)
+    floor = 50.0 * np.finfo(float).eps * (np.abs(y) * np.abs(wk)).sum(axis=-1)
+    return vk.sum(axis=-1), np.maximum(np.abs(vk - vg), floor).sum(axis=-1)
+
+
+def check_bound(value, bound, what):
+    """Raise ConvergenceError where a fixed rule's bound misses PHYSICAL_QUAD.
+
+    The tolerance is max(abs_tol, rel_tol * |value|), elementwise, as the
+    adaptive integrators apply it; a NaN bound fails too.
+    """
+    value = np.asarray(value, dtype=float)
+    bound = np.asarray(bound, dtype=float)
+    tol = np.maximum(PHYSICAL_QUAD.abs_tol, PHYSICAL_QUAD.rel_tol * np.abs(value))
+    bad = ~(bound <= tol)
+    if np.any(bad):
+        i = np.flatnonzero(bad.ravel())[0]
+        raise ConvergenceError(
+            f"{what}: fixed rule error bound {bound.ravel()[i]:.3g} exceeds "
+            f"the tolerance {tol.ravel()[i]:.3g} "
+            f"(estimate {value.ravel()[i]:.6g})",
+            estimate=value, error_bound=bound)
