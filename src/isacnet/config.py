@@ -212,6 +212,10 @@ def build_experiment(entries, overrides=None):
 
     if metric == "coverage" and not t_db:
         raise ConfigError("coverage experiments need a t_db grid")
+    if metric == "coverage" and (params.pc == 0.0 or (
+            sweep_param == "ps" and 1.0 in sweep_values)):
+        raise ConfigError("coverage is undefined without communication power "
+                          "(ps = 1 leaves pc = 0)")
 
     return ExperimentConfig(metric=metric, method=method, params=params,
                             t_db=tuple(t_db), sweep_param=sweep_param,

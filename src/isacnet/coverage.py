@@ -8,12 +8,13 @@ substituting s_i = pi * lam * r_i^2 the deployment density drops out
 exactly, which is why the closed form below carries no density argument
 at all.
 
-The distance average is an adaptive integral at L = 1.  At L = 2 it is a
-fixed composite Gauss-Kronrod rule in one variable, evaluated for every
-threshold in one array pass: the exponent is homogeneous of degree one in
-the s_i, so the integral over the nearest distance is exact and only the
-distance ratio remains.  At L >= 3 it is a fixed-seed sample of the
-distance law, drawn once per curve.
+The exponent is homogeneous of degree one in the s_i, so with
+s = s_1 (1, x_2, ..., x_L) the integral over the nearest distance s_1 is
+exact and only the distance ratios remain.  At L = 1 there are none and
+the coverage is a finite sum.  At L >= 2 the ratios are integrated by a
+fixed composite Gauss-Kronrod rule in ln(x_L - 1) times one GK15 rule per
+intermediate station, evaluated as array passes per threshold; the
+embedded 7-point Gauss sums give the error bound each value reports.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.special import factorial
 
-from .specfun import (PHYSICAL_QUAD, beta_incomplete, check_bound, gk_rule,
-                      gk_sum, integrate_semi_infinite, panel_edges)
+from .specfun import (beta_incomplete, check_bound, gk_rule, gk_sum, in_chunks,
+                      panel_edges)
 
 __all__ = [
     "CoverageCurve",
@@ -37,10 +40,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Budget of the L = 2 fixed rule in ln rho: core panels, and how far (in
-# decay lengths) the core reaches beyond the bend it covers.
+# Budget of the L >= 2 fixed rule: core panels in ln rho, how far (in decay
+# lengths) the core reaches beyond the bend it covers, and GK15 panels per
+# intermediate-station direction theta.
 _RHO_PANELS = 24
 _MARGIN = 4.0
+_THETA_PANELS = 1
 
 
 @dataclass(frozen=True)
@@ -48,10 +53,10 @@ class CoverageCurve:
     """Coverage estimates over a grid of linear SIR thresholds.
 
     Analytic curves carry `quad_error`, the per-threshold error bound the
-    quadrature achieved (0 where the value is exact or, at L >= 3, where
-    the sampling error in `uncertainty` is the whole error).  Simulated
-    curves carry the per-threshold truncation-bias bounds and the
-    simulator's bookkeeping (`montecarlo.McResult`).
+    fixed rule achieved (0 where the value is a closed form or, at L = 1,
+    a finite sum), and an `uncertainty` of 0.  Simulated curves carry the
+    95% half-widths in `uncertainty`, the per-threshold truncation-bias
+    bounds and the simulator's bookkeeping (`montecarlo.McResult`).
     """
 
     thresholds: np.ndarray
@@ -133,12 +138,19 @@ def interference_exponent(distances, n, threshold, params):
     return float(_h_core(pow_sum, pow_last, np.array([a]), params.beta)[..., 0])
 
 
+def _require_comm_power(params):
+    if params.pc == 0.0:
+        raise ValueError("coverage is undefined without communication power "
+                         "(pc = 0)")
+
+
 def coverage_closed_form(params, threshold):
     """Closed-form coverage for a single serving station at beta = 4.
 
     Density-free by construction: the deployment intensity cancels when the
     interference exponent is averaged over the serving-distance law.
     """
+    _require_comm_power(params)
     if params.L != 1:
         raise ValueError("closed form requires a single-station cluster (L=1)")
     if not math.isclose(params.beta, 4.0):
@@ -163,115 +175,137 @@ def _threshold_terms(params, thresholds):
     return params.alpha() * np.arange(1, q + 1) * t * params.pt / (q * params.pc)
 
 
-def _survival(pow_sum, pow_last, a_terms, params):
-    """Alternating-sum integrand given the cluster's power-law aggregates."""
-    h = _h_core(pow_sum, pow_last, a_terms, params.beta)
-    return (_signed_binomials(params.q_shape) * np.exp(-h)).sum(axis=-1)
+def _theta_rule(m):
+    """The m-fold tensor GK15 rule in theta on (0, 1), one term per multiset.
+
+    The integrand it serves is symmetric in the theta_j, so the tensor
+    nodes that are permutations of one multiset of node indices share one
+    evaluation, weighted by the multinomial count.  Returns the nodes (n,),
+    each multiset's node counts (K, n) and its K15 and G7 tensor weights
+    (K,); at m = 0 the one empty multiset has weight 1.
+    """
+    theta, wk, wg = (r.ravel() for r in
+                     gk_rule(panel_edges(0.0, 1.0, _THETA_PANELS)))
+    idx = np.array(list(combinations_with_replacement(range(len(theta)), m)),
+                   dtype=int)
+    counts = (idx[..., None] == np.arange(len(theta))).sum(axis=1)
+    multi = math.factorial(m) / factorial(counts).prod(axis=1)
+    return (theta, counts, multi * wk[idx].prod(axis=1),
+            multi * wg[idx].prod(axis=1))
 
 
-def _l1_curve(params, a):
-    """L = 1: adaptive integral over s1 ~ Exp(1) per threshold."""
-    values, errors = [], []
-    for a_terms in a:
-        def f(t):
-            p = t ** (-params.beta / 2.0)
-            return _survival(p, p, a_terms, params) * np.exp(-t)
-        v, e, _ = integrate_semi_infinite(f, 0.0, PHYSICAL_QUAD, scale=1.0,
-                                          full_output=True)
-        values.append(v)
-        errors.append(e)
-    return np.array(values), np.array(errors)
+def _theta_integrals(u, a_terms, params, rule):
+    """K15 and G7 theta integrals of the L >= 2 integrand at u = ln rho.
+
+    With c = ln x_L = ln(1 + rho) the integrand in (ln rho, theta) is
+    J * F, J = (L-1) rho c^(L-2) exp(c (sum_j theta_j - L)) and
+    F = sum_n c_n (1 + G_n / x_L)^-L.  F is split into F at theta = 1
+    (every intermediate station at the cluster edge), whose theta integral
+    is exact because that of J is (L-1) rho^(L-1) x_L^-L, and the rest,
+    which vanishes where the rule's exponential weight exp(c theta_j) is
+    hard to resolve.  At L = 2 there is no theta and the exact part is the
+    whole integral.  Returns the two (rho,) arrays.
+    """
+    L, beta = params.L, params.beta
+    theta, counts, w_k, w_g = rule
+    signed = _signed_binomials(params.q_shape)
+    rho = np.exp(u)[:, None]
+    c = np.log1p(rho)
+    pow_last = np.exp(-0.5 * beta * c)
+
+    def survival(pow_sum):
+        g = _h_core(pow_sum, pow_last, a_terms, beta)
+        return (signed * (1.0 + g / (1.0 + rho)[..., None]) ** -L).sum(axis=-1)
+
+    f_edge = survival(1.0 + (L - 1) * pow_last)
+    f = survival(1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T)
+    jac = (L - 1) * rho * c ** (L - 2) * np.exp(c * (counts @ theta - L))
+    y = (f - f_edge) * jac
+    exact = (L - 1) * np.exp((L - 1) * u - L * c[:, 0]) * f_edge[:, 0]
+    return y @ w_k + exact, y @ w_g + exact
 
 
-def _l2_curve(params, a):
-    """L = 2 at every threshold at once: fixed rule in ln rho.
+def _cluster_curve(params, a):
+    """L >= 2, each threshold on its own fixed rule in ln rho and theta.
 
-    The exponent h is homogeneous of degree one in the cluster's s values,
-    so with the gaps written as t1 and t2 = rho * t1 the t1 integral is
-    exact: the coverage is sum_n c_n int_0^inf (1 + rho + G_n(rho))^-2
-    d rho with G_n the exponent at s = (1, 1 + rho).  The integrand lies
-    in [0, (1 + rho)^-2], so it decays like rho at 0 and like 1/rho at
-    infinity (rate 1 in ln rho on both sides), and it bends where the
-    edge term a (1 + rho)^(-beta/2) crosses 1.
+    Write s = s_1 (1, x_2, ..., x_L).  The exponent is homogeneous of
+    degree one in s, so the s_1 integral is exact: the coverage is
+    sum_n c_n (L-1)! int (x_L + G_n(x))^-L dx over 1 < x_2 < ... < x_L,
+    with G_n the exponent at s = (1, x_2, ..., x_L).  The intermediate
+    x_j enter only through their power sum, so they may be unordered (a
+    factor 1/(L-2)!), and with x_L = 1 + rho and x_j = x_L^theta_j,
+    theta_j in (0, 1), the coverage is
+        sum_n c_n int_0^inf (L-1) int_(0,1)^(L-2) prod_j (x_j ln x_L)
+                  (x_L + G_n)^-L d theta d rho.
+    In ln rho the integrand decays like rho^(L-1) at 0 and like 1/rho at
+    infinity (rates L-1 and 1), and it bends where the edge term
+    a x_L^(-beta/2) crosses 1; the rule's range depends on the threshold
+    alone, so a curve and single-threshold calls give equal values.  The
+    bound is the ln rho K15 - G7 bound plus |K15 - G7| in theta.
+    Returns (values, bounds).
     """
     tb = 2.0 / params.beta
-    hi = _MARGIN + max(tb * math.log(a.max()), 0.0)
-    x, wk, wg = gk_rule(panel_edges(-_MARGIN, hi, _RHO_PANELS, 1.0, 1.0))
-    rho = np.exp(x.ravel())
-    pow_last = (1.0 + rho) ** (-params.beta / 2.0)
-    g = _h_core(1.0 + pow_last, pow_last, a[:, None, :], params.beta)
-    rho = rho[:, None]
-    y = (_signed_binomials(params.q_shape) * rho / (1.0 + rho + g) ** 2).sum(axis=-1)
-    return gk_sum(y.reshape((len(a),) + x.shape), wk, wg)
+    rule = _theta_rule(params.L - 2)
+    cost = len(rule[2]) * params.q_shape      # temporaries per rho node
+    values, bounds = np.empty(len(a)), np.empty(len(a))
+    for i, a_terms in enumerate(a):
+        hi = _MARGIN + max(tb * math.log(a_terms[-1]), 0.0)
+        u, wk, wg = gk_rule(panel_edges(-_MARGIN, hi, _RHO_PANELS,
+                                        params.L - 1.0, 1.0))
+        y_k, y_g = in_chunks(
+            lambda uc: _theta_integrals(uc, a_terms, params, rule),
+            u.ravel(), cost)
+        values[i], bounds[i] = gk_sum(y_k.reshape(u.shape), wk, wg)
+        bounds[i] += abs(np.sum((y_k - y_g).reshape(u.shape) * wk))
+    return values, bounds
 
 
-def _sampled_curve(params, a, integration_samples, seed):
-    """L >= 3: one fixed-seed draw of the distance law for every threshold."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    s = np.cumsum(rng.standard_exponential((integration_samples, params.L)),
-                  axis=1)
-    pow_terms = s ** (-params.beta / 2.0)
-    pow_sum = pow_terms.sum(axis=1)
-    pow_last = pow_terms[:, -1]
-    means, half_widths = [], []
-    for a_terms in a:
-        vals = _survival(pow_sum, pow_last, a_terms, params)
-        means.append(float(vals.mean()))
-        half_widths.append(1.96 * float(vals.std(ddof=1))
-                           / math.sqrt(integration_samples))
-    return np.array(means), np.array(half_widths)
-
-
-def _integral_curve(params, thresholds, integration_samples, seed):
-    """(values, uncertainty, quad_error) of the integral path, clamped."""
+def _integral_curve(params, thresholds):
+    """(values, quad_error) of the integral path, clamped to [0, 1]."""
+    _require_comm_power(params)
     if np.any(np.asarray(thresholds) <= 0):
         raise ValueError("threshold must be positive")
     a = _threshold_terms(params, thresholds)
-    unc = np.zeros(len(a))
     if params.L == 1:
-        values, quad_error = _l1_curve(params, a)
-    elif params.L == 2:
-        values, quad_error = _l2_curve(params, a)
-        check_bound(values, quad_error, "L=2 coverage")
-    else:
-        values, unc = _sampled_curve(params, a, integration_samples, seed)
+        # s_1 ~ Exp(1) alone: E[exp(-s_1 G_n)] = 1 / (1 + G_n)
+        g = _h_core(1.0, 1.0, a, params.beta)
+        values = (_signed_binomials(params.q_shape) / (1.0 + g)).sum(axis=-1)
         quad_error = np.zeros(len(a))
+    else:
+        values, quad_error = _cluster_curve(params, a)
+        check_bound(values, quad_error, f"L={params.L} coverage")
     outside = (values < -1e-9) | (values > 1.0 + 1e-9)
     for v in values[outside]:
         log.warning("coverage integral %.6g outside [0,1]; clamping", v)
-    return np.clip(values, 0.0, 1.0), unc, quad_error
+    return np.clip(values, 0.0, 1.0), quad_error
 
 
-def coverage_integral(params, threshold, integration_samples=400_000, seed=0):
+def coverage_integral(params, threshold):
     """Cluster-size-L coverage by averaging the interference Laplace sum.
 
-    Deterministic quadrature for L <= 2: adaptive at L = 1, a fixed rule
-    at L = 2.  For L >= 3 the distance average is estimated by fixed-seed
-    Monte Carlo integration over the distance law (this is integration of
-    the analytic integrand, not a network simulation).  Out-of-range
-    results are clamped to [0, 1] and logged.
+    A finite sum at L = 1 and, at L >= 2, a fixed rule whose error bound
+    must meet PHYSICAL_QUAD (ConvergenceError otherwise).  Out-of-range
+    results are clamped to [0, 1] and logged.  Raises ValueError when
+    pc = 0, where coverage is undefined.
     """
-    values, _, _ = _integral_curve(params, [threshold], integration_samples,
-                                   seed)
+    values, _ = _integral_curve(params, [threshold])
     return float(values[0])
 
 
-def coverage_curve(params, thresholds, method="integral",
-                   integration_samples=400_000, seed=0):
+def coverage_curve(params, thresholds, method="integral"):
     """Coverage over a threshold grid; method 'integral' or 'closed-form'.
 
-    The integral path evaluates every threshold in one pass: one fixed
-    rule at L = 2 and one draw of the distance law at L >= 3.
+    The integral path gives each threshold the value and error bound of a
+    single `coverage_integral` call.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if method == "closed-form":
         values = np.array([coverage_closed_form(params, t) for t in thresholds])
-        unc = np.zeros_like(thresholds)
         quad_error = np.zeros_like(thresholds)
     elif method == "integral":
-        values, unc, quad_error = _integral_curve(params, thresholds,
-                                                  integration_samples, seed)
+        values, quad_error = _integral_curve(params, thresholds)
     else:
         raise ValueError("method must be 'integral' or 'closed-form'")
     return CoverageCurve(thresholds=thresholds, values=values, method=method,
-                         uncertainty=unc, quad_error=quad_error)
+                         uncertainty=np.zeros_like(thresholds),
+                         quad_error=quad_error)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import pdtr
 
-from .coverage import CoverageCurve
+from .coverage import CoverageCurve, _require_comm_power
 from .radar import RateEstimate
 
 __all__ = ["McConfig", "McResult", "SimulationWindowError",
@@ -233,8 +233,10 @@ def mc_coverage(params, thresholds, cfg):
     against the whole grid, which guarantees the curve is non-increasing
     in the threshold.  Returns a CoverageCurve whose `bias_bounds` hold the
     per-threshold truncation-bias estimates and whose `mc_result` carries
-    the trial bookkeeping.
+    the trial bookkeeping.  Raises ValueError when pc = 0, where coverage
+    is undefined.
     """
+    _require_comm_power(params)
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or len(thresholds) == 0:
         raise ValueError("thresholds must be a non-empty 1-D array")

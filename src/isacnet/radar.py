@@ -28,7 +28,7 @@ from scipy.special import (erfcx, expit, gammainccinv, gammaincinv,
                            roots_legendre)
 
 from .specfun import (beta_complete, beta_incomplete, check_bound, gk_rule,
-                      gk_sum, panel_edges)
+                      gk_sum, in_chunks, panel_edges)
 
 __all__ = [
     "RateEstimate",
@@ -51,11 +51,6 @@ _ETA_PANELS = 24        # logit(eta^2), distance-ratio law
 _HOLE_S_PANELS = 12     # ln s, single-station law with the exclusion disk
 _GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the ln s rule
 _DEPTH = 36.0           # e-folds below its scale at which a core may stop
-# Temporary elements per slice of outer nodes.  Slices this small keep a
-# rate's working set near 1 MB; at 1 << 19 one radar-rate call raised the
-# calling process's peak resident set by 13 MB, which the simulator's pool
-# workers, forked afterwards, inherit.
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -133,18 +128,6 @@ def interference_laplace_kernel(z, eta, params):
     full = beta_complete(1.0 - tb, tb)
     out = z ** tb / params.beta * np.where(low, part, full - part)
     return float(out) if scalar else out
-
-
-def _in_chunks(f, z, cost):
-    """Apply f to consecutive slices of z and join its (values, bounds).
-
-    `cost` is the number of temporary elements f holds per z; each slice
-    keeps that under _CHUNK, so the peak memory does not grow with the
-    number of outer nodes.
-    """
-    step = max(1, _CHUNK // cost)
-    parts = [f(z[i:i + step]) for i in range(0, len(z), step)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _echo_transform(z, params, complement):
@@ -293,10 +276,10 @@ def radar_rate(params):
     u, wk, wg = gk_rule(panel_edges(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP),
                                     tb, tb))
     z = np.exp(u.ravel())
-    comp, comp_err = _in_chunks(
+    comp, comp_err = in_chunks(
         lambda zc: _echo_transform(zc, params, complement=True), z,
         _S_PANELS * 15 * params.q_shape)
-    factor, factor_err = _in_chunks(      # core plus two six-panel tails
+    factor, factor_err = in_chunks(      # core plus two six-panel tails
         lambda zc: _interference_factor(zc, params), z, (_ETA_PANELS + 12) * 15)
     value, err = gk_sum((comp * factor).reshape(u.shape), wk, wg)
     err += np.sum((comp_err * factor + comp * factor_err).reshape(u.shape) * wk)
@@ -362,7 +345,7 @@ def radar_rate_single(params, include_hole=True):
     echo = -np.expm1(-q * np.log1p(z * c_echo))
     omega = (z * params.pt) ** tb / (math.pi * lam)
     if include_hole:
-        transform, transform_err = _in_chunks(   # core, one tail, disk rule
+        transform, transform_err = in_chunks(   # core, one tail, disk rule
             lambda om: _hole_transform(om, params, k), omega,
             (_HOLE_S_PANELS + 6) * 15 * len(_HKERNEL))
     else:

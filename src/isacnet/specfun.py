@@ -29,6 +29,7 @@ __all__ = [
     "panel_edges",
     "gk_rule",
     "gk_sum",
+    "in_chunks",
     "check_bound",
 ]
 
@@ -158,7 +159,8 @@ def integrate_finite(f, lo, hi, spec=None, full_output=False):
     f must accept a 1-D ndarray of abscissae.  Endpoint singularities of
     order > -1 are handled by bisection toward the endpoint (the rule never
     evaluates f at lo or hi).  Raises ConvergenceError when the subdivision
-    budget runs out before err <= max(abs_tol, rel_tol*|result|).
+    budget runs out before err <= max(abs_tol, rel_tol*|result|), or as
+    soon as a panel's value or error is not finite.
     """
     spec = spec or DEFAULT_QUAD
     lo = float(lo)
@@ -175,6 +177,11 @@ def integrate_finite(f, lo, hi, spec=None, full_output=False):
     while True:
         total = vals.sum()
         toterr = errs.sum()
+        if not (math.isfinite(total) and math.isfinite(toterr)):
+            # NaN errors never select a panel for refinement
+            raise ConvergenceError(
+                f"non-finite integrand (estimate {total:.6g}, error bound "
+                f"{toterr:.3g})", estimate=total, error_bound=toterr)
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if toterr <= tol:
             break
@@ -332,6 +339,25 @@ def gk_sum(y, wk, wg):
     vg = (y * wg).sum(axis=-1)
     floor = 50.0 * np.finfo(float).eps * (np.abs(y) * np.abs(wk)).sum(axis=-1)
     return vk.sum(axis=-1), np.maximum(np.abs(vk - vg), floor).sum(axis=-1)
+
+
+# Temporary elements per slice of a fixed rule's outer nodes.  Slices this
+# small keep a rule's working set near 1 MB; at 1 << 19 one radar-rate call
+# raised the calling process's peak resident set by 13 MB, which the
+# simulator's pool workers, forked afterwards, inherit.
+_CHUNK = 1 << 14
+
+
+def in_chunks(f, z, cost):
+    """Apply f to consecutive slices of z and join the arrays it returns.
+
+    `cost` is the number of temporary elements f holds per z; each slice
+    keeps that under _CHUNK (a slice holds at least one z), so the peak
+    memory does not grow with the number of outer nodes.
+    """
+    step = max(1, _CHUNK // cost)
+    parts = [f(z[i:i + step]) for i in range(0, len(z), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def check_bound(value, bound, what):

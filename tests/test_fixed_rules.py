@@ -4,7 +4,9 @@ The oracle is the evaluation the library used before the fixed rules: every
 outer node of a semi-infinite adaptive integral starts its own adaptive
 inner integral.  It shares the closed kernels with the library, so these
 tests check the integration alone; the kernels have their own quadrature
-oracles in test_radar.py and test_coverage.py.
+oracles in test_radar.py and test_coverage.py.  Coverage at L >= 3 is
+checked against a large fixed-seed draw of the ordered-distance law, which
+shares nothing with the rule's reduction to distance ratios.
 """
 
 import math
@@ -15,13 +17,14 @@ import pytest
 from scipy import integrate
 
 from isacnet import SystemParams, coverage, radar
-from isacnet.coverage import _h_core, _signed_binomials, coverage_curve
+from isacnet.coverage import (_h_core, _signed_binomials, _threshold_terms,
+                              coverage_closed_form, coverage_curve)
 from isacnet.radar import (echo_laplace_exponent, hole_exclusion_integral,
                            interference_laplace_factor,
                            interference_laplace_kernel, radar_rate,
                            radar_rate_single)
 from isacnet.specfun import (PHYSICAL_QUAD, ConvergenceError, QuadratureSpec,
-                             beta_complete, integrate_finite,
+                             beta_complete, beta_incomplete, integrate_finite,
                              integrate_semi_infinite)
 
 # the tighter spec the oracle gives the integrals nested inside its
@@ -132,6 +135,30 @@ def quad_coverage_l2(params, threshold):
     val, _ = integrate.quad(f, -60.0, 60.0, limit=1000, epsabs=0.0,
                             epsrel=1e-13)
     return val
+
+
+def sampled_coverage(params, thresholds, samples=1_000_000, seed=0,
+                     chunk=100_000):
+    """Coverage by a fixed-seed draw of the ordered distances s_1 < ... < s_L.
+
+    The squared distances scaled by pi*lam are cumulative sums of Exp(1)
+    gaps; the survival sum is averaged over the draw.  Returns the means
+    and their 95% half-widths.  Drawn and evaluated in chunks so that the
+    working set stays small.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    a = _threshold_terms(params, thresholds)
+    signed = _signed_binomials(params.q_shape)
+    vals = np.empty((len(a), samples))
+    for i in range(0, samples, chunk):
+        s = np.cumsum(rng.standard_exponential((chunk, params.L)), axis=1)
+        pow_terms = s ** (-params.beta / 2.0)
+        for j, a_terms in enumerate(a):
+            h = _h_core(pow_terms.sum(axis=1), pow_terms[:, -1], a_terms,
+                        params.beta)
+            vals[j, i:i + chunk] = (signed * np.exp(-h)).sum(axis=-1)
+    return (vals.mean(axis=1),
+            1.96 * vals.std(axis=1, ddof=1) / math.sqrt(samples))
 
 
 # ---------------------------------------------------------- wider-range rule
@@ -248,17 +275,47 @@ def test_analytic_coverage_rows_carry_the_rule_bound(tmp_path):
 def test_sampled_curve_equals_single_threshold_calls():
     params = SystemParams(L=3, beta=3.5)
     t = 10.0 ** (np.array([-10.0, 0.0, 10.0, 20.0]) / 10.0)
-    curve = coverage_curve(params, t, integration_samples=50_000, seed=7)
-    single = [coverage.coverage_integral(params, x, integration_samples=50_000,
-                                         seed=7) for x in t]
+    curve = coverage_curve(params, t)
+    single = [coverage.coverage_integral(params, x) for x in t]
     assert curve.values.tolist() == single
-    assert np.all(curve.uncertainty > 0.0)
-    assert np.all(curve.quad_error == 0.0)
+    assert np.all(curve.uncertainty == 0.0)
+    assert np.all(curve.quad_error > 0.0)
+    assert np.all(curve.quad_error <= PHYSICAL_QUAD.rel_tol * curve.values)
+
+
+@pytest.mark.parametrize("L", (3, 4, 5))
+@pytest.mark.parametrize("mt", (4, 10))
+def test_cluster_coverage_matches_sampled_distances(L, mt):
+    params = SystemParams(L=L, beta=3.5, mt=mt)
+    t = 10.0 ** (np.array([-10.0, 5.0, 20.0]) / 10.0)
+    curve = coverage_curve(params, t)
+    mean, ci = sampled_coverage(params, t, seed=L + mt)
+    assert np.all(np.abs(curve.values - mean) <= 4.0 * ci + curve.quad_error)
+
+
+@pytest.mark.parametrize("beta", (3.2, 4.0))
+def test_single_station_coverage_is_the_finite_sum(beta):
+    # with one station the distance average is E[exp(-s h0)] = 1/(1 + h0)
+    params = SystemParams(beta=beta, L=1)
+    q, tb = params.q_shape, 2.0 / beta
+    for t in (0.1, 2.0, 100.0):
+        total = 0.0
+        for n in range(1, q + 1):
+            a = params.alpha() * n * t * params.pt / (q * params.pc)
+            h0 = tb * a ** tb * beta_incomplete(a / (1.0 + a), 1.0 - tb, tb)
+            total += (-1) ** (n + 1) * math.comb(q, n) / (1.0 + h0)
+        value = coverage.coverage_integral(params, t)
+        assert value == pytest.approx(total, rel=1e-12)
+        if beta == 4.0:
+            assert value == pytest.approx(coverage_closed_form(params, t),
+                                          rel=1e-12)
 
 
 @pytest.mark.parametrize("f,params", [
     (radar_rate, SystemParams(beta=2.05, lam=1e-6, mt=16, N=6)),
     (radar_rate_single, SystemParams(beta=6.0, lam=1e-6, mt=16, N=1)),
+    (lambda p: coverage_curve(p, 10.0 ** (np.arange(-10.0, 21.0, 2.0) / 10.0)),
+     SystemParams(beta=4.0, mt=16, L=5)),
 ])
 def test_peak_traced_allocation(f, params):
     tracemalloc.start()
@@ -282,3 +339,23 @@ def test_starved_rule_raises(monkeypatch, module, name, call):
     monkeypatch.setattr(module, name, 40.0 if name == "_Z_STEP" else 1)
     with pytest.raises(ConvergenceError):
         call()
+
+
+@pytest.mark.parametrize("L", (3, 5))
+def test_starved_rho_rule_raises_for_clusters(monkeypatch, L):
+    monkeypatch.setattr(coverage, "_RHO_PANELS", 1)
+    with pytest.raises(ConvergenceError):
+        coverage_curve(SystemParams(L=L), [0.1, 10.0])
+
+
+def test_theta_rule_bound_is_checked(monkeypatch):
+    # steep path loss and a very high threshold put structure into the
+    # theta direction that one GK15 panel resolves only to ~2.4e-6
+    # relative by its K15 - G7 bound; two panels meet the tolerance
+    params = SystemParams(L=3, beta=20.0, mt=2)
+    t = [10.0 ** 12.0]
+    with pytest.raises(ConvergenceError):
+        coverage_curve(params, t)
+    monkeypatch.setattr(coverage, "_THETA_PANELS", 2)
+    curve = coverage_curve(params, t)
+    assert 0.0 < curve.quad_error[0] <= PHYSICAL_QUAD.rel_tol * curve.values[0]

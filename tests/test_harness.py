@@ -99,6 +99,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_experiment(entries)
 
+    def test_coverage_needs_comm_power(self, tmp_path):
+        entries, _ = entries_of(BASE + "params.ps = 1\n", tmp_path)
+        with pytest.raises(ConfigError, match="communication power"):
+            build_experiment(entries)
+        entries, _ = entries_of(BASE + "sweep.param = ps\n"
+                                "sweep.values = 0.5,1\n", tmp_path)
+        with pytest.raises(ConfigError, match="communication power"):
+            build_experiment(entries)
+
     def test_t_db_forms(self):
         assert parse_t_db("-10:20:10") == (-10.0, 0.0, 10.0, 20.0)
         assert parse_t_db("0,3,7") == (0.0, 3.0, 7.0)
@@ -195,6 +204,12 @@ class TestCli:
         out = str(tmp_path / "x.csv")
         code = main(["coverage", "--method", "analytic", "--trials", "5",
                      "--t-db", "0:0:1", "--out", out])
+        assert code == 4
+
+    def test_no_comm_power_exit_four(self, tmp_path):
+        code = main(["coverage", "--method", "analytic", "--ps", "1",
+                     "--l", "1", "--beta", "3.5", "--t-db", "0:0:1",
+                     "--out", str(tmp_path / "x.csv")])
         assert code == 4
 
     def test_convergence_error_exit_three(self, monkeypatch, tmp_path):

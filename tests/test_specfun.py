@@ -1,6 +1,7 @@
 """Special-function and quadrature kernels against independent oracles."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ class TestIntegrateFinite:
             if prev is not None:
                 assert err <= prev * (1 + 1e-12)
             prev = err
+
+    def test_nan_integrand_raises(self):
+        # NaN errors never select a panel for refinement, so the integrator
+        # has to stop at once; the alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise TimeoutError("integrate_finite did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ConvergenceError):
+                integrate_finite(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_budget_exhaustion(self):
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
