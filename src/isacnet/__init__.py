@@ -8,7 +8,7 @@ from .approx import AlphaFit, fit_alpha, fitted_alpha, ks_distance, verify_conje
 from .coverage import (CoverageCurve, coverage_closed_form, coverage_curve,
                        coverage_integral, interference_exponent)
 from .montecarlo import (McConfig, McResult, SimulationWindowError,
-                         mc_coverage, mc_radar_rate, required_radius)
+                         mc_coverage, mc_radar_rate)
 from .params import SystemParams
 from .radar import (RateEstimate, echo_laplace_exponent, echo_power_laplace,
                     hole_exclusion_integral, interference_laplace_factor,
@@ -24,7 +24,6 @@ __all__ = [
     "CoverageCurve", "coverage_closed_form", "coverage_curve",
     "coverage_integral", "interference_exponent",
     "McConfig", "McResult", "SimulationWindowError", "mc_coverage", "mc_radar_rate",
-    "required_radius",
     "SystemParams",
     "RateEstimate", "echo_laplace_exponent", "echo_power_laplace",
     "hole_exclusion_integral", "interference_laplace_factor",

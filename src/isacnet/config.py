@@ -31,8 +31,7 @@ _KNOWN_KEYS = {
     "sweep.param", "sweep.values",
     "params.lam", "params.lambda", "params.mt", "params.mr", "params.beta",
     "params.ps", "params.sigma2", "params.l", "params.n", "params.alpha",
-    "mc.trials", "mc.seed", "mc.batch_size", "mc.workers", "mc.window",
-    "mc.mean_count_floor", "mc.min_points", "mc.tail_prob",
+    "mc.trials", "mc.seed", "mc.workers",
     "fit.shape", "conj.shape", "conj.exponent",
 }
 
@@ -190,14 +189,8 @@ def build_experiment(entries, overrides=None):
     mc_kwargs = {}
     if trials is not None:
         mc_kwargs["trials"] = trials
-    for key, conv, name in (("mc.seed", lambda s: int(float(s)), "seed"),
-                            ("mc.batch_size", lambda s: int(float(s)), "batch_size"),
-                            ("mc.workers", lambda s: int(float(s)), "workers"),
-                            ("mc.window", str, "window"),
-                            ("mc.mean_count_floor", float, "mean_count_floor"),
-                            ("mc.min_points", lambda s: int(float(s)), "min_points"),
-                            ("mc.tail_prob", float, "tail_prob")):
-        val = _take(entries, key, conv)
+    for name in ("seed", "workers"):
+        val = _take(entries, f"mc.{name}", lambda s: int(float(s)))
         if val is not None:
             mc_kwargs[name] = val
     try:

@@ -74,7 +74,7 @@ class CoverageCurve:
         if not (len(t) == len(v) == len(u)):
             raise ValueError("thresholds, values, uncertainty must align")
         if np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
+            raise ValueError("thresholds must be increasing, with no repeats")
         if np.any(v < 0) or np.any(v > 1):
             raise ValueError("coverage values must lie in [0, 1]")
         object.__setattr__(self, "thresholds", t)
@@ -120,8 +120,9 @@ def interference_exponent(distances, n, threshold, params):
     `distances` are the ordered cluster distances in meters; term index n
     runs over 1..mt-1.  The conditional coverage integrand is
     exp(-pi * lam * H) with H the value returned here (units of area).
-    Vanishes as the threshold does.
+    Vanishes as the threshold does.  Raises ValueError when pc = 0.
     """
+    _require_comm_power(params)
     r = np.asarray(distances, dtype=float)
     if r.ndim != 1 or len(r) == 0:
         raise ValueError("distances must be a non-empty 1-D array")

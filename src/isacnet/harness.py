@@ -199,8 +199,7 @@ def write_rows(rows, path, cfg=None):
             "sigma2": cfg.params.sigma2, "L": cfg.params.L, "N": cfg.params.N,
         }
         if cfg.mc is not None:
-            meta["mc"] = {"trials": cfg.mc.trials, "seed": cfg.mc.seed,
-                          "window": cfg.mc.window}
+            meta["mc"] = {"trials": cfg.mc.trials, "seed": cfg.mc.seed}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -9,12 +9,12 @@ angle (rotation invariance), which is exactly the 2-D geometry - the
 station-free disk around the sensing target emerges naturally, with no
 correction term.
 
-Windowing: the deployment is truncated at a mean in-window count set by
-the window policy.  In the default "compensated" mode the truncated
-interference tail is replaced by its exact mean and the residual bias is
-tracked per estimate; "strict" mode instead sizes the window from
-`required_radius` below so the neglected tail is below the ratio policy
-outright (much larger windows, no compensation term).
+Windowing: the deployment is truncated at a mean in-window count of
+max(500, 10(L+N)).  The interference from beyond the window is replaced by
+its exact mean, and every estimate carries a first-order bound on the bias
+left by the tail's fluctuation about that mean.  A trial whose window
+misses the cluster or fails to reach the window edge is redrawn; a window
+that keeps failing raises SimulationWindowError.
 
 Reproducibility: trials are processed in fixed-size batches; batch k draws
 from Philox(key=seed) jumped k times.  Batch statistics are reduced in
@@ -29,13 +29,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import pdtr
 
 from .coverage import CoverageCurve, _require_comm_power
 from .radar import RateEstimate
 
 __all__ = ["McConfig", "McResult", "SimulationWindowError",
-           "mc_coverage", "mc_radar_rate", "required_radius"]
+           "mc_coverage", "mc_radar_rate"]
+
+_MEAN_COUNT_FLOOR = 500.0
+_BATCH_SIZE = 8192
+_RETRY_ROUNDS = 8
 
 
 class SimulationWindowError(RuntimeError):
@@ -44,25 +47,15 @@ class SimulationWindowError(RuntimeError):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, seeding, window policy and batching for the simulator."""
+    """Trial count, seeding and worker processes for the simulator."""
 
     trials: int = 1_000_000
     seed: int = 0
-    min_points: int | None = None      # default: cluster size of the metric
-    tail_prob: float = 1e-6
-    mean_count_floor: float = 500.0
-    window: str = "compensated"        # or "strict"
-    batch_size: int = 8192
-    max_retry_rounds: int = 8
     workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.window not in ("compensated", "strict"):
-            raise ValueError("window must be 'compensated' or 'strict'")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -82,97 +75,27 @@ class McResult:
     window_mean_count: float = 0.0
 
 
-def required_radius(lam, min_points, tail_prob, *, beta=4.0,
-                    interference_ratio=1e-4, mean_count_floor=500.0,
-                    count_margin=10.0):
-    """Smallest window radius satisfying the truncation policy.
-
-    Three constraints, the max wins:
-      * P[Poisson(lam pi R^2) < min_points] <= tail_prob,
-      * mean count lam pi R^2 >= max(mean_count_floor,
-        count_margin * min_points),
-      * expected interference from beyond R (integral of 2 pi lam r^(1-beta),
-        closed form for beta > 2) below `interference_ratio` times the
-        expected in-window interference seen from the cluster edge.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if min_points < 0:
-        raise ValueError("min_points must be >= 0")
-    if not 0 < tail_prob < 1:
-        raise ValueError("tail_prob must be in (0, 1)")
-    if beta <= 2:
-        raise ValueError("beta must exceed 2 for a finite interference tail")
-
-    mean_floor = max(mean_count_floor, count_margin * min_points)
-
-    mean_tail = 0.0
-    if min_points > 0:
-        # invert the Poisson tail P[count <= min_points - 1] by bisection
-        # on the mean
-        lo_m, hi_m = float(min_points), float(min_points)
-        while pdtr(min_points - 1, hi_m) > tail_prob:
-            hi_m *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo_m + hi_m)
-            if pdtr(min_points - 1, mid) > tail_prob:
-                lo_m = mid
-            else:
-                hi_m = mid
-            if hi_m - lo_m <= 1e-9 * hi_m:
-                break
-        mean_tail = hi_m
-
-    # interference floor: tail/in-window ratio rho gives R = rbar * ((1+rho)/rho)^(1/(beta-2))
-    rbar = math.sqrt(max(min_points, 1) / (math.pi * lam))
-    r_interf = rbar * ((1.0 + interference_ratio) / interference_ratio) ** (1.0 / (beta - 2.0))
-
-    mean_needed = max(mean_floor, mean_tail)
-    r_count = math.sqrt(mean_needed / (math.pi * lam))
-    return max(r_count, r_interf)
-
-
-def _window_mean_count(params, cfg, cluster_size):
-    min_pts = cfg.min_points if cfg.min_points is not None else cluster_size
-    if cfg.window == "strict":
-        radius = required_radius(params.lam, min_pts, cfg.tail_prob,
-                                 beta=params.beta,
-                                 mean_count_floor=cfg.mean_count_floor)
-        return params.lam * math.pi * radius ** 2
-    return max(cfg.mean_count_floor, 10.0 * (params.L + params.N),
-               float(min_pts) + 1.0)
-
-
-def _capped_batch(batch_size, kmax):
-    # keep per-batch arrays near or below ~16M doubles even for wide windows
-    return max(1, min(batch_size, (1 << 24) // kmax))
+def _window(params):
+    """Mean in-window count, column count, and the tail's mean and spread."""
+    u_max = max(_MEAN_COUNT_FLOOR, 10.0 * (params.L + params.N))
+    kmax = int(u_max + 8.0 * math.sqrt(u_max) + 16.0)
+    beta = params.beta
+    # unit-intensity arrival process: E[sum_{u > u_max} u^(-beta/2)]
+    tail_mean = u_max ** (1.0 - beta / 2.0) / (beta / 2.0 - 1.0)
+    # exp(1) gains have second moment 2
+    tail_std = math.sqrt(2.0 * u_max ** (1.0 - beta) / (beta - 1.0))
+    return u_max, kmax, tail_mean, tail_std
 
 
 def _batch_rng(seed, batch_index):
     return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
 
 
-def _pow_neg_half_beta(u, beta, out=None):
-    if beta == 4.0:
-        return np.power(u, -2.0, out=out)
-    return np.power(u, -beta / 2.0, out=out)
-
-
-def _tail_mean(u_max, beta):
-    # unit-intensity arrival process: E[sum_{u > u_max} u^(-beta/2)]
-    return u_max ** (1.0 - beta / 2.0) / (beta / 2.0 - 1.0)
-
-
-def _tail_std(u_max, beta):
-    # exp(1) gains have second moment 2
-    return math.sqrt(2.0 * u_max ** (1.0 - beta) / (beta - 1.0))
-
-
 def _batch_plan(cfg, kmax):
-    batch = _capped_batch(cfg.batch_size, kmax)
+    # keep per-batch arrays near or below ~16M doubles even for wide windows
+    batch = max(1, min(_BATCH_SIZE, (1 << 24) // kmax))
     n_batches = (cfg.trials + batch - 1) // batch
-    sizes = [batch] * (n_batches - 1) + [cfg.trials - batch * (n_batches - 1)]
-    return sizes
+    return [batch] * (n_batches - 1) + [cfg.trials - batch * (n_batches - 1)]
 
 
 def _run_batches(worker, args, cfg, kmax):
@@ -185,11 +108,30 @@ def _run_batches(worker, args, cfg, kmax):
         return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * cfg.workers))))
 
 
+def _draw_in_window(draw, rows, cluster, u_max):
+    """Draw `rows` trials, redrawing those whose window cannot be used.
+
+    `draw(n)` returns a tuple of arrays with n rows, the first holding the
+    cumulative arrivals; a trial is redrawn while its cluster reaches past
+    the window or its arrivals stop short of the window edge.
+    """
+    arrays = draw(rows)
+    for _ in range(_RETRY_ROUNDS):
+        u = arrays[0]
+        bad = (u[:, cluster - 1] > u_max) | (u[:, -1] < u_max)
+        if not bad.any():
+            return arrays
+        for a, fresh in zip(arrays, draw(int(bad.sum()))):
+            a[bad] = fresh
+    raise SimulationWindowError(
+        f"window mean count {u_max:.1f} cannot hold a cluster of {cluster} "
+        f"after {_RETRY_ROUNDS} retry rounds")
+
+
 # ----------------------------------------------------------------- coverage
 
 def _coverage_batch(job):
-    (b, rows, seed, kmax, u_max, L, q, beta, tail, pc, pt, thresholds,
-     max_retry_rounds) = job
+    b, rows, seed, kmax, u_max, L, q, beta, tail, pc, pt, thresholds = job
     rng = _batch_rng(seed, b)
 
     def draw(n):
@@ -199,19 +141,9 @@ def _coverage_batch(job):
         g_int = rng.standard_exponential((n, kmax - L))
         return u, g_des, g_int
 
-    u, g_des, g_int = draw(rows)
-    for _ in range(max_retry_rounds):
-        bad = (u[:, L - 1] > u_max) | (u[:, -1] < u_max)
-        if not bad.any():
-            break
-        u[bad], g_des[bad], g_int[bad] = draw(int(bad.sum()))
-    else:
-        raise SimulationWindowError(
-            f"window mean count {u_max:.1f} cannot hold the cluster "
-            f"(L={L}) after {max_retry_rounds} retry rounds")
-
+    u, g_des, g_int = _draw_in_window(draw, rows, L, u_max)
     in_window = u[:, L:] <= u_max
-    w = _pow_neg_half_beta(u, beta, out=u)      # u is consumed here
+    w = np.power(u, -beta / 2.0, out=u)      # u is consumed here
     desired = pc * np.einsum("ij,ij->i", g_des, w[:, :L])
     w_int = w[:, L:]
     np.multiply(w_int, in_window, out=w_int)
@@ -243,17 +175,13 @@ def mc_coverage(params, thresholds, cfg):
     if np.any(thresholds <= 0):
         raise ValueError("thresholds must be positive (linear units)")
     if np.any(np.diff(thresholds) <= 0):
-        raise ValueError("thresholds must be strictly increasing")
-    L = params.L
-    u_max = _window_mean_count(params, cfg, L)
-    kmax = int(u_max + 8.0 * math.sqrt(u_max) + 16.0)
-    compensate = cfg.window == "compensated"
-    tail = _tail_mean(u_max, params.beta) if compensate else 0.0
+        raise ValueError("thresholds must be increasing, with no repeats")
+    u_max, kmax, tail, spread = _window(params)
 
     parts = _run_batches(
         _coverage_batch,
-        (cfg.seed, kmax, u_max, L, params.q_shape, params.beta, tail,
-         params.pc, params.pt, thresholds, cfg.max_retry_rounds),
+        (cfg.seed, kmax, u_max, params.L, params.q_shape, params.beta, tail,
+         params.pc, params.pt, thresholds),
         cfg, kmax)
     hits = np.zeros(len(thresholds), dtype=np.int64)
     inv_interf_sum = 0.0
@@ -270,12 +198,7 @@ def mc_coverage(params, thresholds, cfg):
     # first-order truncation bias per point: local curve slope in ln T times
     # the relative interference perturbation left after windowing
     slopes = _local_slopes(values, thresholds)
-    mean_inv = inv_interf_sum / done
-    if compensate:
-        perturb = params.pt * _tail_std(u_max, params.beta) * mean_inv
-    else:
-        perturb = params.pt * _tail_mean(u_max, params.beta) * mean_inv
-    bias = slopes * perturb
+    bias = slopes * (params.pt * spread * (inv_interf_sum / done))
 
     return CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
@@ -299,8 +222,7 @@ def _local_slopes(values, thresholds):
 # -------------------------------------------------------------- radar rate
 
 def _radar_batch(job):
-    (b, rows, seed, kmax, u_max, N, q, beta, tail, echo_scale,
-     max_retry_rounds) = job
+    b, rows, seed, kmax, u_max, N, q, beta, tail, echo_scale = job
     rng = _batch_rng(seed, b)
     two_pi = 2.0 * math.pi
 
@@ -312,18 +234,8 @@ def _radar_batch(job):
         ang = rng.uniform(0.0, two_pi, (n, kmax - N))
         return u, f_des, f_int, np.cos(ang, out=ang)
 
-    u, f_des, f_int, cosang = draw(rows)
-    for _ in range(max_retry_rounds):
-        bad = (u[:, N - 1] > u_max) | (u[:, -1] < u_max)
-        if not bad.any():
-            break
-        u[bad], f_des[bad], f_int[bad], cosang[bad] = draw(int(bad.sum()))
-    else:
-        raise SimulationWindowError(
-            f"window mean count {u_max:.1f} cannot hold the cluster "
-            f"(N={N}) after {max_retry_rounds} retry rounds")
-
-    w_des = _pow_neg_half_beta(u[:, :N], beta)
+    u, f_des, f_int, cosang = _draw_in_window(draw, rows, N, u_max)
+    w_des = np.power(u[:, :N], -beta / 2.0)
     echo = np.einsum("ij,ij->i", f_des, w_des)
     echo *= echo_scale * w_des[:, 0]
 
@@ -337,7 +249,7 @@ def _radar_batch(job):
     d2 += u[:, N:]
     d2 += u[:, :1]
     np.maximum(d2, 1e-30, out=d2)   # cancellation guard; d2 > 0 a.s.
-    _pow_neg_half_beta(d2, beta, out=d2)
+    np.power(d2, -beta / 2.0, out=d2)
     np.multiply(d2, in_window, out=d2)
     interf = np.einsum("ij,ij->i", f_int, d2)
     interf += tail
@@ -359,18 +271,14 @@ def mc_radar_rate(params, cfg):
     RateEstimate whose `mc_result` carries trial bookkeeping and the
     truncation-bias estimate.
     """
-    N = params.N
-    u_max = _window_mean_count(params, cfg, N)
-    kmax = int(u_max + 8.0 * math.sqrt(u_max) + 16.0)
-    compensate = cfg.window == "compensated"
-    tail = _tail_mean(u_max, params.beta) if compensate else 0.0
+    u_max, kmax, tail, spread = _window(params)
     echo_scale = (params.sigma2 * params.mr * params.ps / params.pt
                   * (math.pi * params.lam) ** (params.beta / 2.0))
 
     parts = _run_batches(
         _radar_batch,
-        (cfg.seed, kmax, u_max, N, params.q_shape, params.beta, tail,
-         echo_scale, cfg.max_retry_rounds),
+        (cfg.seed, kmax, u_max, params.N, params.q_shape, params.beta, tail,
+         echo_scale),
         cfg, kmax)
     total = total_sq = sens_sum = 0.0
     for t, t2, s in parts:
@@ -382,8 +290,6 @@ def mc_radar_rate(params, cfg):
     mean = total / done
     var = max(total_sq / done - mean * mean, 0.0)
     ci = 1.96 * math.sqrt(var / done)
-    spread = _tail_std(u_max, params.beta) if compensate \
-        else _tail_mean(u_max, params.beta)
     bias = spread * (sens_sum / done)
 
     return RateEstimate(

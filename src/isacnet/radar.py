@@ -78,7 +78,7 @@ def echo_laplace_exponent(z, r_far, params):
 
     The conditional echo-power transform is exp(-(2 pi lam / beta) * H) with
     H the value returned here; r_far is the distance to the farthest cluster
-    station.  Zero at z = 0, strictly increasing in z.  Broadcasts over z
+    station.  Zero at z = 0 and increasing, never flat, in z.  Broadcasts over z
     and r_far.
     """
     z = np.asarray(z, dtype=float)

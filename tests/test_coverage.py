@@ -148,6 +148,8 @@ class TestCoverageIntegral:
             mc_coverage(params, np.array([0.1, 1.0]), McConfig(trials=100))
         with pytest.raises(ValueError):
             coverage_closed_form(params.with_(L=1, beta=4.0), 1.0)
+        with pytest.raises(ValueError):
+            interference_exponent(np.arange(1.0, L + 1.0), 1, 1.0, params)
 
     def test_non_increasing_in_threshold(self, paper_params):
         params = paper_params.with_(L=2)

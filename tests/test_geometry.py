@@ -1,4 +1,4 @@
-"""Distance laws of a PPP, and the simulation window's radius policy.
+"""Distance laws of a PPP.
 
 The simulator draws ordered distances as a unit-rate arrival process in
 pi*lam*r^2.  The sampler here instead places a Poisson number of uniform
@@ -14,7 +14,6 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-from isacnet.montecarlo import required_radius
 from isacnet.specfun import integrate_finite, integrate_semi_infinite
 
 
@@ -183,40 +182,3 @@ class TestEtaPdf:
         draws.sort()
         assert ks_gap(draws, 1.0 - (1.0 - draws ** 2) ** (n_cl - 1)) < 0.01
 
-
-class TestRequiredRadius:
-    def test_interference_floor_dominates_when_count_vacuous(self):
-        lam = 1e-4
-        r = required_radius(lam, 0, 1e-6)
-        rbar = math.sqrt(1.0 / (math.pi * lam))
-        expect = rbar * ((1 + 1e-4) / 1e-4) ** 0.5
-        assert r == pytest.approx(expect, rel=1e-12)
-
-    def test_poisson_inversion_against_direct_summation(self):
-        lam, min_pts, tail = 1e-4, 50, 1e-6
-        # loosen the other constraints so the Poisson inversion binds
-        r = required_radius(lam, min_pts, tail, interference_ratio=1e6,
-                            mean_count_floor=1.0, count_margin=1.0)
-        mu = lam * math.pi * r ** 2
-
-        def tail_prob(mean):
-            k = np.arange(min_pts)
-            logp = k * np.log(mean) - mean - np.array(
-                [math.lgamma(i + 1) for i in k])
-            return float(np.exp(logp).sum())
-
-        assert tail_prob(mu) <= tail
-        assert tail_prob(mu * 0.995) > tail   # smallest such radius
-
-    def test_monotone_in_density(self):
-        r1 = required_radius(1e-4, 50, 1e-6)
-        r2 = required_radius(2e-4, 50, 1e-6)
-        assert r2 <= r1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            required_radius(-1.0, 10, 1e-6)
-        with pytest.raises(ValueError):
-            required_radius(1e-4, 10, 1.5)
-        with pytest.raises(ValueError):
-            required_radius(1e-4, 10, 1e-6, beta=2.0)

@@ -108,6 +108,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="communication power"):
             build_experiment(entries)
 
+    def test_removed_window_key_rejected(self, tmp_path):
+        # the simulator has one window; a config naming another is an error
+        text = (BASE.replace("method = analytic", "method = mc")
+                + "mc.window = strict\n")
+        entries, path = entries_of(text, tmp_path)
+        with pytest.raises(ConfigError, match="unknown key 'mc.window'"):
+            build_experiment(entries)
+        code = main(["coverage", "--config", path,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 4
+
     def test_t_db_forms(self):
         assert parse_t_db("-10:20:10") == (-10.0, 0.0, 10.0, 20.0)
         assert parse_t_db("0,3,7") == (0.0, 3.0, 7.0)
