@@ -30,6 +30,9 @@ __all__ = [
 # sup-norm evaluation grid: both CDFs are flat outside this range
 _GRID = np.logspace(-4.0, 2.0, 10_000)
 
+# fewer trials give no stable two-sample K-S estimate in verify_conjecture1
+MIN_KS_TRIALS = 10_000
+
 
 @dataclass(frozen=True)
 class AlphaFit:
@@ -150,7 +153,7 @@ def verify_conjecture1(cluster_size, exponent, lam, shape, trials, seed):
     """
     if cluster_size < 1:
         raise ValueError("cluster_size must be >= 1")
-    if trials < 10_000:
+    if trials < MIN_KS_TRIALS:
         raise ValueError("need at least 1e4 trials for a stable K-S estimate")
     rng = np.random.Generator(np.random.Philox(key=seed))
     gaps = rng.standard_exponential((trials, cluster_size))

@@ -4,12 +4,19 @@ The file format is deliberately tiny: one `key = value` per line, `#`
 comments, dotted keys for the parameter and simulation blocks.  The parser
 keeps line numbers so schema violations point at the offending line; values
 supplied on the command line report as line "cli".
+
+`SWEEPABLE` is the one table of parameter keys: `params.<name>` and
+`sweep.param = <name>` both go through it, and `build_experiment` resolves
+every sweep value into a validated `SystemParams` point before anything
+runs.  Integer keys (`l, n, mt, mr`, `mc.*`, `fit.shape`, `conj.shape`)
+accept whole numbers only, in any float spelling such as `2e5`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .approx import MIN_KS_TRIALS
 from .montecarlo import McConfig
 from .params import SystemParams
 
@@ -25,15 +32,14 @@ SWEEPABLE = {
     "lam": "lam", "lambda": "lam", "mt": "mt", "mr": "mr", "beta": "beta",
     "ps": "ps", "sigma2": "sigma2", "l": "L", "n": "N",
 }
+_INT_FIELDS = {"mt", "mr", "L", "N"}
 
 _KNOWN_KEYS = {
     "metric", "method", "t_db", "out",
-    "sweep.param", "sweep.values",
-    "params.lam", "params.lambda", "params.mt", "params.mr", "params.beta",
-    "params.ps", "params.sigma2", "params.l", "params.n", "params.alpha",
+    "sweep.param", "sweep.values", "params.alpha",
     "mc.trials", "mc.seed", "mc.workers",
     "fit.shape", "conj.shape", "conj.exponent",
-}
+} | {f"params.{name}" for name in SWEEPABLE}
 
 
 class ConfigError(ValueError):
@@ -42,23 +48,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated experiment: metric, method, sweep and blocks."""
+    """A fully validated experiment: metric, method, sweep and blocks.
+
+    `points` holds one (swept {field: value}, SystemParams) pair per sweep
+    value, or the single pair ({}, params) without a sweep.
+    """
 
     metric: str
     method: str
     params: SystemParams
+    points: tuple = ()
     t_db: tuple = ()
-    sweep_param: str | None = None       # SystemParams field name
-    sweep_values: tuple = ()
     mc: McConfig | None = None
     out: str | None = None
     fit_shape: int = 9
     conj_shape: int = 9
     conj_exponent: float = 4.0
-
-    @property
-    def sweep_label(self):
-        return self.sweep_param if self.sweep_param is not None else "point"
 
 
 def parse_config_file(path):
@@ -104,8 +109,6 @@ def _take(entries, key, conv, default=None, required=False):
     raw, where = entries.pop(key)
     try:
         return conv(raw)
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
@@ -128,11 +131,29 @@ def parse_t_db(text):
     return tuple(float(p) for p in text.split(","))
 
 
-def _parse_values(text):
-    return tuple(float(p) for p in text.split(","))
+def _int(text):
+    """A whole number from text such as '200000' or '2e5'; rejects '1.5'."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
 
 
-_INT_FIELDS = {"mt", "mr", "L", "N"}
+def _point(params, name, raw, where):
+    """Set the field behind config name `name` from raw text.
+
+    Returns the (swept {field: value}, SystemParams) pair; a value that is
+    malformed or that SystemParams rejects is a ConfigError naming `where`.
+    """
+    fld = SWEEPABLE[name]
+    try:
+        value = (_int if fld in _INT_FIELDS else float)(raw)
+        changes = {fld: value}
+        if fld == "ps":
+            changes["pc"] = 1.0 - value
+        return {fld: value}, params.with_(**changes)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value {raw!r} for {name!r}: {exc}") from exc
 
 
 def build_experiment(entries, overrides=None):
@@ -151,67 +172,63 @@ def build_experiment(entries, overrides=None):
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
 
-    kwargs = {}
-    for cfg_name, fld in (("lam", "lam"), ("lambda", "lam"), ("mt", "mt"),
-                          ("mr", "mr"), ("beta", "beta"), ("ps", "ps"),
-                          ("sigma2", "sigma2"), ("l", "L"), ("n", "N")):
-        val = _take(entries, f"params.{cfg_name}", float)
-        if val is not None:
-            kwargs[fld] = int(val) if fld in _INT_FIELDS else val
-    alpha = _take(entries, "params.alpha", float)
-    if alpha is not None:
-        kwargs["alpha_fit"] = alpha
-    if "ps" in kwargs:
-        kwargs["pc"] = 1.0 - kwargs["ps"]
-    try:
-        params = SystemParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    params = SystemParams()
+    for name in SWEEPABLE:
+        if f"params.{name}" in entries:
+            raw, where = entries.pop(f"params.{name}")
+            _, params = _point(params, name, raw, where)
+    params = _take(entries, "params.alpha",
+                   lambda s: params.with_(alpha_fit=float(s)), default=params)
 
     t_db = _take(entries, "t_db", parse_t_db, default=())
-    sweep_param_raw = _take(entries, "sweep.param", str)
-    sweep_values = _take(entries, "sweep.values", _parse_values, default=())
-    sweep_param = None
-    if sweep_param_raw is not None:
-        name = sweep_param_raw.lower()
-        if name not in SWEEPABLE:
+    sweep_name = _take(entries, "sweep.param", str)
+    sweep_values = entries.pop("sweep.values", None)
+    if sweep_name is None:
+        if sweep_values is not None:
+            raise ConfigError(f"{sweep_values[1]}: sweep.values given "
+                              "without sweep.param")
+        points = (({}, params),)
+    else:
+        sweep_name = sweep_name.lower()
+        if sweep_name not in SWEEPABLE:
             raise ConfigError(
-                f"sweep.param must be one of {sorted(set(SWEEPABLE))}, got {name!r}")
-        sweep_param = SWEEPABLE[name]
-        if not sweep_values:
+                f"sweep.param must be one of {sorted(set(SWEEPABLE))}, "
+                f"got {sweep_name!r}")
+        if sweep_values is None:
             raise ConfigError("sweep.param given without sweep.values")
-    elif sweep_values:
-        raise ConfigError("sweep.values given without sweep.param")
+        if params.alpha_fit is not None and SWEEPABLE[sweep_name] == "mt":
+            raise ConfigError("params.alpha pins the surrogate of one mt and "
+                              "cannot be combined with an mt sweep")
+        raw, where = sweep_values
+        points = tuple(_point(params, sweep_name, v.strip(), where)
+                       for v in raw.split(","))
 
-    trials = _take(entries, "mc.trials", lambda s: int(float(s)))
-    if method == "analytic" and trials is not None:
+    mc_kwargs = {name: _take(entries, f"mc.{name}", _int)
+                 for name in ("trials", "seed", "workers")}
+    mc_kwargs = {name: v for name, v in mc_kwargs.items() if v is not None}
+    if method == "analytic" and "trials" in mc_kwargs:
         raise ConfigError("method=analytic forbids the mc.trials field")
-    mc_kwargs = {}
-    if trials is not None:
-        mc_kwargs["trials"] = trials
-    for name in ("seed", "workers"):
-        val = _take(entries, f"mc.{name}", lambda s: int(float(s)))
-        if val is not None:
-            mc_kwargs[name] = val
     try:
         mc = None if method == "analytic" else McConfig(**mc_kwargs)
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
     out = _take(entries, "out", str)
-    fit_shape = _take(entries, "fit.shape", lambda s: int(float(s)), default=9)
-    conj_shape = _take(entries, "conj.shape", lambda s: int(float(s)), default=9)
+    fit_shape = _take(entries, "fit.shape", _int, default=9)
+    conj_shape = _take(entries, "conj.shape", _int, default=9)
     conj_exponent = _take(entries, "conj.exponent", float, default=4.0)
 
     if metric == "coverage" and not t_db:
         raise ConfigError("coverage experiments need a t_db grid")
-    if metric == "coverage" and (params.pc == 0.0 or (
-            sweep_param == "ps" and 1.0 in sweep_values)):
+    if metric == "coverage" and any(p.pc == 0 for _, p in points):
         raise ConfigError("coverage is undefined without communication power "
                           "(ps = 1 leaves pc = 0)")
+    if metric == "conjecture1" and (mc is None
+                                    or mc.trials < MIN_KS_TRIALS):
+        raise ConfigError("conjecture1 is a Monte Carlo test and needs at "
+                          f"least {MIN_KS_TRIALS} trials")
 
     return ExperimentConfig(metric=metric, method=method, params=params,
-                            t_db=tuple(t_db), sweep_param=sweep_param,
-                            sweep_values=tuple(sweep_values), mc=mc, out=out,
+                            points=points, t_db=tuple(t_db), mc=mc, out=out,
                             fit_shape=fit_shape, conj_shape=conj_shape,
                             conj_exponent=conj_exponent)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .approx import fit_alpha, verify_conjecture1
 from .config import ConfigError, ExperimentConfig
-from .coverage import coverage_closed_form, coverage_curve
+from .coverage import coverage_curve
 from .montecarlo import mc_coverage, mc_radar_rate
 from .radar import radar_rate, radar_rate_single
 
@@ -47,38 +47,19 @@ def _fmt(x):
     return str(x)
 
 
-def _swept_params(cfg: ExperimentConfig):
-    if cfg.sweep_param is None:
-        yield {}, cfg.params
-        return
-    for v in cfg.sweep_values:
-        changes = {cfg.sweep_param: v}
-        if cfg.sweep_param in ("mt", "mr", "L", "N"):
-            changes[cfg.sweep_param] = int(v)
-        if cfg.sweep_param == "ps":
-            changes["pc"] = 1.0 - v
-        if cfg.sweep_param == "mt":
-            changes["alpha_fit"] = None    # refit the surrogate per shape
-        yield {cfg.sweep_param: changes[cfg.sweep_param]}, cfg.params.with_(**changes)
-
-
 def _coverage_rows(cfg):
     rows = []
     t_lin = tuple(10.0 ** (t / 10.0) for t in cfg.t_db)
-    for sweep, params in _swept_params(cfg):
+    for sweep, params in cfg.points:
         if cfg.method in ("analytic", "both"):
             t0 = time.perf_counter()
-            if params.L == 1 and abs(params.beta - 4.0) < 1e-12:
-                values = [coverage_closed_form(params, t) for t in t_lin]
-                unc = [0.0] * len(t_lin)
-                quad_err = [0.0] * len(t_lin)
-            else:
-                curve = coverage_curve(params, t_lin, method="integral")
-                values = curve.values.tolist()
-                unc = curve.uncertainty.tolist()
-                quad_err = curve.quad_error.tolist()
+            closed = params.L == 1 and abs(params.beta - 4.0) < 1e-12
+            curve = coverage_curve(params, t_lin, method="closed-form"
+                                   if closed else "integral")
             ms = (time.perf_counter() - t0) * 1e3 / max(len(t_lin), 1)
-            for tdb, v, u, qe in zip(cfg.t_db, values, unc, quad_err):
+            for tdb, v, u, qe in zip(cfg.t_db, curve.values.tolist(),
+                                     curve.uncertainty.tolist(),
+                                     curve.quad_error.tolist()):
                 rows.append(ResultRow(sweep=sweep, value=v, method="analytic",
                                       uncertainty=u, quad_error=qe,
                                       wall_ms=ms, extra={"t_db": tdb}))
@@ -95,7 +76,7 @@ def _coverage_rows(cfg):
 
 def _radar_rows(cfg):
     rows = []
-    for sweep, params in _swept_params(cfg):
+    for sweep, params in cfg.points:
         if cfg.method in ("analytic", "both"):
             t0 = time.perf_counter()
             est = (radar_rate_single(params) if params.N == 1
@@ -130,20 +111,17 @@ def run_experiment(cfg: ExperimentConfig):
                                  "ks_distance": fit.ks_distance,
                                  "grid_resolution": fit.grid_resolution})]
     elif cfg.metric == "conjecture1":
-        mc = cfg.mc
-        if mc is None:
-            raise ConfigError("conjecture1 requires a Monte Carlo block")
         t0 = time.perf_counter()
         ks = verify_conjecture1(cfg.params.L, cfg.conj_exponent,
                                 cfg.params.lam, cfg.conj_shape,
-                                max(mc.trials, 10_000), mc.seed)
+                                cfg.mc.trials, cfg.mc.seed)
         ms = (time.perf_counter() - t0) * 1e3
         rows = [ResultRow(sweep={}, value=ks, method="mc", uncertainty=0.0,
                           quad_error=0.0, wall_ms=ms,
                           extra={"cluster_size": cfg.params.L,
                                  "shape": cfg.conj_shape,
                                  "exponent": cfg.conj_exponent,
-                                 "trials": max(mc.trials, 10_000)})]
+                                 "trials": cfg.mc.trials})]
     else:
         raise ConfigError(f"unknown metric {cfg.metric!r}")
 
@@ -282,24 +260,23 @@ def emit_plotdata(rows, layout, path):
 # lam = 1e-4 /m^2.  The radar-rate presets use the dimensionless density
 # regime (lam ~ 0.1 per unit area) where the factorized rate integral is a
 # faithful description; the chosen density is recorded in the sidecar.
+_PRESET_TRIALS = "200000"
 FIGURE_PRESETS = {
-    4: dict(metric="coverage", method="both", t_db="-10:20:2",
-            sweep=("l", "1,2,3,4,5"), params={}, trials=200_000),
-    5: dict(metric="coverage", method="both", t_db="-10:20:2",
-            sweep=("mt", "4,6,8,10"), params={"params.l": "1"},
-            trials=200_000),
-    6: dict(metric="coverage", method="both", t_db="-10:20:2",
-            sweep=("mt", "4,6,8,10"), params={"params.l": "2"},
-            trials=200_000),
-    7: dict(metric="coverage", method="mc", t_db="-10:20:2",
-            sweep=("lambda", "1e-5,1e-4,1e-3"), params={"params.l": "1"},
-            trials=200_000),
-    8: dict(metric="radar-rate", method="both",
-            sweep=("n", "1,2,3,4,5"), params={"params.lambda": "0.1"},
-            trials=200_000),
-    9: dict(metric="radar-rate", method="both",
-            sweep=("lambda", "1e-4,1e-3,1e-2,1e-1"), params={"params.n": "3"},
-            trials=200_000),
+    4: {"metric": "coverage", "method": "both", "t_db": "-10:20:2",
+        "sweep.param": "l", "sweep.values": "1,2,3,4,5"},
+    5: {"metric": "coverage", "method": "both", "t_db": "-10:20:2",
+        "sweep.param": "mt", "sweep.values": "4,6,8,10", "params.l": "1"},
+    6: {"metric": "coverage", "method": "both", "t_db": "-10:20:2",
+        "sweep.param": "mt", "sweep.values": "4,6,8,10", "params.l": "2"},
+    7: {"metric": "coverage", "method": "mc", "t_db": "-10:20:2",
+        "sweep.param": "lambda", "sweep.values": "1e-5,1e-4,1e-3",
+        "params.l": "1"},
+    8: {"metric": "radar-rate", "method": "both",
+        "sweep.param": "n", "sweep.values": "1,2,3,4,5",
+        "params.lambda": "0.1"},
+    9: {"metric": "radar-rate", "method": "both",
+        "sweep.param": "lambda", "sweep.values": "1e-4,1e-3,1e-2,1e-1",
+        "params.n": "3"},
 }
 
 _FIG_LAYOUT = {
@@ -316,17 +293,6 @@ def figure_preset(number):
     """Raw config entries and plot layout for one reproduction figure."""
     if number not in FIGURE_PRESETS:
         raise ConfigError(f"no preset for figure {number}; have 4..9")
-    preset = FIGURE_PRESETS[number]
-    entries = {
-        "metric": (preset["metric"], f"preset-fig{number}"),
-        "method": (preset["method"], f"preset-fig{number}"),
-        "mc.trials": (str(preset["trials"]), f"preset-fig{number}"),
-    }
-    if "t_db" in preset:
-        entries["t_db"] = (preset["t_db"], f"preset-fig{number}")
-    sweep_param, sweep_values = preset["sweep"]
-    entries["sweep.param"] = (sweep_param, f"preset-fig{number}")
-    entries["sweep.values"] = (sweep_values, f"preset-fig{number}")
-    for key, val in preset["params"].items():
-        entries[key] = (val, f"preset-fig{number}")
+    preset = {"mc.trials": _PRESET_TRIALS, **FIGURE_PRESETS[number]}
+    entries = {key: (val, f"preset-fig{number}") for key, val in preset.items()}
     return entries, _FIG_LAYOUT[number]

@@ -54,11 +54,40 @@ class TestConfigParsing:
         assert "mc.trials" in str(exc.value)   # suggestion
 
     def test_line_precise_bad_value(self, tmp_path):
-        entries, path = entries_of(BASE.replace("params.mt = 10",
-                                                "params.mt = ten"), tmp_path)
-        with pytest.raises(ConfigError) as exc:
+        mc = BASE.replace("method = analytic", "method = mc")
+        cases = [(BASE.replace("params.mt = 10", "params.mt = ten"), 7),
+                 # integer keys take whole numbers only; nothing is truncated
+                 (BASE + "params.n = 2.9\n", 8),
+                 (mc + "mc.trials = 100.5\n", 8),
+                 (BASE + "fit.shape = 2.5\n", 8)]
+        for text, line in cases:
+            entries, path = entries_of(text, tmp_path)
+            with pytest.raises(ConfigError) as exc:
+                build_experiment(entries)
+            assert f"{path}:{line}" in str(exc.value)
+
+    def test_whole_number_in_float_spelling(self, tmp_path):
+        entries, _ = entries_of(BASE.replace("method = analytic", "method = mc")
+                                + "mc.trials = 2e5\n", tmp_path)
+        assert build_experiment(entries).mc.trials == 200_000
+
+    def test_sweep_resolves_to_points(self, tmp_path):
+        entries, _ = entries_of(BASE + "sweep.param = ps\n"
+                                "sweep.values = 0.25,0.5\n", tmp_path)
+        cfg = build_experiment(entries)
+        assert [sweep for sweep, _ in cfg.points] == [{"ps": 0.25}, {"ps": 0.5}]
+        assert [(p.ps, p.pc) for _, p in cfg.points] == [(0.25, 0.75),
+                                                          (0.5, 0.5)]
+        assert all(p.mt == 10 and p.L == 1 for _, p in cfg.points)
+        assert build_experiment(entries_of(BASE, tmp_path)[0]).points == (
+            ({}, cfg.params),)
+
+    def test_pinned_alpha_rejects_mt_sweep(self, tmp_path):
+        entries, _ = entries_of(BASE + "params.alpha = 1.2\n"
+                                "sweep.param = mt\nsweep.values = 4,6\n",
+                                tmp_path)
+        with pytest.raises(ConfigError, match="params.alpha"):
             build_experiment(entries)
-        assert f"{path}:7" in str(exc.value)
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -211,11 +240,27 @@ class TestCli:
             main(["coverage", "--method", "bogus"])
         assert exc.value.code == 2
 
-    def test_config_error_exit_four(self, tmp_path):
-        out = str(tmp_path / "x.csv")
-        code = main(["coverage", "--method", "analytic", "--trials", "5",
-                     "--t-db", "0:0:1", "--out", out])
-        assert code == 4
+    def test_config_error_exit_four(self, tmp_path, capsys):
+        rate = ["radar-rate", "--method", "analytic"]
+        cases = [
+            (["coverage", "--method", "analytic", "--trials", "5",
+              "--t-db", "0:0:1"], "forbids the mc.trials field"),
+            # every sweep point is validated before the first one runs
+            (rate + ["--sweep", "mt=4,1"], "cli: bad value '1' for 'mt'"),
+            (rate + ["--sweep", "beta=2"], "cli: bad value '2' for 'beta'"),
+            (rate + ["--sweep", "n=0"], "cli: bad value '0' for 'n'"),
+            (rate + ["--sweep", "l=1.5,2.7"], "cli: bad value '1.5' for 'l'"),
+            (rate + ["--n", "2.9"], "cli: bad value '2.9' for 'n'"),
+            # conjecture1 is a simulation of at least 10,000 trials
+            (["conjecture1", "--l", "2", "--trials", "5000"], "10000 trials"),
+            (["conjecture1", "--l", "2", "--method", "analytic"],
+             "10000 trials"),
+        ]
+        out = tmp_path / "x.csv"
+        for argv, message in cases:
+            assert main(argv + ["--out", str(out)]) == 4, argv
+            assert message in capsys.readouterr().err, argv
+            assert not out.exists(), argv
 
     def test_no_comm_power_exit_four(self, tmp_path):
         code = main(["coverage", "--method", "analytic", "--ps", "1",
