@@ -6,7 +6,9 @@ CLI works in linear units.  Exit codes: 0 success, 2 usage, 3 convergence
 failure, 4 configuration error.  The ISACNET_OUT_DIR environment variable
 sets the default output directory.  Each value flag's argparse dest is its
 config key (`--mt` -> `params.mt`), so `build_experiment` converts and
-checks flag values exactly as it does config-file entries.
+checks flag values exactly as it does config-file entries.  Flags win over
+a config file's entries, which win over the CLI defaults (the documented
+t_db grid for coverage, `<out_dir>/<command>.csv`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import sys
 # let option values like "-10:20:2" pass as values, not flags
 _NEG_VALUE = re.compile(r"^-\d")
 
-from .config import METHODS, ConfigError, build_experiment, parse_config_file
+from .config import (DEFAULT_T_DB, METHODS, ConfigError, build_experiment,
+                     parse_config_file)
 from .harness import emit_plotdata, figure_preset, run_experiment
 from .montecarlo import SimulationWindowError
 from .specfun import ConvergenceError
@@ -63,8 +66,8 @@ def build_parser():
 
     cov = subs.add_parser("coverage", help="communication coverage probability")
     _add_common(cov)
-    cov.add_argument("--t-db", default="-10:20:2",
-                     help="SIR threshold grid LO:HI:STEP in dB")
+    cov.add_argument("--t-db", help="SIR threshold grid LO:HI:STEP in dB "
+                                    f"(default {DEFAULT_T_DB})")
 
     rad = subs.add_parser("radar-rate", help="radar information rate (nats)")
     _add_common(rad)
@@ -114,9 +117,18 @@ def _overrides(args):
             raise ConfigError(f"bad --sweep {args.sweep!r}; use PARAM=V1,V2,...")
         ov["sweep.param"] = param
         ov["sweep.values"] = values
-    if ov["out"] is None:
-        ov["out"] = os.path.join(_out_dir(), f"{args.command}.csv")
     return ov
+
+
+def _entries(args):
+    """CLI defaults with the config file's entries on top."""
+    entries = {"out": (os.path.join(_out_dir(), f"{args.command}.csv"),
+                       "default")}
+    if args.command == "coverage":
+        entries["t_db"] = (DEFAULT_T_DB, "default")
+    if getattr(args, "config", None):
+        entries.update(parse_config_file(args.config))
+    return entries
 
 
 def main(argv=None):
@@ -125,10 +137,7 @@ def main(argv=None):
     try:
         if args.command == "reproduce-fig":
             return _reproduce(args)
-        entries = {}
-        if getattr(args, "config", None):
-            entries = parse_config_file(args.config)
-        cfg = build_experiment(entries, _overrides(args))
+        cfg = build_experiment(_entries(args), _overrides(args))
         rows = run_experiment(cfg)
         if cfg.metric == "fit-alpha":
             fit = rows[0]

@@ -22,10 +22,13 @@ from .params import SystemParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file",
            "build_experiment", "parse_t_db", "METRICS", "METHODS",
-           "SWEEPABLE"]
+           "SWEEPABLE", "DEFAULT_T_DB"]
 
 METRICS = ("coverage", "radar-rate", "fit-alpha", "conjecture1")
 METHODS = ("analytic", "mc", "both")
+
+# the documented threshold grid of the coverage figures: -10..20 dB, 2 dB steps
+DEFAULT_T_DB = "-10:20:2"
 
 # config/CLI name -> SystemParams field
 SWEEPABLE = {
@@ -206,8 +209,9 @@ def build_experiment(entries, overrides=None):
     mc_kwargs = {name: _take(entries, f"mc.{name}", _int)
                  for name in ("trials", "seed", "workers")}
     mc_kwargs = {name: v for name, v in mc_kwargs.items() if v is not None}
-    if method == "analytic" and "trials" in mc_kwargs:
-        raise ConfigError("method=analytic forbids the mc.trials field")
+    if method == "analytic" and mc_kwargs:
+        key = next(iter(mc_kwargs))
+        raise ConfigError(f"method=analytic forbids the mc.{key} field")
     try:
         mc = None if method == "analytic" else McConfig(**mc_kwargs)
     except ValueError as exc:

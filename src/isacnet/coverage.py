@@ -55,8 +55,9 @@ class CoverageCurve:
     Analytic curves carry `quad_error`, the per-threshold error bound the
     fixed rule achieved (0 where the value is a closed form or, at L = 1,
     a finite sum), and an `uncertainty` of 0.  Simulated curves carry the
-    95% half-widths in `uncertainty`, the per-threshold truncation-bias
-    bounds and the simulator's bookkeeping (`montecarlo.McResult`).
+    95% half-widths in `uncertainty`, a `quad_error` of 0 (the default,
+    None, stands for zeros), the per-threshold truncation-bias bounds and
+    the simulator's bookkeeping (`montecarlo.McResult`).
     """
 
     thresholds: np.ndarray
@@ -80,11 +81,11 @@ class CoverageCurve:
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "uncertainty", u)
-        if self.quad_error is not None:
-            qe = np.asarray(self.quad_error, dtype=float)
-            if len(qe) != len(t):
-                raise ValueError("quad_error must align with thresholds")
-            object.__setattr__(self, "quad_error", qe)
+        qe = np.zeros_like(t) if self.quad_error is None else \
+            np.asarray(self.quad_error, dtype=float)
+        if len(qe) != len(t):
+            raise ValueError("quad_error must align with thresholds")
+        object.__setattr__(self, "quad_error", qe)
 
     @property
     def thresholds_db(self):

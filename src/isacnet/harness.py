@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import fit_alpha, verify_conjecture1
-from .config import ConfigError, ExperimentConfig
-from .coverage import coverage_curve
+from .approx import AlphaFit, fit_alpha, verify_conjecture1
+from .config import DEFAULT_T_DB, ConfigError, ExperimentConfig
+from .coverage import CoverageCurve, coverage_curve
 from .montecarlo import mc_coverage, mc_radar_rate
-from .radar import radar_rate, radar_rate_single
+from .radar import RateEstimate, radar_rate, radar_rate_single
 
 __all__ = ["ResultRow", "run_experiment", "write_rows", "read_rows",
            "emit_plotdata", "figure_preset", "FIGURE_PRESETS"]
@@ -47,100 +47,75 @@ def _fmt(x):
     return str(x)
 
 
-def _coverage_rows(cfg):
-    rows = []
-    t_lin = tuple(10.0 ** (t / 10.0) for t in cfg.t_db)
-    for sweep, params in cfg.points:
-        if cfg.method in ("analytic", "both"):
-            t0 = time.perf_counter()
-            closed = params.L == 1 and abs(params.beta - 4.0) < 1e-12
-            curve = coverage_curve(params, t_lin, method="closed-form"
-                                   if closed else "integral")
-            ms = (time.perf_counter() - t0) * 1e3 / max(len(t_lin), 1)
-            for tdb, v, u, qe in zip(cfg.t_db, curve.values.tolist(),
-                                     curve.uncertainty.tolist(),
-                                     curve.quad_error.tolist()):
-                rows.append(ResultRow(sweep=sweep, value=v, method="analytic",
-                                      uncertainty=u, quad_error=qe,
-                                      wall_ms=ms, extra={"t_db": tdb}))
-        if cfg.method in ("mc", "both"):
-            t0 = time.perf_counter()
-            curve = mc_coverage(params, np.asarray(t_lin), cfg.mc)
-            ms = (time.perf_counter() - t0) * 1e3 / max(len(t_lin), 1)
-            for tdb, v, u in zip(cfg.t_db, curve.values, curve.uncertainty):
-                rows.append(ResultRow(sweep=sweep, value=float(v), method="mc",
-                                      uncertainty=float(u), quad_error=0.0,
-                                      wall_ms=ms, extra={"t_db": tdb}))
-    return rows
+# (metric, method) -> estimate at one point, from (cfg, params, thresholds)
+_ESTIMATORS = {
+    ("coverage", "analytic"): lambda cfg, p, t: coverage_curve(p, t),
+    ("coverage", "mc"): lambda cfg, p, t: mc_coverage(p, t, cfg.mc),
+    ("radar-rate", "analytic"): lambda cfg, p, t: (
+        radar_rate_single(p) if p.N == 1 else radar_rate(p)),
+    ("radar-rate", "mc"): lambda cfg, p, t: mc_radar_rate(p, cfg.mc),
+    ("fit-alpha", "analytic"): lambda cfg, p, t: fit_alpha(cfg.fit_shape),
+    ("conjecture1", "mc"): lambda cfg, p, t: verify_conjecture1(
+        p.L, cfg.conj_exponent, p.lam, cfg.conj_shape, cfg.mc.trials,
+        cfg.mc.seed),
+}
 
 
-def _radar_rows(cfg):
-    rows = []
-    for sweep, params in cfg.points:
-        if cfg.method in ("analytic", "both"):
-            t0 = time.perf_counter()
-            est = (radar_rate_single(params) if params.N == 1
-                   else radar_rate(params))
-            ms = (time.perf_counter() - t0) * 1e3
-            rows.append(ResultRow(sweep=sweep, value=est.value,
-                                  method="analytic", uncertainty=0.0,
-                                  quad_error=est.uncertainty, wall_ms=ms))
-        if cfg.method in ("mc", "both"):
-            t0 = time.perf_counter()
-            est = mc_radar_rate(params, cfg.mc)
-            ms = (time.perf_counter() - t0) * 1e3
-            rows.append(ResultRow(sweep=sweep, value=est.value, method="mc",
-                                  uncertainty=est.uncertainty, quad_error=0.0,
-                                  wall_ms=ms))
-    return rows
+def _cells(est, cfg, params):
+    """(value, uncertainty, quad_error, extra) for each row of one estimate."""
+    if isinstance(est, CoverageCurve):
+        return [(v, u, qe, {"t_db": t}) for t, v, u, qe in zip(
+            cfg.t_db, est.values.tolist(), est.uncertainty.tolist(),
+            est.quad_error.tolist())]
+    if isinstance(est, RateEstimate):
+        return [(est.value, est.uncertainty, est.quad_error, {})]
+    if isinstance(est, AlphaFit):
+        return [(est.alpha_star, 0.0, 0.0,
+                 {"shape_n": est.shape_n, "ks_distance": est.ks_distance,
+                  "grid_resolution": est.grid_resolution})]
+    # conjecture1: the two-sample K-S distance at this cluster size
+    return [(est, 0.0, 0.0, {"cluster_size": params.L, "shape": cfg.conj_shape,
+                             "exponent": cfg.conj_exponent,
+                             "trials": cfg.mc.trials})]
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Execute a validated experiment; returns rows and optionally writes CSV."""
-    if cfg.metric == "coverage":
-        rows = _coverage_rows(cfg)
-    elif cfg.metric == "radar-rate":
-        rows = _radar_rows(cfg)
-    elif cfg.metric == "fit-alpha":
-        t0 = time.perf_counter()
-        fit = fit_alpha(cfg.fit_shape)
-        ms = (time.perf_counter() - t0) * 1e3
-        rows = [ResultRow(sweep={}, value=fit.alpha_star, method="analytic",
-                          uncertainty=0.0, quad_error=0.0, wall_ms=ms,
-                          extra={"shape_n": fit.shape_n,
-                                 "ks_distance": fit.ks_distance,
-                                 "grid_resolution": fit.grid_resolution})]
-    elif cfg.metric == "conjecture1":
-        t0 = time.perf_counter()
-        ks = verify_conjecture1(cfg.params.L, cfg.conj_exponent,
-                                cfg.params.lam, cfg.conj_shape,
-                                cfg.mc.trials, cfg.mc.seed)
-        ms = (time.perf_counter() - t0) * 1e3
-        rows = [ResultRow(sweep={}, value=ks, method="mc", uncertainty=0.0,
-                          quad_error=0.0, wall_ms=ms,
-                          extra={"cluster_size": cfg.params.L,
-                                 "shape": cfg.conj_shape,
-                                 "exponent": cfg.conj_exponent,
-                                 "trials": cfg.mc.trials})]
-    else:
-        raise ConfigError(f"unknown metric {cfg.metric!r}")
+    """Execute a validated experiment; returns rows and optionally writes CSV.
 
+    Every sweep point runs each method that `cfg.method` selects and the
+    metric has; a row's `wall_ms` is its estimate's time over its rows.
+    """
+    methods = [m for m in ("analytic", "mc")
+               if cfg.method in (m, "both") and (cfg.metric, m) in _ESTIMATORS]
+    if not methods:
+        raise ConfigError(f"metric {cfg.metric!r} has no {cfg.method!r} method")
+    t_lin = np.array([10.0 ** (t / 10.0) for t in cfg.t_db])
+    rows = []
+    for sweep, params in cfg.points:
+        for method in methods:
+            t0 = time.perf_counter()
+            cells = _cells(_ESTIMATORS[cfg.metric, method](cfg, params, t_lin),
+                           cfg, params)
+            ms = (time.perf_counter() - t0) * 1e3 / len(cells)
+            rows += [ResultRow(sweep=sweep, value=v, method=method,
+                               uncertainty=u, quad_error=qe, wall_ms=ms,
+                               extra=extra) for v, u, qe, extra in cells]
     if cfg.out:
         write_rows(rows, cfg.out, cfg)
     return rows
 
 
 def _columns(rows):
-    sweep_cols = []
-    extra_cols = []
-    for row in rows:
-        for k in row.sweep:
-            if k not in sweep_cols:
-                sweep_cols.append(k)
-        for k in row.extra:
-            if k not in extra_cols:
-                extra_cols.append(k)
-    return sweep_cols, extra_cols
+    """The CSV header: sweep columns, extra columns, then the fixed four."""
+    sweep = dict.fromkeys(k for row in rows for k in row.sweep)
+    extra = dict.fromkeys(k for row in rows for k in row.extra)
+    return [*sweep, *extra, "value", "method", "uncertainty", "quad_error"]
+
+
+def _cell(row, col):
+    if col in ("value", "method", "uncertainty", "quad_error"):
+        return getattr(row, col)
+    return row.sweep[col] if col in row.sweep else row.extra.get(col, "")
 
 
 def write_rows(rows, path, cfg=None):
@@ -150,19 +125,13 @@ def write_rows(rows, path, cfg=None):
     timestamp live in the sidecar so re-runs with one seed are identical
     byte-for-byte.
     """
-    sweep_cols, extra_cols = _columns(rows)
-    header = sweep_cols + extra_cols + ["value", "method", "uncertainty",
-                                        "quad_error"]
+    header = _columns(rows)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            rec = [_fmt(row.sweep.get(c, "")) for c in sweep_cols]
-            rec += [_fmt(row.extra.get(c, "")) for c in extra_cols]
-            rec += [_fmt(row.value), row.method, _fmt(row.uncertainty),
-                    _fmt(row.quad_error)]
-            writer.writerow(rec)
+            writer.writerow([_fmt(_cell(row, col)) for col in header])
     meta = {
         "created_unix": time.time(),
         "wall_ms": [row.wall_ms for row in rows],
@@ -205,54 +174,31 @@ def read_rows(path):
 def emit_plotdata(rows, layout, path):
     """Reshape result rows into a plot-ready long-format CSV.
 
-    layout = {"x": column, "series_by": column or None, "y": "value"}.
-    When both analytic and mc rows exist for one (x, series) key an
-    analytic-minus-mc residual column is filled on the mc rows.
+    layout = {"x": column, "series_by": column or None}.  When both
+    analytic and mc rows exist for one (x, series) key an analytic-minus-mc
+    residual column is filled on the mc rows.
     """
-    sweep_cols, extra_cols = _columns(rows)
-    known = set(sweep_cols) | set(extra_cols) | {"value", "method",
-                                                 "uncertainty", "quad_error"}
-    x_col = layout["x"]
-    series_col = layout.get("series_by")
-    y_col = layout.get("y", "value")
+    keys = [layout["x"]] + ([layout["series_by"]]
+                            if layout.get("series_by") else [])
     if rows:   # an empty table cannot be column-checked; emit the header
-        for col in filter(None, (x_col, series_col, y_col)):
+        known = _columns(rows)
+        for col in keys:
             if col not in known:
                 raise ConfigError(f"unknown column {col!r}; have {sorted(known)}")
+    analytic = {tuple(_cell(row, col) for col in keys): row.value
+                for row in rows if row.method == "analytic"}
 
-    def get(row, col):
-        if col == "value":
-            return row.value
-        if col == "uncertainty":
-            return row.uncertainty
-        if col == "quad_error":
-            return row.quad_error
-        if col in row.sweep:
-            return row.sweep[col]
-        return row.extra.get(col, "")
-
-    analytic = {}
-    for row in rows:
-        if row.method == "analytic":
-            analytic[(get(row, x_col), get(row, series_col) if series_col else None)] = row.value
-
-    header = [x_col] + ([series_col] if series_col else []) + \
-        ["method", y_col, "uncertainty", "residual"]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(keys + ["method", "value", "uncertainty", "residual"])
         for row in rows:
-            key = (get(row, x_col), get(row, series_col) if series_col else None)
+            key = tuple(_cell(row, col) for col in keys)
             residual = ""
             if row.method == "mc" and key in analytic:
                 residual = _fmt(analytic[key] - row.value)
-            rec = [_fmt(get(row, x_col))]
-            if series_col:
-                rec.append(_fmt(get(row, series_col)))
-            rec += [row.method, _fmt(get(row, y_col)), _fmt(row.uncertainty),
-                    residual]
-            writer.writerow(rec)
+            writer.writerow([_fmt(k) for k in key] + [
+                row.method, _fmt(row.value), _fmt(row.uncertainty), residual])
 
 
 # Figure-reproduction presets.  Densities: coverage results are density-free
@@ -262,13 +208,13 @@ def emit_plotdata(rows, layout, path):
 # faithful description; the chosen density is recorded in the sidecar.
 _PRESET_TRIALS = "200000"
 FIGURE_PRESETS = {
-    4: {"metric": "coverage", "method": "both", "t_db": "-10:20:2",
+    4: {"metric": "coverage", "method": "both", "t_db": DEFAULT_T_DB,
         "sweep.param": "l", "sweep.values": "1,2,3,4,5"},
-    5: {"metric": "coverage", "method": "both", "t_db": "-10:20:2",
+    5: {"metric": "coverage", "method": "both", "t_db": DEFAULT_T_DB,
         "sweep.param": "mt", "sweep.values": "4,6,8,10", "params.l": "1"},
-    6: {"metric": "coverage", "method": "both", "t_db": "-10:20:2",
+    6: {"metric": "coverage", "method": "both", "t_db": DEFAULT_T_DB,
         "sweep.param": "mt", "sweep.values": "4,6,8,10", "params.l": "2"},
-    7: {"metric": "coverage", "method": "mc", "t_db": "-10:20:2",
+    7: {"metric": "coverage", "method": "mc", "t_db": DEFAULT_T_DB,
         "sweep.param": "lambda", "sweep.values": "1e-5,1e-4,1e-3",
         "params.l": "1"},
     8: {"metric": "radar-rate", "method": "both",

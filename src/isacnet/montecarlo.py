@@ -64,12 +64,10 @@ class McConfig:
 class McResult:
     """Trial bookkeeping of one simulator run.
 
-    `ci_half_width` is the normal-approximation half-width of the rate, or
-    the widest half-width over a coverage curve's thresholds;
-    `truncation_bias_bound` is the largest bias bound over the estimates.
+    `truncation_bias_bound` is the largest bias bound over the estimates;
+    the half-widths are the estimate's own `uncertainty`.
     """
 
-    ci_half_width: float
     trials_used: int
     truncation_bias_bound: float = 0.0
     window_mean_count: float = 0.0
@@ -203,7 +201,7 @@ def mc_coverage(params, thresholds, cfg):
     return CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
         uncertainty=ci, bias_bounds=bias,
-        mc_result=McResult(ci_half_width=float(ci.max()), trials_used=done,
+        mc_result=McResult(trials_used=done,
                            truncation_bias_bound=float(bias.max()),
                            window_mean_count=u_max))
 
@@ -294,6 +292,5 @@ def mc_radar_rate(params, cfg):
 
     return RateEstimate(
         value=max(mean, 0.0), method="monte-carlo", uncertainty=ci,
-        mc_result=McResult(ci_half_width=ci, trials_used=done,
-                           truncation_bias_bound=bias,
+        mc_result=McResult(trials_used=done, truncation_bias_bound=bias,
                            window_mean_count=u_max))

@@ -55,22 +55,25 @@ _DEPTH = 36.0           # e-folds below its scale at which a core may stop
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Radar information rate in nats with its method tag and uncertainty.
+    """Radar information rate in nats with its method tag and error.
 
-    Simulated rates also carry the simulator's bookkeeping
-    (`montecarlo.McResult`).
+    Analytic rates carry `quad_error`, the error bound the fixed rule
+    achieved, and an `uncertainty` of 0.  Simulated rates carry the 95%
+    half-width in `uncertainty`, a `quad_error` of 0 and the simulator's
+    bookkeeping (`montecarlo.McResult`).
     """
 
     value: float
     method: str
     uncertainty: float = 0.0
+    quad_error: float = 0.0
     mc_result: object | None = None
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("rate must be nonnegative")
-        if self.uncertainty < 0:
-            raise ValueError("uncertainty must be nonnegative")
+        if self.uncertainty < 0 or self.quad_error < 0:
+            raise ValueError("uncertainty and quad_error must be nonnegative")
 
 
 def echo_laplace_exponent(z, r_far, params):
@@ -285,7 +288,7 @@ def radar_rate(params):
     err += np.sum((comp_err * factor + comp * factor_err).reshape(u.shape) * wk)
     check_bound(value, err, "radar_rate")
     return RateEstimate(value=max(float(value), 0.0),
-                        method="cooperative-integral", uncertainty=float(err))
+                        method="cooperative-integral", quad_error=float(err))
 
 
 def _hole_transform(omega, params, k):
@@ -357,4 +360,4 @@ def radar_rate_single(params, include_hole=True):
     err += np.sum((echo * transform_err).reshape(u.shape) * wk)
     check_bound(value, err, method)
     return RateEstimate(value=max(float(value), 0.0), method=method,
-                        uncertainty=float(err))
+                        quad_error=float(err))

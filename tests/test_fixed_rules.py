@@ -203,7 +203,7 @@ def test_cooperative_rate_matches_oracle(monkeypatch, beta, lam, mt, n):
         # z^(-1/3) decay (or exhausts its budget), so the reference is the
         # same rule with twice the panels over wider ranges
         ref = wide_rule(monkeypatch, radar_rate, params)
-        assert abs(est.value - ref.value) <= est.uncertainty + ref.uncertainty
+        assert abs(est.value - ref.value) <= est.quad_error + ref.quad_error
         ref = ref.value
     else:
         ref = oracle_radar_rate(params)

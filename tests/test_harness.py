@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from isacnet.cli import build_parser, main
+from isacnet.cli import main
 from isacnet.config import (ConfigError, build_experiment, parse_config_file,
                             parse_t_db)
 from isacnet.harness import (FIGURE_PRESETS, ResultRow, emit_plotdata,
@@ -190,21 +190,21 @@ class TestRunAndPersist:
                       uncertainty=0.01, quad_error=0.0, extra={"t_db": 0.0}),
         ]
         out = str(tmp_path / "plot.csv")
-        emit_plotdata(rows, {"x": "t_db", "series_by": "L", "y": "value"}, out)
+        emit_plotdata(rows, {"x": "t_db", "series_by": "L"}, out)
         lines = open(out).read().splitlines()
         assert lines[0] == "t_db,L,method,value,uncertainty,residual"
         assert lines[2].endswith(repr(0.9 - 0.88))
 
     def test_emit_plotdata_empty(self, tmp_path):
         out = str(tmp_path / "plot.csv")
-        emit_plotdata([], {"x": "t_db", "series_by": None, "y": "value"}, out)
+        emit_plotdata([], {"x": "t_db", "series_by": None}, out)
         assert open(out).read().strip() == "t_db,method,value,uncertainty,residual"
 
     def test_emit_plotdata_unknown_column(self, tmp_path):
         rows = [ResultRow(sweep={}, value=1.0, method="mc", uncertainty=0.0,
                           quad_error=0.0, extra={"t_db": 0.0})]
         with pytest.raises(ConfigError):
-            emit_plotdata(rows, {"x": "nope", "series_by": None, "y": "value"},
+            emit_plotdata(rows, {"x": "nope", "series_by": None},
                           str(tmp_path / "x.csv"))
 
     def test_figure_presets_build(self):
@@ -224,9 +224,24 @@ class TestRunAndPersist:
 
 
 class TestCli:
-    def test_default_grid_is_documented_grid(self):
-        args = build_parser().parse_args(["coverage"])
-        assert parse_t_db(args.t_db) == DOCUMENTED_T_DB
+    def test_default_grid_is_documented_grid(self, tmp_path):
+        out = str(tmp_path / "cov.csv")
+        assert main(["coverage", "--method", "analytic", "--l", "1",
+                     "--out", out]) == 0
+        assert tuple(r["t_db"] for r in read_rows(out)) == DOCUMENTED_T_DB
+
+    def test_config_file_beats_cli_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("method = analytic\nparams.l = 1\nt_db = 0\n"
+                       "out = mine.csv\n")
+        assert main(["coverage", "--config", str(cfg)]) == 0
+        assert [r["t_db"] for r in read_rows("mine.csv")] == [0.0]
+        assert not (tmp_path / "coverage.csv").exists()
+        # explicit flags still win over the file
+        assert main(["coverage", "--config", str(cfg), "--t-db", "0,3",
+                     "--out", "flag.csv"]) == 0
+        assert [r["t_db"] for r in read_rows("flag.csv")] == [0.0, 3.0]
 
     def test_analytic_coverage_exit_zero(self, tmp_path):
         out = str(tmp_path / "cov.csv")
@@ -243,8 +258,12 @@ class TestCli:
     def test_config_error_exit_four(self, tmp_path, capsys):
         rate = ["radar-rate", "--method", "analytic"]
         cases = [
+            # method=analytic runs no simulation, so every mc.* key is an error
             (["coverage", "--method", "analytic", "--trials", "5",
               "--t-db", "0:0:1"], "forbids the mc.trials field"),
+            (["coverage", "--method", "analytic", "--seed", "3",
+              "--t-db", "0:0:1"], "forbids the mc.seed field"),
+            (rate + ["--workers", "2"], "forbids the mc.workers field"),
             # every sweep point is validated before the first one runs
             (rate + ["--sweep", "mt=4,1"], "cli: bad value '1' for 'mt'"),
             (rate + ["--sweep", "beta=2"], "cli: bad value '2' for 'beta'"),
@@ -297,6 +316,14 @@ class TestCli:
         code = main(["conjecture1", "--l", "2", "--trials", "20000",
                      "--seed", "3", "--out", str(tmp_path / "c1.csv")])
         assert code == 0
+
+    def test_conjecture1_sweep_runs_every_point(self, tmp_path):
+        out = str(tmp_path / "c1.csv")
+        assert main(["conjecture1", "--sweep", "l=1,2,3", "--trials", "10000",
+                     "--out", out]) == 0
+        rows = read_rows(out)
+        assert [r["cluster_size"] for r in rows] == [1.0, 2.0, 3.0]
+        assert [r["L"] for r in rows] == [1.0, 2.0, 3.0]
 
     def test_installed_entry_point(self, tmp_path):
         proc = subprocess.run(

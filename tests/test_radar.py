@@ -282,3 +282,5 @@ class TestRateEstimate:
             RateEstimate(value=-1.0, method="x")
         with pytest.raises(ValueError):
             RateEstimate(value=1.0, method="x", uncertainty=-0.1)
+        with pytest.raises(ValueError):
+            RateEstimate(value=1.0, method="x", quad_error=-0.1)
