@@ -24,7 +24,6 @@ _NEG_VALUE = re.compile(r"^-\d")
 from .config import (DEFAULT_T_DB, METHODS, ConfigError, build_experiment,
                      parse_config_file)
 from .harness import emit_plotdata, figure_preset, run_experiment
-from .montecarlo import SimulationWindowError
 from .specfun import ConvergenceError
 
 EXIT_OK = 0
@@ -148,7 +147,7 @@ def main(argv=None):
         if cfg.metric == "conjecture1":
             print(f"two-sample K-S distance: {rows[0].value:.5f}")
         return EXIT_OK
-    except (ConfigError, SimulationWindowError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

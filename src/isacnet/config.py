@@ -9,7 +9,8 @@ supplied on the command line report as line "cli".
 `sweep.param = <name>` both go through it, and `build_experiment` resolves
 every sweep value into a validated `SystemParams` point before anything
 runs.  Integer keys (`l, n, mt, mr`, `mc.*`, `fit.shape`, `conj.shape`)
-accept whole numbers only, in any float spelling such as `2e5`.
+accept whole numbers only, in any float spelling such as `2e5`.  A key the
+metric does not read is an error, never silently dropped.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ _KNOWN_KEYS = {
     "mc.trials", "mc.seed", "mc.workers",
     "fit.shape", "conj.shape", "conj.exponent",
 } | {f"params.{name}" for name in SWEEPABLE}
+
+
+# keys that one metric alone reads; conjecture1 reads only the system
+# parameters behind _CONJ_FIELDS (its gains come from conj.shape) and runs
+# in one process
+_METRIC_KEYS = (("t_db", "coverage"), ("fit.", "fit-alpha"),
+                ("conj.", "conjecture1"))
+_CONJ_FIELDS = {"L", "lam"}
 
 
 class ConfigError(ValueError):
@@ -102,6 +111,24 @@ def _closest(key):
     import difflib
     match = difflib.get_close_matches(key, _KNOWN_KEYS, n=1, cutoff=0.6)
     return match[0] if match else None
+
+
+def _reject_unused(entries, metric):
+    """A key the metric does not read is an error, never silently dropped."""
+    for key, (raw, where) in entries.items():
+        owner = next((m for prefix, m in _METRIC_KEYS
+                      if key.startswith(prefix)), metric)
+        unused, what = owner != metric, key
+        if metric == "conjecture1":
+            if key == "sweep.param" and raw.lower() in SWEEPABLE:
+                unused = SWEEPABLE[raw.lower()] not in _CONJ_FIELDS
+                what = f"a sweep of {raw}"
+            elif key.startswith("params."):
+                unused = SWEEPABLE.get(key[len("params."):]) not in _CONJ_FIELDS
+            elif key == "mc.workers":
+                unused = True
+        if unused:
+            raise ConfigError(f"{where}: {what} has no effect on metric {metric!r}")
 
 
 def _take(entries, key, conv, default=None, required=False):
@@ -174,6 +201,7 @@ def build_experiment(entries, overrides=None):
     method = _take(entries, "method", str, default="both").lower()
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    _reject_unused(entries, metric)
 
     params = SystemParams()
     for name in SWEEPABLE:

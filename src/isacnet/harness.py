@@ -28,7 +28,12 @@ __all__ = ["ResultRow", "run_experiment", "write_rows", "read_rows",
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (sweep point x method) outcome."""
+    """One (sweep point x method) outcome.
+
+    `window` (stations drawn per trial) and `bias_bound` (truncation-bias
+    bound) describe simulated rows and are None elsewhere; like `wall_ms`
+    they go to the sidecar, not the CSV.
+    """
 
     sweep: dict                 # swept parameter values, may be empty
     value: float
@@ -37,6 +42,8 @@ class ResultRow:
     quad_error: float           # quadrature error bound for analytic rows
     wall_ms: float = 0.0
     extra: dict = field(default_factory=dict)   # e.g. t_db for coverage rows
+    window: int | None = None
+    bias_bound: float | None = None
 
 
 def _fmt(x):
@@ -62,21 +69,32 @@ _ESTIMATORS = {
 
 
 def _cells(est, cfg, params):
-    """(value, uncertainty, quad_error, extra) for each row of one estimate."""
+    """The ResultRow fields, bar sweep, method and time, of each row of one
+    estimate."""
     if isinstance(est, CoverageCurve):
-        return [(v, u, qe, {"t_db": t}) for t, v, u, qe in zip(
-            cfg.t_db, est.values.tolist(), est.uncertainty.tolist(),
-            est.quad_error.tolist())]
+        mc = est.mc_result
+        bias = est.bias_bounds.tolist() if mc else [None] * len(cfg.t_db)
+        return [dict(value=v, uncertainty=u, quad_error=qe, extra={"t_db": t},
+                     window=mc.window_mean_count if mc else None, bias_bound=b)
+                for t, v, u, qe, b in zip(
+                    cfg.t_db, est.values.tolist(), est.uncertainty.tolist(),
+                    est.quad_error.tolist(), bias)]
     if isinstance(est, RateEstimate):
-        return [(est.value, est.uncertainty, est.quad_error, {})]
+        mc = est.mc_result
+        return [dict(value=est.value, uncertainty=est.uncertainty,
+                     quad_error=est.quad_error,
+                     window=mc.window_mean_count if mc else None,
+                     bias_bound=mc.truncation_bias_bound if mc else None)]
     if isinstance(est, AlphaFit):
-        return [(est.alpha_star, 0.0, 0.0,
-                 {"shape_n": est.shape_n, "ks_distance": est.ks_distance,
-                  "grid_resolution": est.grid_resolution})]
+        return [dict(value=est.alpha_star, uncertainty=0.0, quad_error=0.0,
+                     extra={"shape_n": est.shape_n,
+                            "ks_distance": est.ks_distance,
+                            "grid_resolution": est.grid_resolution})]
     # conjecture1: the two-sample K-S distance at this cluster size
-    return [(est, 0.0, 0.0, {"cluster_size": params.L, "shape": cfg.conj_shape,
-                             "exponent": cfg.conj_exponent,
-                             "trials": cfg.mc.trials})]
+    return [dict(value=est, uncertainty=0.0, quad_error=0.0,
+                 extra={"cluster_size": params.L, "shape": cfg.conj_shape,
+                        "exponent": cfg.conj_exponent,
+                        "trials": cfg.mc.trials})]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -97,9 +115,8 @@ def run_experiment(cfg: ExperimentConfig):
             cells = _cells(_ESTIMATORS[cfg.metric, method](cfg, params, t_lin),
                            cfg, params)
             ms = (time.perf_counter() - t0) * 1e3 / len(cells)
-            rows += [ResultRow(sweep=sweep, value=v, method=method,
-                               uncertainty=u, quad_error=qe, wall_ms=ms,
-                               extra=extra) for v, u, qe, extra in cells]
+            rows += [ResultRow(sweep=sweep, method=method, wall_ms=ms, **cell)
+                     for cell in cells]
     if cfg.out:
         write_rows(rows, cfg.out, cfg)
     return rows
@@ -135,6 +152,8 @@ def write_rows(rows, path, cfg=None):
     meta = {
         "created_unix": time.time(),
         "wall_ms": [row.wall_ms for row in rows],
+        "window": [row.window for row in rows],
+        "bias_bound": [row.bias_bound for row in rows],
         "rows": len(rows),
     }
     if cfg is not None:

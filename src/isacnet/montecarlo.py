@@ -9,17 +9,31 @@ angle (rotation invariance), which is exactly the 2-D geometry - the
 station-free disk around the sensing target emerges naturally, with no
 correction term.
 
-Windowing: the deployment is truncated at a mean in-window count of
-max(500, 10(L+N)).  The interference from beyond the window is replaced by
-its exact mean, and every estimate carries a first-order bound on the bias
-left by the tail's fluctuation about that mean.  A trial whose window
-misses the cluster or fails to reach the window edge is redrawn; a window
-that keeps failing raises SimulationWindowError.
+Window: every trial draws exactly the K nearest stations.  By the strong
+Markov property of the arrival process, the stations beyond the K-th
+arrival u_K form a fresh unit-rate process on (u_K, inf), so the
+interference they add is replaced by its exact conditional mean given the
+trial's own u_K: u_K^(1-b)/(b-1) at the origin (b = beta/2), and at the
+radar receiver, which sits at u_1, the series
+sum_k ((b)_k/k!)^2 u_1^k u_K^(1-b-k)/(b+k-1), summed until its remainder
+is below _SERIES_RTOL.  The tail's conditional spread about that mean
+enters a first-order bound on the bias the replacement leaves.
 
-Reproducibility: trials are processed in fixed-size batches; batch k draws
-from Philox(key=seed) jumped k times.  Batch statistics are reduced in
-batch order, so results are bitwise identical for a given config no matter
-how many workers process the batches.
+K is chosen per run: a pilot of _PILOT_TRIALS trials at K = _PILOT_K
+predicts the worst bias bound over the 95% half-width the full trial count
+will give, the spread's power law u_K^((1-beta)/2) scales the prediction to
+other K, and K is the smallest count predicted to reach _BIAS_TO_CI, half
+the CI/10 rule (_BIAS_RULE) the tests hold every estimate to.  A run whose
+own ratio breaks the rule is repeated at the K its own statistics call
+for.  K never drops below max(16, 2(L+N)) and never exceeds _MAX_K; past
+that cap, reached only with path loss near beta = 2 and many trials, the
+rule is reported (`McResult.bias_to_ci`), not met.
+
+Reproducibility: trials are processed in batches; batch k draws from
+Philox(key=seed) jumped k times and the pilot from the stream jumped
+_PILOT_STREAM times, which no batch reaches.  Batch statistics are reduced
+in batch order, so K and every result are a pure function of the
+parameters and the config, bitwise identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -33,16 +47,17 @@ import numpy as np
 from .coverage import CoverageCurve, _require_comm_power
 from .radar import RateEstimate
 
-__all__ = ["McConfig", "McResult", "SimulationWindowError",
-           "mc_coverage", "mc_radar_rate"]
+__all__ = ["McConfig", "McResult", "mc_coverage", "mc_radar_rate"]
 
-_MEAN_COUNT_FLOOR = 500.0
 _BATCH_SIZE = 8192
-_RETRY_ROUNDS = 8
-
-
-class SimulationWindowError(RuntimeError):
-    """Window repeatedly failed to realize enough stations (configuration)."""
+_BATCH_DOUBLES = 1 << 22        # bound on one (rows, K) array of a batch
+_PILOT_STREAM = 1 << 40
+_PILOT_TRIALS = 2048
+_PILOT_K = 64
+_BIAS_TO_CI = 0.05
+_BIAS_RULE = 0.1
+_MAX_K = 1 << 15
+_SERIES_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,104 +79,144 @@ class McConfig:
 class McResult:
     """Trial bookkeeping of one simulator run.
 
-    `truncation_bias_bound` is the largest bias bound over the estimates;
-    the half-widths are the estimate's own `uncertainty`.
+    `truncation_bias_bound` is the largest bias bound over the estimates
+    and `bias_to_ci` the largest ratio of a bias bound to its estimate's
+    95% half-width (the estimate's own `uncertainty`).
+    `window_mean_count` is K, the stations drawn per trial.
     """
 
     trials_used: int
     truncation_bias_bound: float = 0.0
-    window_mean_count: float = 0.0
+    window_mean_count: int = 0
+    bias_to_ci: float = 0.0
 
 
-def _window(params):
-    """Mean in-window count, column count, and the tail's mean and spread."""
-    u_max = max(_MEAN_COUNT_FLOOR, 10.0 * (params.L + params.N))
-    kmax = int(u_max + 8.0 * math.sqrt(u_max) + 16.0)
-    beta = params.beta
-    # unit-intensity arrival process: E[sum_{u > u_max} u^(-beta/2)]
-    tail_mean = u_max ** (1.0 - beta / 2.0) / (beta / 2.0 - 1.0)
-    # exp(1) gains have second moment 2
-    tail_std = math.sqrt(2.0 * u_max ** (1.0 - beta) / (beta - 1.0))
-    return u_max, kmax, tail_mean, tail_std
+def _tail_mean(u_k, b, u_1=None):
+    """E[sum d^(-2b)] over a unit-rate arrival process on (u_K, inf), b > 1.
+
+    d^2 is the squared distance in arrival units from the origin, or from
+    a receiver at u_1 < u_K when u_1 is given.  From the origin the mean is
+    the closed integral u_K^(1-b)/(b-1).  From the receiver, the angular
+    mean of |x - y|^(-2b) is sum_k ((b)_k/k!)^2 |y|^(2k) |x|^(-2b-2k) for
+    |y| < |x|, so with r = u_1/u_K the mean is
+    u_K^(1-b) sum_k ((b)_k/k!)^2 r^k/(b+k-1).  Beyond term k the ratio of
+    successive terms is below rho = r((b+k)/(k+1))^2, so each row's sum
+    stops once the geometric remainder bound, its last term times
+    rho/(1-rho), is below _SERIES_RTOL of the partial sum.
+    """
+    scale = u_k ** (1.0 - b)
+    if u_1 is None:
+        return scale / (b - 1.0)
+    r = u_1 / u_k
+    total = np.full(r.shape, 1.0 / (b - 1.0))
+    live = np.arange(r.size)
+    term = np.ones(r.size)              # ((b)_k/k!)^2 r^k on the live rows
+    k = 0
+    while live.size:
+        rl = r[live]
+        term *= ((b + k) / (k + 1.0)) ** 2 * rl
+        k += 1
+        add = term / (b + k - 1.0)
+        total[live] += add
+        rho = rl * ((b + k) / (k + 1.0)) ** 2
+        done = (rho < 1.0) & (add * rho <= _SERIES_RTOL * (1.0 - rho) * total[live])
+        live, term = live[~done], term[~done]
+    return scale * total
 
 
-def _batch_rng(seed, batch_index):
-    return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
+def _batch_rng(seed, stream):
+    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
-def _batch_plan(cfg, kmax):
-    # keep per-batch arrays near or below ~16M doubles even for wide windows
-    batch = max(1, min(_BATCH_SIZE, (1 << 24) // kmax))
+def _batch_plan(cfg, k):
+    batch = max(1, min(_BATCH_SIZE, _BATCH_DOUBLES // k))
     n_batches = (cfg.trials + batch - 1) // batch
     return [batch] * (n_batches - 1) + [cfg.trials - batch * (n_batches - 1)]
 
 
-def _run_batches(worker, args, cfg, kmax):
+def _run_batches(worker, args, cfg, k):
     """Run per-batch workers and reduce their stats in batch order."""
-    sizes = _batch_plan(cfg, kmax)
-    jobs = [(b, rows) + args for b, rows in enumerate(sizes)]
+    sizes = _batch_plan(cfg, k)
+    jobs = [(b, rows, cfg.seed, k) + args for b, rows in enumerate(sizes)]
     if cfg.workers == 1 or len(jobs) == 1:
-        return [worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * cfg.workers))))
+        parts = [worker(j) for j in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(worker, jobs,
+                                  chunksize=max(1, len(jobs) // (4 * cfg.workers))))
+    return [sum(stat) for stat in zip(*parts)]
 
 
-def _draw_in_window(draw, rows, cluster, u_max):
-    """Draw `rows` trials, redrawing those whose window cannot be used.
+def _simulate(worker, args, summary, params, cfg):
+    """Choose K, run the batches, and return K with the run's summary.
 
-    `draw(n)` returns a tuple of arrays with n rows, the first holding the
-    cumulative arrivals; a trial is redrawn while its cluster reaches past
-    the window or its arrivals stop short of the window edge.
+    `summary(stats, n)` turns the stats of n trials into (estimate, CI,
+    bias bound), with the CI taken at the run's full trial count.  The
+    tail's spread, and with it the bias bound, scales as u_K^((1-beta)/2),
+    so a run at K0 with bias/CI ratio r calls for
+    K = K0 (r/_BIAS_TO_CI)^(2/(beta-1)).  The pilot gives the first K; a
+    run whose own ratio still exceeds _BIAS_RULE (the pilot cannot see how
+    small a half-width will be where it drew no miss) is repeated at the K
+    its own statistics call for.
     """
-    arrays = draw(rows)
-    for _ in range(_RETRY_ROUNDS):
-        u = arrays[0]
-        bad = (u[:, cluster - 1] > u_max) | (u[:, -1] < u_max)
-        if not bad.any():
-            return arrays
-        for a, fresh in zip(arrays, draw(int(bad.sum()))):
-            a[bad] = fresh
-    raise SimulationWindowError(
-        f"window mean count {u_max:.1f} cannot hold a cluster of {cluster} "
-        f"after {_RETRY_ROUNDS} retry rounds")
+    floor = max(16, 2 * (params.L + params.N))
+
+    def ratio_and_k(stats, n, k_run):
+        _, ci, bias = summary(stats, n)
+        ratio = float(np.max(bias / np.maximum(ci, 1e-300)))
+        k = min(k_run * (ratio / _BIAS_TO_CI) ** (2.0 / (params.beta - 1.0)),
+                _MAX_K)
+        return ratio, max(math.ceil(k), floor)
+
+    k0 = max(_PILOT_K, floor)
+    _, k = ratio_and_k(
+        worker((_PILOT_STREAM, _PILOT_TRIALS, cfg.seed, k0) + args),
+        _PILOT_TRIALS, k0)
+    while True:
+        stats = _run_batches(worker, args, cfg, k)
+        ratio, k_next = ratio_and_k(stats, cfg.trials, k)
+        if ratio <= _BIAS_RULE or k == _MAX_K:
+            return k, summary(stats, cfg.trials)
+        k = k_next
+
+
+def _draw_arrivals(rng, rows, k):
+    """Cumulative arrivals (rows, k) and the last one, u_K, per row."""
+    u = rng.standard_exponential((rows, k))
+    np.cumsum(u, axis=1, out=u)
+    return u, u[:, -1].copy()
 
 
 # ----------------------------------------------------------------- coverage
 
 def _coverage_batch(job):
-    b, rows, seed, kmax, u_max, L, q, beta, tail, pc, pt, thresholds = job
-    rng = _batch_rng(seed, b)
-
-    def draw(n):
-        u = rng.standard_exponential((n, kmax))
-        np.cumsum(u, axis=1, out=u)
-        g_des = rng.gamma(float(q), 1.0, (n, L))
-        g_int = rng.standard_exponential((n, kmax - L))
-        return u, g_des, g_int
-
-    u, g_des, g_int = _draw_in_window(draw, rows, L, u_max)
-    in_window = u[:, L:] <= u_max
+    stream, rows, seed, k, L, q, beta, pc, pt, thresholds = job
+    rng = _batch_rng(seed, stream)
+    u, u_k = _draw_arrivals(rng, rows, k)
+    g_des = rng.gamma(float(q), 1.0, (rows, L))
+    g_int = rng.standard_exponential((rows, k - L))
     w = np.power(u, -beta / 2.0, out=u)      # u is consumed here
     desired = pc * np.einsum("ij,ij->i", g_des, w[:, :L])
-    w_int = w[:, L:]
-    np.multiply(w_int, in_window, out=w_int)
-    interf = np.einsum("ij,ij->i", g_int, w_int)
-    interf += tail
+    interf = np.einsum("ij,ij->i", g_int, w[:, L:])
+    interf += _tail_mean(u_k, beta / 2.0)
     interf *= pt
+    # exp(1) gains have second moment 2
+    spread = pt * np.sqrt(2.0 * _tail_mean(u_k, beta))
     sir = desired
     sir /= interf
     hits = (sir[:, None] >= thresholds[None, :]).sum(axis=0).astype(np.int64)
-    return hits, float((1.0 / interf).sum())
+    return hits, float((spread / interf).sum())
 
 
 def mc_coverage(params, thresholds, cfg):
     """Simulated coverage over a threshold grid (linear SIR units).
 
     Per trial the nearest L stations transmit the desired signal with
-    i.i.d. Gamma(mt-1, 1) gains; every other in-window station interferes
-    at full power with an exp(1) gain.  One SIR draw per trial is compared
-    against the whole grid, which guarantees the curve is non-increasing
-    in the threshold.  Returns a CoverageCurve whose `bias_bounds` hold the
+    i.i.d. Gamma(mt-1, 1) gains; the other K-L drawn stations interfere at
+    full power with exp(1) gains, and those beyond them through their
+    exact conditional mean.  One SIR draw per trial is compared against
+    the whole grid, which guarantees the curve is non-increasing in the
+    threshold.  Returns a CoverageCurve whose `bias_bounds` hold the
     per-threshold truncation-bias estimates and whose `mc_result` carries
     the trial bookkeeping.  Raises ValueError when pc = 0, where coverage
     is undefined.
@@ -174,36 +229,29 @@ def mc_coverage(params, thresholds, cfg):
         raise ValueError("thresholds must be positive (linear units)")
     if np.any(np.diff(thresholds) <= 0):
         raise ValueError("thresholds must be increasing, with no repeats")
-    u_max, kmax, tail, spread = _window(params)
+    args = (params.L, params.q_shape, params.beta, params.pc, params.pt,
+            thresholds)
 
-    parts = _run_batches(
-        _coverage_batch,
-        (cfg.seed, kmax, u_max, params.L, params.q_shape, params.beta, tail,
-         params.pc, params.pt, thresholds),
-        cfg, kmax)
-    hits = np.zeros(len(thresholds), dtype=np.int64)
-    inv_interf_sum = 0.0
-    for h, inv in parts:
-        hits += h
-        inv_interf_sum += inv
+    def summary(stats, n):
+        hits, rel_spread = stats
+        values = hits / float(n)
+        # add-one smoothing keeps the half-width positive at p-hat in {0, 1}
+        smooth = (hits + 1.0) / (n + 2.0)
+        ci = 1.96 * np.sqrt(smooth * (1.0 - smooth) / cfg.trials)
+        # first-order truncation bias per point: local curve slope in ln T
+        # times the relative interference perturbation left by the tail
+        bias = _local_slopes(values, thresholds) * (rel_spread / n)
+        return values, ci, bias
 
-    done = cfg.trials
-    values = hits / float(done)
-    # add-one smoothing keeps the half-width positive at p-hat in {0, 1}
-    smooth = (hits + 1.0) / (done + 2.0)
-    ci = 1.96 * np.sqrt(smooth * (1.0 - smooth) / done)
-
-    # first-order truncation bias per point: local curve slope in ln T times
-    # the relative interference perturbation left after windowing
-    slopes = _local_slopes(values, thresholds)
-    bias = slopes * (params.pt * spread * (inv_interf_sum / done))
-
+    k, (values, ci, bias) = _simulate(_coverage_batch, args, summary, params,
+                                      cfg)
     return CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
         uncertainty=ci, bias_bounds=bias,
-        mc_result=McResult(trials_used=done,
+        mc_result=McResult(trials_used=cfg.trials,
                            truncation_bias_bound=float(bias.max()),
-                           window_mean_count=u_max))
+                           window_mean_count=k,
+                           bias_to_ci=float(np.max(bias / ci))))
 
 
 def _local_slopes(values, thresholds):
@@ -220,26 +268,20 @@ def _local_slopes(values, thresholds):
 # -------------------------------------------------------------- radar rate
 
 def _radar_batch(job):
-    b, rows, seed, kmax, u_max, N, q, beta, tail, echo_scale = job
-    rng = _batch_rng(seed, b)
-    two_pi = 2.0 * math.pi
+    stream, rows, seed, k, N, q, beta, echo_scale = job
+    rng = _batch_rng(seed, stream)
+    u, u_k = _draw_arrivals(rng, rows, k)
+    f_des = rng.gamma(float(q), 1.0, (rows, N))
+    f_int = rng.standard_exponential((rows, k - N))
+    cosang = rng.uniform(0.0, 2.0 * math.pi, (rows, k - N))
+    np.cos(cosang, out=cosang)
 
-    def draw(n):
-        u = rng.standard_exponential((n, kmax))
-        np.cumsum(u, axis=1, out=u)
-        f_des = rng.gamma(float(q), 1.0, (n, N))
-        f_int = rng.standard_exponential((n, kmax - N))
-        ang = rng.uniform(0.0, two_pi, (n, kmax - N))
-        return u, f_des, f_int, np.cos(ang, out=ang)
-
-    u, f_des, f_int, cosang = _draw_in_window(draw, rows, N, u_max)
     w_des = np.power(u[:, :N], -beta / 2.0)
     echo = np.einsum("ij,ij->i", f_des, w_des)
     echo *= echo_scale * w_des[:, 0]
 
     # squared receiver-to-interferer distance in u units:
     # u_1 + u_j - 2 sqrt(u_1 u_j) cos(phi); phi uniform by rotation symmetry
-    in_window = u[:, N:] <= u_max
     su = np.sqrt(u)
     d2 = cosang
     np.multiply(d2, su[:, N:], out=d2)
@@ -248,49 +290,41 @@ def _radar_batch(job):
     d2 += u[:, :1]
     np.maximum(d2, 1e-30, out=d2)   # cancellation guard; d2 > 0 a.s.
     np.power(d2, -beta / 2.0, out=d2)
-    np.multiply(d2, in_window, out=d2)
     interf = np.einsum("ij,ij->i", f_int, d2)
-    interf += tail
+    interf += _tail_mean(u_k, beta / 2.0, u[:, 0])
+    # exp(1) gains have second moment 2
+    spread = np.sqrt(2.0 * _tail_mean(u_k, beta, u[:, 0]))
 
     sir = echo
     sir /= interf
     vals = np.log1p(sir)
     sens = sir / (interf * (1.0 + sir))
-    return (float(vals.sum()), float((vals * vals).sum()), float(sens.sum()))
+    return float(vals.sum()), float((vals * vals).sum()), float((spread * sens).sum())
 
 
 def mc_radar_rate(params, cfg):
     """Simulated radar information rate, E[ln(1 + SIR)] in nats.
 
     Per trial the N nearest stations illuminate the origin target with
-    Gamma(mt-1, 1) gains; the nearest one receives the echo, and every
-    in-window station outside the cluster interferes at its true 2-D
-    distance from that receiver with an exp(1) gain.  Returns a
-    RateEstimate whose `mc_result` carries trial bookkeeping and the
-    truncation-bias estimate.
+    Gamma(mt-1, 1) gains; the nearest one receives the echo, and the other
+    K-N drawn stations interfere at their true 2-D distance from that
+    receiver with exp(1) gains, those beyond them through their exact
+    conditional mean at the receiver.  Returns a RateEstimate whose
+    `mc_result` carries trial bookkeeping and the truncation-bias estimate.
     """
-    u_max, kmax, tail, spread = _window(params)
     echo_scale = (params.sigma2 * params.mr * params.ps / params.pt
                   * (math.pi * params.lam) ** (params.beta / 2.0))
+    args = (params.N, params.q_shape, params.beta, echo_scale)
 
-    parts = _run_batches(
-        _radar_batch,
-        (cfg.seed, kmax, u_max, params.N, params.q_shape, params.beta, tail,
-         echo_scale),
-        cfg, kmax)
-    total = total_sq = sens_sum = 0.0
-    for t, t2, s in parts:
-        total += t
-        total_sq += t2
-        sens_sum += s
+    def summary(stats, n):
+        total, total_sq, sens_sum = stats
+        mean = total / n
+        var = max(total_sq / n - mean * mean, 0.0)
+        return mean, 1.96 * math.sqrt(var / cfg.trials), sens_sum / n
 
-    done = cfg.trials
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0)
-    ci = 1.96 * math.sqrt(var / done)
-    bias = spread * (sens_sum / done)
-
+    k, (mean, ci, bias) = _simulate(_radar_batch, args, summary, params, cfg)
     return RateEstimate(
         value=max(mean, 0.0), method="monte-carlo", uncertainty=ci,
-        mc_result=McResult(trials_used=done, truncation_bias_bound=bias,
-                           window_mean_count=u_max))
+        mc_result=McResult(trials_used=cfg.trials, truncation_bias_bound=bias,
+                           window_mean_count=k,
+                           bias_to_ci=bias / ci if ci > 0.0 else 0.0))

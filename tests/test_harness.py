@@ -182,6 +182,20 @@ class TestRunAndPersist:
         meta = json.load(open(out1 + ".meta.json"))
         assert "created_unix" in meta and "wall_ms" in meta
 
+    def test_sidecar_records_window_and_bias(self, tmp_path):
+        entries, _ = entries_of(
+            BASE.replace("method = analytic", "method = both")
+            + "mc.trials = 5000\n", tmp_path)
+        out = str(tmp_path / "cov.csv")
+        rows = run_experiment(build_experiment(entries, {"out": out}))
+        meta = json.load(open(out + ".meta.json"))
+        assert len(meta["window"]) == len(meta["bias_bound"]) == len(rows)
+        for row, window, bias in zip(rows, meta["window"], meta["bias_bound"]):
+            if row.method == "mc":
+                assert window >= 16 and 0.0 <= bias <= 0.1 * row.uncertainty
+            else:
+                assert window is None and bias is None
+
     def test_emit_plotdata_residual(self, tmp_path):
         rows = [
             ResultRow(sweep={"L": 1}, value=0.9, method="analytic",
@@ -257,7 +271,25 @@ class TestCli:
 
     def test_config_error_exit_four(self, tmp_path, capsys):
         rate = ["radar-rate", "--method", "analytic"]
+        conj = ["conjecture1", "--l", "2", "--trials", "10000"]
+
+        def config(text):
+            path = tmp_path / (text.split()[0] + ".cfg")
+            path.write_text(text + "\n")
+            return ["--config", str(path)]
+
         cases = [
+            # a key the metric never reads is an error, never dropped
+            (rate + config("t_db = 0"), "t_db has no effect"),
+            (rate + config("fit.shape = 3"), "fit.shape has no effect"),
+            (["coverage", "--method", "analytic"] + config("conj.shape = 3"),
+             "conj.shape has no effect"),
+            (conj + ["--mt", "4"], "cli: params.mt has no effect"),
+            (conj + ["--beta", "3"], "cli: params.beta has no effect"),
+            (conj + ["--ps", "0.3"], "cli: params.ps has no effect"),
+            (conj + ["--mr", "4"], "cli: params.mr has no effect"),
+            (conj + ["--sweep", "mt=4,10"], "a sweep of mt has no effect"),
+            (conj + ["--workers", "2"], "mc.workers has no effect"),
             # method=analytic runs no simulation, so every mc.* key is an error
             (["coverage", "--method", "analytic", "--trials", "5",
               "--t-db", "0:0:1"], "forbids the mc.trials field"),
