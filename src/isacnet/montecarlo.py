@@ -1,13 +1,14 @@
 """Ground-truth Monte Carlo simulator for coverage and radar rate.
 
 The simulator samples the deployment in radial form: squared origin
-distances scaled by pi*lam form a unit-rate arrival process, so ordered
-distances come straight out of a cumulative sum of exponential gaps and
-the nearest-cluster selection is free.  Interferer positions relative to
-the receiving station only need the radial pair plus a uniform relative
-angle (rotation invariance), which is exactly the 2-D geometry - the
-station-free disk around the sensing target emerges naturally, with no
-correction term.
+distances scaled by pi*lam form a unit-rate arrival process.  The m
+nearest stations (m = L or N) come in order from a cumulative sum of
+exponential gaps, u_K is u_m plus a Gamma(K - m) gap, and the K - m - 1
+stations between, i.i.d. uniform on (u_m, u_K) given both, are drawn
+unordered.  Interferer positions relative to the receiving station only
+need the radial pair plus a uniform relative angle, whose cosine is
+cos(pi U) by symmetry; this is exactly the 2-D geometry - the station-free
+disk around the sensing target emerges naturally, with no correction term.
 
 Window: every trial draws exactly the K nearest stations.  By the strong
 Markov property of the arrival process, the stations beyond the K-th
@@ -30,16 +31,18 @@ that cap, reached only with path loss near beta = 2 and many trials, the
 rule is reported (`McResult.bias_to_ci`), not met.
 
 Reproducibility: trials are processed in batches; batch k draws from
-Philox(key=seed) jumped k times and the pilot from the stream jumped
-_PILOT_STREAM times, which no batch reaches.  Batch statistics are reduced
-in batch order, so K and every result are a pure function of the
-parameters and the config, bitwise identical for any number of workers.
+PCG64(seed) jumped k times and the pilot from the stream jumped
+_PILOT_STREAM times, which no batch reaches.  Batches run on a pool of
+`workers` threads (numpy's draws and array passes release the GIL) and
+their statistics are reduced in batch order, so K and every result are a
+pure function of the parameters and the config, bitwise identical for any
+number of workers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +65,7 @@ _SERIES_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, seeding and worker processes for the simulator."""
+    """Trial count, seeding and worker threads for the simulator."""
 
     trials: int = 1_000_000
     seed: int = 0
@@ -125,7 +128,7 @@ def _tail_mean(u_k, b, u_1=None):
 
 
 def _batch_rng(seed, stream):
-    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+    return np.random.Generator(np.random.PCG64(seed).jumped(stream))
 
 
 def _batch_plan(cfg, k):
@@ -139,11 +142,11 @@ def _run_batches(worker, args, cfg, k):
     sizes = _batch_plan(cfg, k)
     jobs = [(b, rows, cfg.seed, k) + args for b, rows in enumerate(sizes)]
     if cfg.workers == 1 or len(jobs) == 1:
+        # a pool thread's own malloc arena would add ~20 MB to the peak RSS
         parts = [worker(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(worker, jobs,
-                                  chunksize=max(1, len(jobs) // (4 * cfg.workers))))
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(worker, jobs))
     return [sum(stat) for stat in zip(*parts)]
 
 
@@ -180,11 +183,18 @@ def _simulate(worker, args, summary, params, cfg):
         k = k_next
 
 
-def _draw_arrivals(rng, rows, k):
-    """Cumulative arrivals (rows, k) and the last one, u_K, per row."""
-    u = rng.standard_exponential((rows, k))
-    np.cumsum(u, axis=1, out=u)
-    return u, u[:, -1].copy()
+def _draw_window(rng, rows, k, m):
+    """The K nearest arrivals per row: the m nearest in order (rows, m), the
+    other K - m unordered but for u_K in the last column, and u_K itself."""
+    near = rng.standard_exponential((rows, m))
+    np.cumsum(near, axis=1, out=near)
+    u_m = near[:, -1:]
+    u_k = u_m[:, 0] + rng.standard_gamma(k - m, rows)
+    far = rng.random((rows, k - m))
+    far *= u_k[:, None] - u_m
+    far += u_m
+    far[:, -1] = u_k
+    return near, far, u_k
 
 
 # ----------------------------------------------------------------- coverage
@@ -192,12 +202,11 @@ def _draw_arrivals(rng, rows, k):
 def _coverage_batch(job):
     stream, rows, seed, k, L, q, beta, pc, pt, thresholds = job
     rng = _batch_rng(seed, stream)
-    u, u_k = _draw_arrivals(rng, rows, k)
+    near, far, u_k = _draw_window(rng, rows, k, L)
     g_des = rng.gamma(float(q), 1.0, (rows, L))
     g_int = rng.standard_exponential((rows, k - L))
-    w = np.power(u, -beta / 2.0, out=u)      # u is consumed here
-    desired = pc * np.einsum("ij,ij->i", g_des, w[:, :L])
-    interf = np.einsum("ij,ij->i", g_int, w[:, L:])
+    desired = pc * np.einsum("ij,ij->i", g_des, near ** (-beta / 2.0))
+    interf = np.einsum("ij,ij->i", g_int, np.power(far, -beta / 2.0, out=far))
     interf += _tail_mean(u_k, beta / 2.0)
     interf *= pt
     # exp(1) gains have second moment 2
@@ -211,10 +220,11 @@ def _coverage_batch(job):
 def mc_coverage(params, thresholds, cfg):
     """Simulated coverage over a threshold grid (linear SIR units).
 
-    Per trial the nearest L stations transmit the desired signal with
-    i.i.d. Gamma(mt-1, 1) gains; the other K-L drawn stations interfere at
-    full power with exp(1) gains, and those beyond them through their
-    exact conditional mean.  One SIR draw per trial is compared against
+    Per trial the nearest L stations, drawn in order, transmit the desired
+    signal with i.i.d. Gamma(mt-1, 1) gains; the other K-L drawn stations
+    (unordered between u_L and u_K, and u_K itself) interfere at full power
+    with exp(1) gains, and those beyond them through their exact
+    conditional mean.  One SIR draw per trial is compared against
     the whole grid, which guarantees the curve is non-increasing in the
     threshold.  Returns a CoverageCurve whose `bias_bounds` hold the
     per-threshold truncation-bias estimates and whose `mc_result` carries
@@ -267,33 +277,37 @@ def _local_slopes(values, thresholds):
 
 # -------------------------------------------------------------- radar rate
 
+def _receiver_d2(rng, u_1, u):
+    """Squared distances, in u units, from a receiver at arrival u_1 to
+    stations at arrivals u: u_1 + u - 2 sqrt(u_1 u) cos(phi), with phi
+    uniform by rotation symmetry, so cos(phi) has the law of cos(pi U)."""
+    d2 = rng.random(u.shape)
+    d2 *= math.pi
+    np.cos(d2, out=d2)
+    d2 *= np.sqrt(u)
+    d2 *= -2.0 * np.sqrt(u_1)
+    d2 += u
+    d2 += u_1
+    return np.maximum(d2, 1e-30, out=d2)   # cancellation guard; d2 > 0 a.s.
+
+
 def _radar_batch(job):
     stream, rows, seed, k, N, q, beta, echo_scale = job
     rng = _batch_rng(seed, stream)
-    u, u_k = _draw_arrivals(rng, rows, k)
+    near, far, u_k = _draw_window(rng, rows, k, N)
     f_des = rng.gamma(float(q), 1.0, (rows, N))
     f_int = rng.standard_exponential((rows, k - N))
-    cosang = rng.uniform(0.0, 2.0 * math.pi, (rows, k - N))
-    np.cos(cosang, out=cosang)
 
-    w_des = np.power(u[:, :N], -beta / 2.0)
+    w_des = near ** (-beta / 2.0)
     echo = np.einsum("ij,ij->i", f_des, w_des)
     echo *= echo_scale * w_des[:, 0]
 
-    # squared receiver-to-interferer distance in u units:
-    # u_1 + u_j - 2 sqrt(u_1 u_j) cos(phi); phi uniform by rotation symmetry
-    su = np.sqrt(u)
-    d2 = cosang
-    np.multiply(d2, su[:, N:], out=d2)
-    np.multiply(d2, -2.0 * su[:, :1], out=d2)
-    d2 += u[:, N:]
-    d2 += u[:, :1]
-    np.maximum(d2, 1e-30, out=d2)   # cancellation guard; d2 > 0 a.s.
-    np.power(d2, -beta / 2.0, out=d2)
-    interf = np.einsum("ij,ij->i", f_int, d2)
-    interf += _tail_mean(u_k, beta / 2.0, u[:, 0])
+    u_1 = near[:, 0]
+    d2 = _receiver_d2(rng, u_1[:, None], far)
+    interf = np.einsum("ij,ij->i", f_int, np.power(d2, -beta / 2.0, out=d2))
+    interf += _tail_mean(u_k, beta / 2.0, u_1)
     # exp(1) gains have second moment 2
-    spread = np.sqrt(2.0 * _tail_mean(u_k, beta, u[:, 0]))
+    spread = np.sqrt(2.0 * _tail_mean(u_k, beta, u_1))
 
     sir = echo
     sir /= interf
@@ -305,11 +319,12 @@ def _radar_batch(job):
 def mc_radar_rate(params, cfg):
     """Simulated radar information rate, E[ln(1 + SIR)] in nats.
 
-    Per trial the N nearest stations illuminate the origin target with
-    Gamma(mt-1, 1) gains; the nearest one receives the echo, and the other
-    K-N drawn stations interfere at their true 2-D distance from that
-    receiver with exp(1) gains, those beyond them through their exact
-    conditional mean at the receiver.  Returns a RateEstimate whose
+    Per trial the N nearest stations, drawn in order, illuminate the
+    origin target with Gamma(mt-1, 1) gains; the nearest one receives the
+    echo, and the other K-N drawn stations (unordered between u_N and u_K,
+    and u_K itself) interfere at their true 2-D distance from that receiver
+    with exp(1) gains, those beyond them through their exact conditional
+    mean at the receiver.  Returns a RateEstimate whose
     `mc_result` carries trial bookkeeping and the truncation-bias estimate.
     """
     echo_scale = (params.sigma2 * params.mr * params.ps / params.pt

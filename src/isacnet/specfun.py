@@ -343,8 +343,7 @@ def gk_sum(y, wk, wg):
 
 # Temporary elements per slice of a fixed rule's outer nodes.  Slices this
 # small keep a rule's working set near 1 MB; at 1 << 19 one radar-rate call
-# raised the calling process's peak resident set by 13 MB, which the
-# simulator's pool workers, forked afterwards, inherit.
+# raised the peak resident set of the process that runs it by 13 MB.
 _CHUNK = 1 << 14
 
 

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from isacnet import SystemParams, montecarlo
 from isacnet.coverage import coverage_closed_form, coverage_curve
-from isacnet.montecarlo import (McConfig, _PILOT_STREAM, _tail_mean,
+from isacnet.montecarlo import (McConfig, _PILOT_STREAM, _batch_rng,
+                                _draw_window, _receiver_d2, _tail_mean,
                                 mc_coverage, mc_radar_rate)
 from isacnet.radar import radar_rate_single
 
@@ -164,26 +165,76 @@ class TestTailMeans:
         assert _tail_mean(u_k, b, np.zeros(2)) == pytest.approx(ref, rel=1e-12)
 
     def test_pilot_stream(self, paper_params, monkeypatch):
-        # the pilot draws from its own stream, which no batch index reaches,
-        # and chooses the same window on every run of one config
-        streams = []
+        # the pilot draws from its own PCG64 stream, which no batch index
+        # reaches, and chooses the same window on every run of one config
+        streams, bits, states = [], [], []
         real = montecarlo._batch_rng
 
         def spy(seed, stream):
+            rng = real(seed, stream)
             streams.append(stream)
-            return real(seed, stream)
+            bits.append(rng.bit_generator)
+            states.append(rng.bit_generator.state["state"])
+            return rng
 
         monkeypatch.setattr(montecarlo, "_batch_rng", spy)
         cfg = McConfig(trials=20_000, seed=5)
         runs = []
         for _ in range(2):
-            streams.clear()
+            for log in (streams, bits, states):
+                log.clear()
             runs.append(mc_coverage(paper_params, T_GRID, cfg))
             # batch indices stay below the batch count, itself <= trials
             assert streams[0] == _PILOT_STREAM > cfg.trials
             assert streams[1:] and all(0 <= s < cfg.trials for s in streams[1:])
+            assert all(isinstance(b, np.random.PCG64) for b in bits)
+            assert all(s != states[0] for s in states[1:])
         assert runs[0].mc_result == runs[1].mc_result
         assert np.array_equal(runs[0].values, runs[1].values)
+
+
+def ordered_window(rng, rows, k):
+    """Oracle: the K nearest arrivals in order, a cumsum of K exp gaps."""
+    return np.cumsum(rng.standard_exponential((rows, k)), axis=1)
+
+
+class TestWindowLaw:
+    # the simulator's window against the ordered draw it replaces, 50k rows
+    ROWS, K = 50_000, 24
+
+    @pytest.mark.parametrize("beta", (2.5, 4.0))
+    @pytest.mark.parametrize("m", (1, 3))
+    @pytest.mark.parametrize("at_receiver", (False, True))
+    def test_interference(self, m, beta, at_receiver):
+        # sum g x^(-beta/2) over the K - m stations past the m-th, at the
+        # origin or at a receiver on the nearest station
+        seed = 100 + 10 * m + int(beta) + 50 * at_receiver
+        rng = _batch_rng(seed, 0)
+        near, far, _ = _draw_window(rng, self.ROWS, self.K, m)
+        oracle = np.random.Generator(np.random.Philox(key=seed))
+        u = ordered_window(oracle, self.ROWS, self.K)
+        near_ref, far_ref = u[:, :m], u[:, m:]
+        if at_receiver:
+            far = _receiver_d2(rng, near[:, :1], far)
+            cos = np.cos(oracle.uniform(0.0, 2.0 * math.pi, far_ref.shape))
+            u_1 = near_ref[:, :1]
+            far_ref = u_1 + far_ref - 2.0 * np.sqrt(u_1 * far_ref) * cos
+        interf = [(g.standard_exponential(x.shape) * x ** (-beta / 2.0)).sum(1)
+                  for g, x in ((rng, far), (oracle, far_ref))]
+        assert stats.ks_2samp(*interf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", (1, 3))
+    def test_last_arrival_is_gamma(self, m):
+        _, far, u_k = _draw_window(_batch_rng(7, m), self.ROWS, self.K, m)
+        assert np.array_equal(far[:, -1], u_k)
+        assert np.all(far[:, :-1] < u_k[:, None])
+        assert stats.kstest(u_k, stats.gamma(self.K).cdf).pvalue > 1e-3
+
+    def test_angle_cosine_is_arcsine(self):
+        # a receiver and a station both at arrival 1 are 2 - 2 cos(phi) apart
+        d2 = _receiver_d2(_batch_rng(8, 0), np.ones(1), np.ones(self.ROWS))
+        law = stats.arcsine(loc=-1.0, scale=2.0)
+        assert stats.kstest(1.0 - d2 / 2.0, law.cdf).pvalue > 1e-3
 
 
 class TestWindowPolicy:
