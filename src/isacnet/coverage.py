@@ -55,9 +55,9 @@ class CoverageCurve:
     Analytic curves carry `quad_error`, the per-threshold error bound the
     fixed rule achieved (0 where the value is a closed form or, at L = 1,
     a finite sum), and an `uncertainty` of 0.  Simulated curves carry the
-    95% half-widths in `uncertainty`, a `quad_error` of 0 (the default,
-    None, stands for zeros), the per-threshold truncation-bias bounds and
-    the simulator's bookkeeping (`montecarlo.McResult`).
+    95% half-widths in `uncertainty`, a `quad_error` of zeros (None is left
+    to curves no library path writes), the per-threshold truncation-bias
+    bounds and the simulator's bookkeeping (`montecarlo.McResult`).
     """
 
     thresholds: np.ndarray
@@ -71,21 +71,14 @@ class CoverageCurve:
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        u = np.asarray(self.uncertainty, dtype=float)
-        if not (len(t) == len(v) == len(u)):
+        if not (len(t) == len(v) == len(self.uncertainty)):
             raise ValueError("thresholds, values, uncertainty must align")
         if np.any(np.diff(t) <= 0):
             raise ValueError("thresholds must be increasing, with no repeats")
         if np.any(v < 0) or np.any(v > 1):
             raise ValueError("coverage values must lie in [0, 1]")
-        object.__setattr__(self, "thresholds", t)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "uncertainty", u)
-        qe = np.zeros_like(t) if self.quad_error is None else \
-            np.asarray(self.quad_error, dtype=float)
-        if len(qe) != len(t):
+        if self.quad_error is not None and len(self.quad_error) != len(t):
             raise ValueError("quad_error must align with thresholds")
-        object.__setattr__(self, "quad_error", qe)
 
     @property
     def thresholds_db(self):

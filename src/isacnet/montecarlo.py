@@ -15,10 +15,9 @@ Markov property of the arrival process, the stations beyond the K-th
 arrival u_K form a fresh unit-rate process on (u_K, inf), so the
 interference they add is replaced by its exact conditional mean given the
 trial's own u_K: u_K^(1-b)/(b-1) at the origin (b = beta/2), and at the
-radar receiver, which sits at u_1, the series
-sum_k ((b)_k/k!)^2 u_1^k u_K^(1-b-k)/(b+k-1), summed until its remainder
-is below _SERIES_RTOL.  The tail's conditional spread about that mean
-enters a first-order bound on the bias the replacement leaves.
+radar receiver, which sits at u_1, u_K^(1-b) 2F1(b, b-1; 1; u_1/u_K)/(b-1),
+evaluated by scipy.special.hyp2f1.  The tail's conditional spread about
+that mean enters a first-order bound on the bias the replacement leaves.
 
 K is chosen per run: a pilot of _PILOT_TRIALS trials at K = _PILOT_K
 predicts the worst bias bound over the 95% half-width the full trial count
@@ -30,13 +29,13 @@ for.  K never drops below max(16, 2(L+N)) and never exceeds _MAX_K; past
 that cap, reached only with path loss near beta = 2 and many trials, the
 rule is reported (`McResult.bias_to_ci`), not met.
 
-Reproducibility: trials are processed in batches; batch k draws from
-PCG64(seed) jumped k times and the pilot from the stream jumped
-_PILOT_STREAM times, which no batch reaches.  Batches run on a pool of
-`workers` threads (numpy's draws and array passes release the GIL) and
-their statistics are reduced in batch order, so K and every result are a
-pure function of the parameters and the config, bitwise identical for any
-number of workers.
+Reproducibility: trials are processed in batches, closures
+batch(rng, rows, k) over the point; batch k draws from PCG64(seed) jumped
+k times and the pilot from the stream jumped _PILOT_STREAM times, which no
+batch reaches.  Batches run on a pool of `workers` threads (numpy's draws
+and array passes release the GIL) and their statistics are reduced in
+batch order, so K and every result are a pure function of the parameters
+and the config, bitwise identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .coverage import CoverageCurve, _require_comm_power
 from .radar import RateEstimate
@@ -60,7 +60,6 @@ _PILOT_K = 64
 _BIAS_TO_CI = 0.05
 _BIAS_RULE = 0.1
 _MAX_K = 1 << 15
-_SERIES_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,29 +101,13 @@ def _tail_mean(u_k, b, u_1=None):
     the closed integral u_K^(1-b)/(b-1).  From the receiver, the angular
     mean of |x - y|^(-2b) is sum_k ((b)_k/k!)^2 |y|^(2k) |x|^(-2b-2k) for
     |y| < |x|, so with r = u_1/u_K the mean is
-    u_K^(1-b) sum_k ((b)_k/k!)^2 r^k/(b+k-1).  Beyond term k the ratio of
-    successive terms is below rho = r((b+k)/(k+1))^2, so each row's sum
-    stops once the geometric remainder bound, its last term times
-    rho/(1-rho), is below _SERIES_RTOL of the partial sum.
+    u_K^(1-b) sum_k ((b)_k/k!)^2 r^k/(b+k-1), and since
+    (b)_k/(b+k-1) = (b-1)_k/(b-1) that sum is 2F1(b, b-1; 1; r)/(b-1).
     """
-    scale = u_k ** (1.0 - b)
+    scale = u_k ** (1.0 - b) / (b - 1.0)
     if u_1 is None:
-        return scale / (b - 1.0)
-    r = u_1 / u_k
-    total = np.full(r.shape, 1.0 / (b - 1.0))
-    live = np.arange(r.size)
-    term = np.ones(r.size)              # ((b)_k/k!)^2 r^k on the live rows
-    k = 0
-    while live.size:
-        rl = r[live]
-        term *= ((b + k) / (k + 1.0)) ** 2 * rl
-        k += 1
-        add = term / (b + k - 1.0)
-        total[live] += add
-        rho = rl * ((b + k) / (k + 1.0)) ** 2
-        done = (rho < 1.0) & (add * rho <= _SERIES_RTOL * (1.0 - rho) * total[live])
-        live, term = live[~done], term[~done]
-    return scale * total
+        return scale
+    return scale * hyp2f1(b, b - 1.0, 1.0, u_1 / u_k)
 
 
 def _batch_rng(seed, stream):
@@ -137,22 +120,26 @@ def _batch_plan(cfg, k):
     return [batch] * (n_batches - 1) + [cfg.trials - batch * (n_batches - 1)]
 
 
-def _run_batches(worker, args, cfg, k):
-    """Run per-batch workers and reduce their stats in batch order."""
+def _run_batches(batch, cfg, k):
+    """Run the batches of one run at window K; reduce in batch order."""
     sizes = _batch_plan(cfg, k)
-    jobs = [(b, rows, cfg.seed, k) + args for b, rows in enumerate(sizes)]
-    if cfg.workers == 1 or len(jobs) == 1:
+
+    def run(stream, rows):
+        return batch(_batch_rng(cfg.seed, stream), rows, k)
+
+    if cfg.workers == 1 or len(sizes) == 1:
         # a pool thread's own malloc arena would add ~20 MB to the peak RSS
-        parts = [worker(j) for j in jobs]
+        parts = list(map(run, range(len(sizes)), sizes))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(worker, jobs))
+            parts = list(pool.map(run, range(len(sizes)), sizes))
     return [sum(stat) for stat in zip(*parts)]
 
 
-def _simulate(worker, args, summary, params, cfg):
-    """Choose K, run the batches, and return K with the run's summary.
+def _simulate(batch, summary, params, cfg):
+    """Choose K, run the batches, and return (estimate, CI, bias, McResult).
 
+    `batch(rng, rows, k)` returns the stats of `rows` trials at window K;
     `summary(stats, n)` turns the stats of n trials into (estimate, CI,
     bias bound), with the CI taken at the run's full trial count.  The
     tail's spread, and with it the bias bound, scales as u_K^((1-beta)/2),
@@ -160,26 +147,28 @@ def _simulate(worker, args, summary, params, cfg):
     K = K0 (r/_BIAS_TO_CI)^(2/(beta-1)).  The pilot gives the first K; a
     run whose own ratio still exceeds _BIAS_RULE (the pilot cannot see how
     small a half-width will be where it drew no miss) is repeated at the K
-    its own statistics call for.
+    its own statistics call for.  The McResult holds the accepted run's K,
+    its largest bias bound and the ratio that accepted it.
     """
     floor = max(16, 2 * (params.L + params.N))
 
-    def ratio_and_k(stats, n, k_run):
-        _, ci, bias = summary(stats, n)
+    def assess(stats, n, k_run):
+        estimate, ci, bias = summary(stats, n)
         ratio = float(np.max(bias / np.maximum(ci, 1e-300)))
         k = min(k_run * (ratio / _BIAS_TO_CI) ** (2.0 / (params.beta - 1.0)),
                 _MAX_K)
-        return ratio, max(math.ceil(k), floor)
+        return (estimate, ci, bias), ratio, max(math.ceil(k), floor)
 
     k0 = max(_PILOT_K, floor)
-    _, k = ratio_and_k(
-        worker((_PILOT_STREAM, _PILOT_TRIALS, cfg.seed, k0) + args),
-        _PILOT_TRIALS, k0)
+    pilot = batch(_batch_rng(cfg.seed, _PILOT_STREAM), _PILOT_TRIALS, k0)
+    _, _, k = assess(pilot, _PILOT_TRIALS, k0)
     while True:
-        stats = _run_batches(worker, args, cfg, k)
-        ratio, k_next = ratio_and_k(stats, cfg.trials, k)
+        (estimate, ci, bias), ratio, k_next = assess(
+            _run_batches(batch, cfg, k), cfg.trials, k)
         if ratio <= _BIAS_RULE or k == _MAX_K:
-            return k, summary(stats, cfg.trials)
+            return estimate, ci, bias, McResult(
+                trials_used=cfg.trials, truncation_bias_bound=float(np.max(bias)),
+                window_mean_count=k, bias_to_ci=ratio)
         k = k_next
 
 
@@ -198,24 +187,6 @@ def _draw_window(rng, rows, k, m):
 
 
 # ----------------------------------------------------------------- coverage
-
-def _coverage_batch(job):
-    stream, rows, seed, k, L, q, beta, pc, pt, thresholds = job
-    rng = _batch_rng(seed, stream)
-    near, far, u_k = _draw_window(rng, rows, k, L)
-    g_des = rng.gamma(float(q), 1.0, (rows, L))
-    g_int = rng.standard_exponential((rows, k - L))
-    desired = pc * np.einsum("ij,ij->i", g_des, near ** (-beta / 2.0))
-    interf = np.einsum("ij,ij->i", g_int, np.power(far, -beta / 2.0, out=far))
-    interf += _tail_mean(u_k, beta / 2.0)
-    interf *= pt
-    # exp(1) gains have second moment 2
-    spread = pt * np.sqrt(2.0 * _tail_mean(u_k, beta))
-    sir = desired
-    sir /= interf
-    hits = (sir[:, None] >= thresholds[None, :]).sum(axis=0).astype(np.int64)
-    return hits, float((spread / interf).sum())
-
 
 def mc_coverage(params, thresholds, cfg):
     """Simulated coverage over a threshold grid (linear SIR units).
@@ -239,8 +210,22 @@ def mc_coverage(params, thresholds, cfg):
         raise ValueError("thresholds must be positive (linear units)")
     if np.any(np.diff(thresholds) <= 0):
         raise ValueError("thresholds must be increasing, with no repeats")
-    args = (params.L, params.q_shape, params.beta, params.pc, params.pt,
-            thresholds)
+    beta = params.beta
+
+    def batch(rng, rows, k):
+        near, far, u_k = _draw_window(rng, rows, k, params.L)
+        g_des = rng.gamma(float(params.q_shape), 1.0, (rows, params.L))
+        g_int = rng.standard_exponential((rows, k - params.L))
+        desired = params.pc * np.einsum("ij,ij->i", g_des, near ** (-beta / 2.0))
+        interf = np.einsum("ij,ij->i", g_int, np.power(far, -beta / 2.0, out=far))
+        interf += _tail_mean(u_k, beta / 2.0)
+        interf *= params.pt
+        # exp(1) gains have second moment 2
+        spread = params.pt * np.sqrt(2.0 * _tail_mean(u_k, beta))
+        sir = desired
+        sir /= interf
+        hits = (sir[:, None] >= thresholds[None, :]).sum(axis=0).astype(np.int64)
+        return hits, float((spread / interf).sum())
 
     def summary(stats, n):
         hits, rel_spread = stats
@@ -253,15 +238,11 @@ def mc_coverage(params, thresholds, cfg):
         bias = _local_slopes(values, thresholds) * (rel_spread / n)
         return values, ci, bias
 
-    k, (values, ci, bias) = _simulate(_coverage_batch, args, summary, params,
-                                      cfg)
+    values, ci, bias, result = _simulate(batch, summary, params, cfg)
     return CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
-        uncertainty=ci, bias_bounds=bias,
-        mc_result=McResult(trials_used=cfg.trials,
-                           truncation_bias_bound=float(bias.max()),
-                           window_mean_count=k,
-                           bias_to_ci=float(np.max(bias / ci))))
+        uncertainty=ci, quad_error=np.zeros_like(thresholds), bias_bounds=bias,
+        mc_result=result)
 
 
 def _local_slopes(values, thresholds):
@@ -291,31 +272,6 @@ def _receiver_d2(rng, u_1, u):
     return np.maximum(d2, 1e-30, out=d2)   # cancellation guard; d2 > 0 a.s.
 
 
-def _radar_batch(job):
-    stream, rows, seed, k, N, q, beta, echo_scale = job
-    rng = _batch_rng(seed, stream)
-    near, far, u_k = _draw_window(rng, rows, k, N)
-    f_des = rng.gamma(float(q), 1.0, (rows, N))
-    f_int = rng.standard_exponential((rows, k - N))
-
-    w_des = near ** (-beta / 2.0)
-    echo = np.einsum("ij,ij->i", f_des, w_des)
-    echo *= echo_scale * w_des[:, 0]
-
-    u_1 = near[:, 0]
-    d2 = _receiver_d2(rng, u_1[:, None], far)
-    interf = np.einsum("ij,ij->i", f_int, np.power(d2, -beta / 2.0, out=d2))
-    interf += _tail_mean(u_k, beta / 2.0, u_1)
-    # exp(1) gains have second moment 2
-    spread = np.sqrt(2.0 * _tail_mean(u_k, beta, u_1))
-
-    sir = echo
-    sir /= interf
-    vals = np.log1p(sir)
-    sens = sir / (interf * (1.0 + sir))
-    return float(vals.sum()), float((vals * vals).sum()), float((spread * sens).sum())
-
-
 def mc_radar_rate(params, cfg):
     """Simulated radar information rate, E[ln(1 + SIR)] in nats.
 
@@ -329,7 +285,30 @@ def mc_radar_rate(params, cfg):
     """
     echo_scale = (params.sigma2 * params.mr * params.ps / params.pt
                   * (math.pi * params.lam) ** (params.beta / 2.0))
-    args = (params.N, params.q_shape, params.beta, echo_scale)
+    beta = params.beta
+
+    def batch(rng, rows, k):
+        near, far, u_k = _draw_window(rng, rows, k, params.N)
+        f_des = rng.gamma(float(params.q_shape), 1.0, (rows, params.N))
+        f_int = rng.standard_exponential((rows, k - params.N))
+
+        w_des = near ** (-beta / 2.0)
+        echo = np.einsum("ij,ij->i", f_des, w_des)
+        echo *= echo_scale * w_des[:, 0]
+
+        u_1 = near[:, 0]
+        d2 = _receiver_d2(rng, u_1[:, None], far)
+        interf = np.einsum("ij,ij->i", f_int, np.power(d2, -beta / 2.0, out=d2))
+        interf += _tail_mean(u_k, beta / 2.0, u_1)
+        # exp(1) gains have second moment 2
+        spread = np.sqrt(2.0 * _tail_mean(u_k, beta, u_1))
+
+        sir = echo
+        sir /= interf
+        vals = np.log1p(sir)
+        sens = sir / (interf * (1.0 + sir))
+        return (float(vals.sum()), float((vals * vals).sum()),
+                float((spread * sens).sum()))
 
     def summary(stats, n):
         total, total_sq, sens_sum = stats
@@ -337,9 +316,6 @@ def mc_radar_rate(params, cfg):
         var = max(total_sq / n - mean * mean, 0.0)
         return mean, 1.96 * math.sqrt(var / cfg.trials), sens_sum / n
 
-    k, (mean, ci, bias) = _simulate(_radar_batch, args, summary, params, cfg)
-    return RateEstimate(
-        value=max(mean, 0.0), method="monte-carlo", uncertainty=ci,
-        mc_result=McResult(trials_used=cfg.trials, truncation_bias_bound=bias,
-                           window_mean_count=k,
-                           bias_to_ci=bias / ci if ci > 0.0 else 0.0))
+    mean, ci, _, result = _simulate(batch, summary, params, cfg)
+    return RateEstimate(value=max(mean, 0.0), method="monte-carlo",
+                        uncertainty=ci, mc_result=result)

@@ -132,25 +132,15 @@ _WG = np.array([
 ])
 _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
 _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])           # positions of G7 nodes
-_WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
 # the G7 weights on the 15 Kronrod nodes, zero where G7 has no node
 _WEIGHTS_G15 = np.zeros(15)
-_WEIGHTS_G15[_GAUSS_IDX] = _WEIGHTS_G
+_WEIGHTS_G15[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 def _gk_panels(f, a, b):
     """Evaluate the GK15 rule on each [a_i, b_i]; returns (values, errors)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    vk = (y * _WEIGHTS_K[None, :]).sum(axis=1) * half
-    vg = (y[:, _GAUSS_IDX] * _WEIGHTS_G[None, :]).sum(axis=1) * half
-    resabs = (np.abs(y) * _WEIGHTS_K[None, :]).sum(axis=1) * np.abs(half)
-    err = np.abs(vk - vg)
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return vk, err
+    x, wk, wg = gk_rule(np.stack([a, b], axis=-1))
+    return gk_sum(f(x.ravel()).reshape(x.shape), wk, wg)
 
 
 def integrate_finite(f, lo, hi, spec=None, full_output=False):
@@ -333,7 +323,7 @@ def gk_sum(y, wk, wg):
     """Integral of the node values y over the last two axes, with its bound.
 
     The bound is the sum over panels of |K15 - G7|, floored per panel at 50
-    machine epsilons of the panel's absolute integral, as in `_gk_panels`.
+    machine epsilons of the panel's absolute integral.
     """
     vk = (y * wk).sum(axis=-1)
     vg = (y * wg).sum(axis=-1)

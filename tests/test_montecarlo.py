@@ -140,7 +140,35 @@ class TestAgainstExactLaws:
         assert np.all(curve.bias_bounds <= 0.1 * curve.uncertainty)
 
 
+def series_tail_mean(u_k, b, u_1):
+    """Oracle: u_K^(1-b) sum_k ((b)_k/k!)^2 r^k/(b+k-1), r = u_1/u_K, summed
+    per row until the geometric bound on its remainder is below 1e-12."""
+    r = u_1 / u_k
+    total = np.full(r.shape, 1.0 / (b - 1.0))
+    live = np.arange(r.size)
+    term = np.ones(r.size)              # ((b)_k/k!)^2 r^k on the live rows
+    k = 0
+    while live.size:
+        rl = r[live]
+        term *= ((b + k) / (k + 1.0)) ** 2 * rl
+        k += 1
+        add = term / (b + k - 1.0)
+        total[live] += add
+        rho = rl * ((b + k) / (k + 1.0)) ** 2
+        done = (rho < 1.0) & (add * rho <= 1e-12 * (1.0 - rho) * total[live])
+        live, term = live[~done], term[~done]
+    return u_k ** (1.0 - b) * total
+
+
 class TestTailMeans:
+    @pytest.mark.parametrize("b", (1.05, 1.25, 2.0, 3.0, 6.0))
+    def test_receiver_mean_against_series(self, b):
+        ratio = np.array([1e-6, 0.1, 0.5, 0.9, 0.99])
+        u_k = np.full(ratio.size, 3.0)
+        got = _tail_mean(u_k, b, ratio * u_k)
+        assert got == pytest.approx(series_tail_mean(u_k, b, ratio * u_k),
+                                    rel=2e-12)
+
     @pytest.mark.parametrize("beta", (2.5, 4.0, 6.0))
     @pytest.mark.parametrize("ratio", (0.01, 0.3, 0.9))
     def test_receiver_offset_series(self, beta, ratio):
