@@ -6,9 +6,10 @@ CLI works in linear units.  Exit codes: 0 success, 2 usage, 3 convergence
 failure, 4 configuration error.  The ISACNET_OUT_DIR environment variable
 sets the default output directory.  Each value flag's argparse dest is its
 config key (`--mt` -> `params.mt`), so `build_experiment` converts and
-checks flag values exactly as it does config-file entries.  Flags win over
-a config file's entries, which win over the CLI defaults (the documented
-t_db grid for coverage, `<out_dir>/<command>.csv`).
+checks flag values exactly as it does config-file entries; a parameter
+flag the metric does not read (fit-alpha reads only `--mt`) exits 4.  Flags
+win over a config file's entries, which win over the CLI defaults (the
+documented t_db grid for coverage, `<out_dir>/<command>.csv`).
 """
 
 from __future__ import annotations
@@ -72,16 +73,15 @@ def build_parser():
     _add_common(rad)
 
     fit = subs.add_parser("fit-alpha", help="fit the Gamma-CDF surrogate parameter")
-    fit.add_argument("--shape", dest="fit.shape",
-                     help="Gamma shape to approximate (default 9)")
+    fit.add_argument("--mt", dest="params.mt",
+                     help="transmit antennas; fits Gamma shape mt - 1 "
+                          "(default 10)")
     fit.add_argument("--out")
     fit.set_defaults(method="analytic")
 
     conj = subs.add_parser("conjecture1",
                            help="K-S diagnostic of the fading-sum collapse")
     _add_common(conj)
-    conj.add_argument("--shape", dest="conj.shape")
-    conj.add_argument("--exponent", dest="conj.exponent")
     conj.set_defaults(method="mc")
 
     rep = subs.add_parser("reproduce-fig",

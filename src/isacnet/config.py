@@ -8,9 +8,9 @@ supplied on the command line report as line "cli".
 `SWEEPABLE` is the one table of parameter keys: `params.<name>` and
 `sweep.param = <name>` both go through it, and `build_experiment` resolves
 every sweep value into a validated `SystemParams` point before anything
-runs.  Integer keys (`l, n, mt, mr`, `mc.*`, `fit.shape`, `conj.shape`)
-accept whole numbers only, in any float spelling such as `2e5`.  A key the
-metric does not read is an error, never silently dropped.
+runs.  `_READS` says which of its fields and `t_db`/`mc.*` keys each
+metric reads; any other is an error, never silently dropped.  Integer keys
+(`l, n, mt, mr`, `mc.*`) accept whole numbers only, as in `2e5`.
 """
 
 from __future__ import annotations
@@ -40,18 +40,20 @@ _INT_FIELDS = {"mt", "mr", "L", "N"}
 
 _KNOWN_KEYS = {
     "metric", "method", "t_db", "out",
-    "sweep.param", "sweep.values", "params.alpha",
-    "mc.trials", "mc.seed", "mc.workers",
-    "fit.shape", "conj.shape", "conj.exponent",
+    "sweep.param", "sweep.values", "mc.trials", "mc.seed", "mc.workers",
 } | {f"params.{name}" for name in SWEEPABLE}
 
-
-# keys that one metric alone reads; conjecture1 reads only the system
-# parameters behind _CONJ_FIELDS (its gains come from conj.shape) and runs
-# in one process
-_METRIC_KEYS = (("t_db", "coverage"), ("fit.", "fit-alpha"),
-                ("conj.", "conjecture1"))
-_CONJ_FIELDS = {"L", "lam"}
+# metric -> the SystemParams fields and t_db/mc.* keys it reads.  Coverage
+# is density-free yet reads lam: figure 7 sweeps it to show just that.
+# conjecture1 runs in one process, so it reads no mc.workers.
+_READS = {
+    "coverage": {"L", "mt", "beta", "ps", "lam", "t_db",
+                 "mc.trials", "mc.seed", "mc.workers"},
+    "radar-rate": {"N", "mt", "mr", "beta", "ps", "sigma2", "lam",
+                   "mc.trials", "mc.seed", "mc.workers"},
+    "fit-alpha": {"mt"},
+    "conjecture1": {"L", "lam", "mt", "beta", "mc.trials", "mc.seed"},
+}
 
 
 class ConfigError(ValueError):
@@ -73,9 +75,6 @@ class ExperimentConfig:
     t_db: tuple = ()
     mc: McConfig | None = None
     out: str | None = None
-    fit_shape: int = 9
-    conj_shape: int = 9
-    conj_exponent: float = 4.0
 
 
 def parse_config_file(path):
@@ -115,19 +114,14 @@ def _closest(key):
 
 def _reject_unused(entries, metric):
     """A key the metric does not read is an error, never silently dropped."""
+    # keys no metric reads (metric, out, an unknown sweep name, ...) pass
+    readable = set().union(*_READS.values())
     for key, (raw, where) in entries.items():
-        owner = next((m for prefix, m in _METRIC_KEYS
-                      if key.startswith(prefix)), metric)
-        unused, what = owner != metric, key
-        if metric == "conjecture1":
-            if key == "sweep.param" and raw.lower() in SWEEPABLE:
-                unused = SWEEPABLE[raw.lower()] not in _CONJ_FIELDS
-                what = f"a sweep of {raw}"
-            elif key.startswith("params."):
-                unused = SWEEPABLE.get(key[len("params."):]) not in _CONJ_FIELDS
-            elif key == "mc.workers":
-                unused = True
-        if unused:
+        what = key
+        if key == "sweep.param":
+            key, what = f"params.{raw.lower()}", f"a sweep of {raw}"
+        key = SWEEPABLE.get(key.removeprefix("params."), key)
+        if key in readable and key not in _READS[metric]:
             raise ConfigError(f"{where}: {what} has no effect on metric {metric!r}")
 
 
@@ -208,8 +202,6 @@ def build_experiment(entries, overrides=None):
         if f"params.{name}" in entries:
             raw, where = entries.pop(f"params.{name}")
             _, params = _point(params, name, raw, where)
-    params = _take(entries, "params.alpha",
-                   lambda s: params.with_(alpha_fit=float(s)), default=params)
 
     t_db = _take(entries, "t_db", parse_t_db, default=())
     sweep_name = _take(entries, "sweep.param", str)
@@ -227,9 +219,6 @@ def build_experiment(entries, overrides=None):
                 f"got {sweep_name!r}")
         if sweep_values is None:
             raise ConfigError("sweep.param given without sweep.values")
-        if params.alpha_fit is not None and SWEEPABLE[sweep_name] == "mt":
-            raise ConfigError("params.alpha pins the surrogate of one mt and "
-                              "cannot be combined with an mt sweep")
         raw, where = sweep_values
         points = tuple(_point(params, sweep_name, v.strip(), where)
                        for v in raw.split(","))
@@ -245,11 +234,6 @@ def build_experiment(entries, overrides=None):
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
-    out = _take(entries, "out", str)
-    fit_shape = _take(entries, "fit.shape", _int, default=9)
-    conj_shape = _take(entries, "conj.shape", _int, default=9)
-    conj_exponent = _take(entries, "conj.exponent", float, default=4.0)
-
     if metric == "coverage" and not t_db:
         raise ConfigError("coverage experiments need a t_db grid")
     if metric == "coverage" and any(p.pc == 0 for _, p in points):
@@ -261,6 +245,5 @@ def build_experiment(entries, overrides=None):
                           f"least {MIN_KS_TRIALS} trials")
 
     return ExperimentConfig(metric=metric, method=method, params=params,
-                            points=points, t_db=tuple(t_db), mc=mc, out=out,
-                            fit_shape=fit_shape, conj_shape=conj_shape,
-                            conj_exponent=conj_exponent)
+                            points=points, t_db=tuple(t_db), mc=mc,
+                            out=_take(entries, "out", str))

@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,10 +61,9 @@ _ESTIMATORS = {
     ("radar-rate", "analytic"): lambda cfg, p, t: (
         radar_rate_single(p) if p.N == 1 else radar_rate(p)),
     ("radar-rate", "mc"): lambda cfg, p, t: mc_radar_rate(p, cfg.mc),
-    ("fit-alpha", "analytic"): lambda cfg, p, t: fit_alpha(cfg.fit_shape),
+    ("fit-alpha", "analytic"): lambda cfg, p, t: fit_alpha(p.q_shape),
     ("conjecture1", "mc"): lambda cfg, p, t: verify_conjecture1(
-        p.L, cfg.conj_exponent, p.lam, cfg.conj_shape, cfg.mc.trials,
-        cfg.mc.seed),
+        p.L, p.beta, p.lam, p.q_shape, cfg.mc.trials, cfg.mc.seed),
 }
 
 
@@ -92,9 +91,8 @@ def _cells(est, cfg, params):
                             "grid_resolution": est.grid_resolution})]
     # conjecture1: the two-sample K-S distance at this cluster size
     return [dict(value=est, uncertainty=0.0, quad_error=0.0,
-                 extra={"cluster_size": params.L, "shape": cfg.conj_shape,
-                        "exponent": cfg.conj_exponent,
-                        "trials": cfg.mc.trials})]
+                 extra={"cluster_size": params.L, "shape": params.q_shape,
+                        "exponent": params.beta, "trials": cfg.mc.trials})]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -159,11 +157,7 @@ def write_rows(rows, path, cfg=None):
     if cfg is not None:
         meta["metric"] = cfg.metric
         meta["method"] = cfg.method
-        meta["params"] = {
-            "lam": cfg.params.lam, "mt": cfg.params.mt, "mr": cfg.params.mr,
-            "beta": cfg.params.beta, "ps": cfg.params.ps, "pc": cfg.params.pc,
-            "sigma2": cfg.params.sigma2, "L": cfg.params.L, "N": cfg.params.N,
-        }
+        meta["params"] = asdict(cfg.params)
         if cfg.mc is not None:
             meta["mc"] = {"trials": cfg.mc.trials, "seed": cfg.mc.seed}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ will give, the spread's power law u_K^((1-beta)/2) scales the prediction to
 other K, and K is the smallest count predicted to reach _BIAS_TO_CI, half
 the CI/10 rule (_BIAS_RULE) the tests hold every estimate to.  A run whose
 own ratio breaks the rule is repeated at the K its own statistics call
-for.  K never drops below max(16, 2(L+N)) and never exceeds _MAX_K; past
+for.  K never drops below max(16, 2(m+1)) and never exceeds _MAX_K; past
 that cap, reached only with path loss near beta = 2 and many trials, the
 rule is reported (`McResult.bias_to_ci`), not met.
 
@@ -71,8 +71,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2 (a half-width needs two)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -136,7 +136,7 @@ def _run_batches(batch, cfg, k):
     return [sum(stat) for stat in zip(*parts)]
 
 
-def _simulate(batch, summary, params, cfg):
+def _simulate(batch, summary, params, cfg, m):
     """Choose K, run the batches, and return (estimate, CI, bias, McResult).
 
     `batch(rng, rows, k)` returns the stats of `rows` trials at window K;
@@ -148,9 +148,10 @@ def _simulate(batch, summary, params, cfg):
     run whose own ratio still exceeds _BIAS_RULE (the pilot cannot see how
     small a half-width will be where it drew no miss) is repeated at the K
     its own statistics call for.  The McResult holds the accepted run's K,
-    its largest bias bound and the ratio that accepted it.
+    its largest bias bound and the ratio that accepted it.  K stays above
+    the m stations drawn in order.
     """
-    floor = max(16, 2 * (params.L + params.N))
+    floor = max(16, 2 * (m + 1))
 
     def assess(stats, n, k_run):
         estimate, ci, bias = summary(stats, n)
@@ -238,7 +239,7 @@ def mc_coverage(params, thresholds, cfg):
         bias = _local_slopes(values, thresholds) * (rel_spread / n)
         return values, ci, bias
 
-    values, ci, bias, result = _simulate(batch, summary, params, cfg)
+    values, ci, bias, result = _simulate(batch, summary, params, cfg, params.L)
     return CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
         uncertainty=ci, quad_error=np.zeros_like(thresholds), bias_bounds=bias,
@@ -316,6 +317,6 @@ def mc_radar_rate(params, cfg):
         var = max(total_sq / n - mean * mean, 0.0)
         return mean, 1.96 * math.sqrt(var / cfg.trials), sens_sum / n
 
-    mean, ci, _, result = _simulate(batch, summary, params, cfg)
+    mean, ci, _, result = _simulate(batch, summary, params, cfg, params.N)
     return RateEstimate(value=max(mean, 0.0), method="monte-carlo",
                         uncertainty=ci, mc_result=result)

@@ -23,8 +23,9 @@ class SystemParams:
     sigma2   radar cross section of the target (m^2, normalized)
     L        communication cluster size (nearest stations serving the user)
     N        sensing cluster size (nearest stations probing the target)
-    alpha_fit  Gamma-CDF surrogate parameter for shape mt - 1; fitted on
-             demand when left as None
+
+    These are every metric's only model inputs; `alpha()` fits the
+    Gamma-CDF surrogate parameter for shape mt - 1.
     """
 
     lam: float = 1e-4
@@ -36,7 +37,6 @@ class SystemParams:
     sigma2: float = 1.0
     L: int = 1
     N: int = 1
-    alpha_fit: float | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -55,8 +55,6 @@ class SystemParams:
             raise ValueError("sigma2 must be positive")
         if self.L < 1 or self.N < 1:
             raise ValueError("cluster sizes must be >= 1")
-        if self.alpha_fit is not None and self.alpha_fit <= 0:
-            raise ValueError("alpha_fit must be positive")
 
     @property
     def pt(self):
@@ -69,9 +67,7 @@ class SystemParams:
         return self.mt - 1
 
     def alpha(self):
-        """The Gamma-CDF surrogate parameter, fitting it if not pinned."""
-        if self.alpha_fit is not None:
-            return self.alpha_fit
+        """The Gamma-CDF surrogate parameter fitted for shape mt - 1."""
         return fitted_alpha(self.q_shape)
 
     def with_(self, **changes):

@@ -5,6 +5,8 @@ import importlib.util
 from pathlib import Path
 
 import isacnet
+from isacnet.cli import _entries, _overrides, build_parser
+from isacnet.config import build_experiment
 
 
 def test_every_exported_name_resolves():
@@ -23,3 +25,19 @@ def test_traced_functions_resolve():
                if not hasattr(importlib.import_module(f"isacnet.{module}"),
                               name)]
     assert missing == []
+
+
+def test_benchmark_figure_invocations_build():
+    # the benchmark's figure workload runs these argvs through the CLI; each
+    # must still build into an experiment (nothing is run here)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [op["argv"] for seed in range(4) for smoke in (True, False)
+             for op in workloads.make_round("figure", seed, 0, smoke)]
+    assert len(argvs) == 24
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        cfg = build_experiment(_entries(args), _overrides(args))
+        assert cfg.metric == argv[0], argv

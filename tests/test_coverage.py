@@ -199,8 +199,6 @@ class TestSystemParams:
 
     def test_alpha_defaults_to_fit(self, paper_params):
         assert paper_params.alpha() == pytest.approx(2.752, abs=2e-3)
-        pinned = paper_params.with_(alpha_fit=2.0)
-        assert pinned.alpha() == 2.0
 
     def test_pt(self, paper_params):
         assert paper_params.pt == 1.0

@@ -57,9 +57,8 @@ class TestConfigParsing:
         mc = BASE.replace("method = analytic", "method = mc")
         cases = [(BASE.replace("params.mt = 10", "params.mt = ten"), 7),
                  # integer keys take whole numbers only; nothing is truncated
-                 (BASE + "params.n = 2.9\n", 8),
-                 (mc + "mc.trials = 100.5\n", 8),
-                 (BASE + "fit.shape = 2.5\n", 8)]
+                 (BASE.replace("params.l = 1", "params.l = 2.9"), 6),
+                 (mc + "mc.trials = 100.5\n", 8)]
         for text, line in cases:
             entries, path = entries_of(text, tmp_path)
             with pytest.raises(ConfigError) as exc:
@@ -81,13 +80,6 @@ class TestConfigParsing:
         assert all(p.mt == 10 and p.L == 1 for _, p in cfg.points)
         assert build_experiment(entries_of(BASE, tmp_path)[0]).points == (
             ({}, cfg.params),)
-
-    def test_pinned_alpha_rejects_mt_sweep(self, tmp_path):
-        entries, _ = entries_of(BASE + "params.alpha = 1.2\n"
-                                "sweep.param = mt\nsweep.values = 4,6\n",
-                                tmp_path)
-        with pytest.raises(ConfigError, match="params.alpha"):
-            build_experiment(entries)
 
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -138,15 +130,17 @@ class TestConfigParsing:
             build_experiment(entries)
 
     def test_removed_window_key_rejected(self, tmp_path):
-        # the simulator has one window; a config naming another is an error
-        text = (BASE.replace("method = analytic", "method = mc")
-                + "mc.window = strict\n")
-        entries, path = entries_of(text, tmp_path)
-        with pytest.raises(ConfigError, match="unknown key 'mc.window'"):
-            build_experiment(entries)
-        code = main(["coverage", "--config", path,
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 4
+        # the simulator has one window; a config naming another is an error.
+        # alpha is always fitted for shape mt - 1, so it cannot be pinned.
+        for key, value in (("mc.window", "strict"), ("params.alpha", "1.2")):
+            text = (BASE.replace("method = analytic", "method = mc")
+                    + f"{key} = {value}\n")
+            entries, path = entries_of(text, tmp_path)
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                build_experiment(entries)
+            code = main(["coverage", "--config", path,
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == 4
 
     def test_t_db_forms(self):
         assert parse_t_db("-10:20:10") == (-10.0, 0.0, 10.0, 20.0)
@@ -270,6 +264,7 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_config_error_exit_four(self, tmp_path, capsys):
+        cov = ["coverage", "--method", "analytic", "--t-db", "0:0:1"]
         rate = ["radar-rate", "--method", "analytic"]
         conj = ["conjecture1", "--l", "2", "--trials", "10000"]
 
@@ -281,14 +276,11 @@ class TestCli:
         cases = [
             # a key the metric never reads is an error, never dropped
             (rate + config("t_db = 0"), "t_db has no effect"),
-            (rate + config("fit.shape = 3"), "fit.shape has no effect"),
-            (["coverage", "--method", "analytic"] + config("conj.shape = 3"),
-             "conj.shape has no effect"),
-            (conj + ["--mt", "4"], "cli: params.mt has no effect"),
-            (conj + ["--beta", "3"], "cli: params.beta has no effect"),
+            (cov + ["--n", "2"], "cli: params.n has no effect"),
+            (rate + ["--l", "2"], "cli: params.l has no effect"),
             (conj + ["--ps", "0.3"], "cli: params.ps has no effect"),
             (conj + ["--mr", "4"], "cli: params.mr has no effect"),
-            (conj + ["--sweep", "mt=4,10"], "a sweep of mt has no effect"),
+            (conj + ["--sweep", "mr=4,6"], "a sweep of mr has no effect"),
             (conj + ["--workers", "2"], "mc.workers has no effect"),
             # method=analytic runs no simulation, so every mc.* key is an error
             (["coverage", "--method", "analytic", "--trials", "5",
@@ -300,8 +292,11 @@ class TestCli:
             (rate + ["--sweep", "mt=4,1"], "cli: bad value '1' for 'mt'"),
             (rate + ["--sweep", "beta=2"], "cli: bad value '2' for 'beta'"),
             (rate + ["--sweep", "n=0"], "cli: bad value '0' for 'n'"),
-            (rate + ["--sweep", "l=1.5,2.7"], "cli: bad value '1.5' for 'l'"),
+            (cov + ["--sweep", "l=1.5,2.7"], "cli: bad value '1.5' for 'l'"),
             (rate + ["--n", "2.9"], "cli: bad value '2.9' for 'n'"),
+            # a 95% half-width needs two trials
+            (["coverage", "--method", "mc", "--trials", "1",
+              "--t-db", "0:0:1"], "trials must be >= 2"),
             # conjecture1 is a simulation of at least 10,000 trials
             (["conjecture1", "--l", "2", "--trials", "5000"], "10000 trials"),
             (["conjecture1", "--l", "2", "--method", "analytic"],
@@ -339,10 +334,11 @@ class TestCli:
         assert (tmp_path / "coverage.csv").exists()
 
     def test_fit_alpha_subcommand(self, tmp_path, capsys):
-        code = main(["fit-alpha", "--shape", "3",
+        code = main(["fit-alpha", "--mt", "4",
                      "--out", str(tmp_path / "fit.csv")])
         assert code == 0
-        assert "alpha_star" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "shape=3" in out and "alpha_star" in out
 
     def test_conjecture1_subcommand(self, tmp_path):
         code = main(["conjecture1", "--l", "2", "--trials", "20000",

@@ -267,8 +267,9 @@ class TestWindowLaw:
 
 class TestWindowPolicy:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            McConfig(trials=0)
+        for trials in (0, 1):
+            with pytest.raises(ValueError):
+                McConfig(trials=trials)
         with pytest.raises(ValueError):
             McConfig(workers=0)
 
