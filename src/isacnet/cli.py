@@ -120,13 +120,17 @@ def _overrides(args):
 
 
 def _entries(args):
-    """CLI defaults with the config file's entries on top."""
+    """CLI defaults, then the config file's entries; its metric must match."""
     entries = {"out": (os.path.join(_out_dir(), f"{args.command}.csv"),
                        "default")}
     if args.command == "coverage":
         entries["t_db"] = (DEFAULT_T_DB, "default")
     if getattr(args, "config", None):
         entries.update(parse_config_file(args.config))
+    metric, where = entries.get("metric", (args.command, "cli"))
+    if metric.lower() != args.command:
+        raise ConfigError(f"{where}: metric {metric!r} does not match the "
+                          f"subcommand {args.command!r}")
     return entries
 
 

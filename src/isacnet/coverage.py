@@ -12,9 +12,10 @@ The exponent is homogeneous of degree one in the s_i, so with
 s = s_1 (1, x_2, ..., x_L) the integral over the nearest distance s_1 is
 exact and only the distance ratios remain.  At L = 1 there are none and
 the coverage is a finite sum.  At L >= 2 the ratios are integrated by a
-fixed composite Gauss-Kronrod rule in ln(x_L - 1) times one GK15 rule per
-intermediate station, evaluated as array passes per threshold; the
-embedded 7-point Gauss sums give the error bound each value reports.
+fixed composite Gauss-Kronrod rule over the law of x_L - 1 in ln(x_L - 1)
+(`_ratio_rule`, which the cooperative radar rate shares) times one GK15
+rule per intermediate station, evaluated as array passes per threshold;
+the embedded 7-point Gauss sums give the error bound each value reports.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Budget of the L >= 2 fixed rule: core panels in ln rho, how far (in decay
-# lengths) the core reaches beyond the bend it covers, and GK15 panels per
-# intermediate-station direction theta.
+# Budget of the ratio-law rule (shared with the cooperative radar rate): core
+# panels in ln rho, how far (in decay lengths) the core reaches beyond the
+# bend it covers; and GK15 panels per intermediate-station direction theta.
 _RHO_PANELS = 24
 _MARGIN = 4.0
 _THETA_PANELS = 1
@@ -69,12 +70,10 @@ class CoverageCurve:
     mc_result: object | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=float)
+        t = _threshold_grid(self.thresholds)
         v = np.asarray(self.values, dtype=float)
         if not (len(t) == len(v) == len(self.uncertainty)):
             raise ValueError("thresholds, values, uncertainty must align")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be increasing, with no repeats")
         if np.any(v < 0) or np.any(v > 1):
             raise ValueError("coverage values must lie in [0, 1]")
         if self.quad_error is not None and len(self.quad_error) != len(t):
@@ -96,7 +95,10 @@ def _h_core(pow_sum, pow_last, a, beta):
     pow_sum is sum_i d_i^(-beta) over the cluster in whatever length unit
     the caller works in, pow_last the same power of the cluster edge, and
     `a` the threshold-dependent scale of each binomial term.  Broadcasts
-    (m,) aggregates against (q,) terms.
+    (m,) aggregates against (q,) terms.  It matches
+    `radar.interference_laplace_kernel` minus the complement branch for
+    zeta = a pow_last / pow_sum > 1: here zeta <= a stays moderate, and the
+    branch slowed 16-threshold L = 5 curves from about 4 s to 6-7 s.
     """
     tb = 2.0 / beta
     pow_sum = np.asarray(pow_sum, dtype=float)[..., None]
@@ -125,8 +127,7 @@ def interference_exponent(distances, n, threshold, params):
     q = params.q_shape
     if not 1 <= n <= q:
         raise ValueError(f"term index n must lie in 1..{q}")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _threshold_grid([threshold])
     a = params.alpha() * n * threshold * params.pt / (q * params.pc)
     pow_sum = np.sum(r ** -params.beta)
     pow_last = r[-1] ** -params.beta
@@ -150,8 +151,7 @@ def coverage_closed_form(params, threshold):
         raise ValueError("closed form requires a single-station cluster (L=1)")
     if not math.isclose(params.beta, 4.0):
         raise ValueError("closed form requires beta = 4")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _threshold_grid([threshold])
     q = params.q_shape
     alpha = params.alpha()
     total = 0.0
@@ -189,17 +189,28 @@ def _theta_rule(m):
             multi * wg[idx].prod(axis=1))
 
 
-def _theta_integrals(u, a_terms, params, rule):
-    """K15 and G7 theta integrals of the L >= 2 integrand at u = ln rho.
+def _ratio_rule(m, bend):
+    """Composite GK15 rule in u = ln rho over the law of rho = s_m / s_1 - 1.
 
-    With c = ln x_L = ln(1 + rho) the integrand in (ln rho, theta) is
-    J * F, J = (L-1) rho c^(L-2) exp(c (sum_j theta_j - L)) and
-    F = sum_n c_n (1 + G_n / x_L)^-L.  F is split into F at theta = 1
-    (every intermediate station at the cluster edge), whose theta integral
-    is exact because that of J is (L-1) rho^(L-1) x_L^-L, and the rest,
-    which vanishes where the rule's exponential weight exp(c theta_j) is
-    hard to resolve.  At L = 2 there is no theta and the exact part is the
-    whole integral.  Returns the two (rho,) arrays.
+    The law, (m-1) rho^(m-1) (1+rho)^-m du, decays at rates m-1 and 1 at
+    the two ends.  The core runs from -_MARGIN to _MARGIN beyond max(bend,
+    0), where the caller's integrand last bends; `bend` broadcasts, one
+    core per element.  Returns u and the K15 and G7 weights times the law.
+    """
+    u, wk, wg = gk_rule(panel_edges(-_MARGIN, _MARGIN + np.maximum(bend, 0.0),
+                                    _RHO_PANELS, m - 1.0, 1.0))
+    density = (m - 1) * np.exp((m - 1) * u - m * np.log1p(np.exp(u)))
+    return u, wk * density, wg * density
+
+
+def _theta_integrals(u, a_terms, params, rule):
+    """K15 and G7 averages over theta of the L >= 2 integrand given rho.
+
+    With c = ln x_L = ln(1 + rho) the intermediate stations have density
+    prod_j (x_j c / rho) in theta, and the integrand is F = sum_n c_n
+    (1 + G_n / x_L)^-L.  Only F - F(theta = 1) goes through the theta rule:
+    it vanishes where the density's factor exp(c theta_j) is hard to
+    resolve.  Returns the two (rho,) arrays.
     """
     L, beta = params.L, params.beta
     theta, counts, w_k, w_g = rule
@@ -214,10 +225,8 @@ def _theta_integrals(u, a_terms, params, rule):
 
     f_edge = survival(1.0 + (L - 1) * pow_last)
     f = survival(1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T)
-    jac = (L - 1) * rho * c ** (L - 2) * np.exp(c * (counts @ theta - L))
-    y = (f - f_edge) * jac
-    exact = (L - 1) * np.exp((L - 1) * u - L * c[:, 0]) * f_edge[:, 0]
-    return y @ w_k + exact, y @ w_g + exact
+    y = (f - f_edge) * np.exp(c * (counts @ theta) + (L - 2) * np.log(c / rho))
+    return y @ w_k + f_edge[:, 0], y @ w_g + f_edge[:, 0]
 
 
 def _cluster_curve(params, a):
@@ -226,40 +235,39 @@ def _cluster_curve(params, a):
     Write s = s_1 (1, x_2, ..., x_L).  The exponent is homogeneous of
     degree one in s, so the s_1 integral is exact: the coverage is
     sum_n c_n (L-1)! int (x_L + G_n(x))^-L dx over 1 < x_2 < ... < x_L,
-    with G_n the exponent at s = (1, x_2, ..., x_L).  The intermediate
-    x_j enter only through their power sum, so they may be unordered (a
-    factor 1/(L-2)!), and with x_L = 1 + rho and x_j = x_L^theta_j,
-    theta_j in (0, 1), the coverage is
-        sum_n c_n int_0^inf (L-1) int_(0,1)^(L-2) prod_j (x_j ln x_L)
-                  (x_L + G_n)^-L d theta d rho.
-    In ln rho the integrand decays like rho^(L-1) at 0 and like 1/rho at
-    infinity (rates L-1 and 1), and it bends where the edge term
-    a x_L^(-beta/2) crosses 1; the rule's range depends on the threshold
-    alone, so a curve and single-threshold calls give equal values.  The
-    bound is the ln rho K15 - G7 bound plus |K15 - G7| in theta.
-    Returns (values, bounds).
+    with G_n the exponent at s = (1, x_2, ..., x_L).  The x_j (j < L) enter
+    only through their power sum, so they may be unordered (a factor
+    1/(L-2)!); with x_L = 1 + rho and x_j = x_L^theta_j the coverage is the
+    average of `_theta_integrals` over the law of rho (`_ratio_rule`).  The
+    integrand bends where a x_L^(-beta/2) crosses 1, so the rule's range
+    depends on the threshold alone and a curve equals single-threshold
+    calls.  The bound is the ln rho K15 - G7 bound plus |K15 - G7| in
+    theta.  Returns (values, bounds).
     """
-    tb = 2.0 / params.beta
     rule = _theta_rule(params.L - 2)
     cost = len(rule[2]) * params.q_shape      # temporaries per rho node
+    u, wk, wg = _ratio_rule(params.L, 2.0 / params.beta * np.log(a[:, -1]))
     values, bounds = np.empty(len(a)), np.empty(len(a))
     for i, a_terms in enumerate(a):
-        hi = _MARGIN + max(tb * math.log(a_terms[-1]), 0.0)
-        u, wk, wg = gk_rule(panel_edges(-_MARGIN, hi, _RHO_PANELS,
-                                        params.L - 1.0, 1.0))
         y_k, y_g = in_chunks(
             lambda uc: _theta_integrals(uc, a_terms, params, rule),
-            u.ravel(), cost)
-        values[i], bounds[i] = gk_sum(y_k.reshape(u.shape), wk, wg)
-        bounds[i] += abs(np.sum((y_k - y_g).reshape(u.shape) * wk))
+            u[i].ravel(), cost)
+        values[i], bounds[i] = gk_sum(y_k.reshape(u[i].shape), wk[i], wg[i])
+        bounds[i] += abs(np.sum((y_k - y_g).reshape(u[i].shape) * wk[i]))
     return values, bounds
+
+
+def _threshold_grid(thresholds):
+    """The linear SIR thresholds as a float array, checked."""
+    t = np.asarray(thresholds, dtype=float)
+    if t.ndim != 1 or len(t) == 0 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
+        raise ValueError("thresholds must be non-empty, 1-D, positive, increasing")
+    return t
 
 
 def _integral_curve(params, thresholds):
     """(values, quad_error) of the integral path, clamped to [0, 1]."""
     _require_comm_power(params)
-    if np.any(np.asarray(thresholds) <= 0):
-        raise ValueError("threshold must be positive")
     a = _threshold_terms(params, thresholds)
     if params.L == 1:
         # s_1 ~ Exp(1) alone: E[exp(-s_1 G_n)] = 1 / (1 + G_n)
@@ -283,17 +291,18 @@ def coverage_integral(params, threshold):
     results are clamped to [0, 1] and logged.  Raises ValueError when
     pc = 0, where coverage is undefined.
     """
-    values, _ = _integral_curve(params, [threshold])
+    values, _ = _integral_curve(params, _threshold_grid([threshold]))
     return float(values[0])
 
 
 def coverage_curve(params, thresholds, method="integral"):
     """Coverage over a threshold grid; method 'integral' or 'closed-form'.
 
-    The integral path gives each threshold the value and error bound of a
-    single `coverage_integral` call.
+    The grid must be non-empty, 1-D, positive and increasing.  The integral
+    path gives each threshold the value and error bound of a single
+    `coverage_integral` call.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
+    thresholds = _threshold_grid(thresholds)
     if method == "closed-form":
         values = np.array([coverage_closed_form(params, t) for t in thresholds])
         quad_error = np.zeros_like(thresholds)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1
 
-from .coverage import CoverageCurve, _require_comm_power
+from .coverage import CoverageCurve, _require_comm_power, _threshold_grid
 from .radar import RateEstimate
 
 __all__ = ["McConfig", "McResult", "mc_coverage", "mc_radar_rate"]
@@ -204,13 +204,7 @@ def mc_coverage(params, thresholds, cfg):
     is undefined.
     """
     _require_comm_power(params)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.ndim != 1 or len(thresholds) == 0:
-        raise ValueError("thresholds must be a non-empty 1-D array")
-    if np.any(thresholds <= 0):
-        raise ValueError("thresholds must be positive (linear units)")
-    if np.any(np.diff(thresholds) <= 0):
-        raise ValueError("thresholds must be increasing, with no repeats")
+    thresholds = _threshold_grid(thresholds)
     beta = params.beta
 
     def batch(rng, rows, k):

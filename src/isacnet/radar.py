@@ -3,19 +3,19 @@
 The rate E[ln(1 + SIR)] is written as an outer integral over the Laplace
 transforms of the echo power and of the interference power.  For clusters
 of two or more stations both transforms are the closed kernels below
-(`echo_laplace_exponent`, `interference_laplace_kernel`) marginalized over
-the cluster distance laws, multiplied as if echo and interference were
-independent.  For a single sensing station the transform pair is exact and
-includes the interference-free disk around the target (the station-free
-region implied by conditioning on the nearest-station distance), whose
-neglect underestimates the rate.
+(`echo_laplace_exponent`, `interference_laplace_kernel`: one incomplete
+Beta term each) marginalized over the cluster distance laws, multiplied as
+if echo and interference were independent.  For a single sensing station
+the transform pair is exact and includes the interference-free disk around
+the target (the station-free region implied by conditioning on the
+nearest-station distance), whose neglect underestimates the rate.
 
 Both rates are fixed composite Gauss-Kronrod 7-15 rules in log variables,
 evaluated as array expressions over all outer nodes (in slices of bounded
-size): ln z outside; inside, ln s for the cluster-edge and single-station
-distance laws and logit(eta^2) for the distance ratio.  Each rule's range
-follows from its integrand's tail decay rates and transition points, and
-the embedded 7-point Gauss sums give the error bound each result reports.
+size): ln z outside, ln s for the distance laws of the cluster edge and of
+the single station, and `coverage._ratio_rule` for the distance ratio.
+Each rule's range follows from its integrand's tail decay rates and
+transition points; the embedded 7-point Gauss sums bound its error.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (erfcx, expit, gammainccinv, gammaincinv,
-                           roots_legendre)
+from scipy.special import erfcx, gammainccinv, gammaincinv, roots_legendre
 
+from . import coverage
 from .specfun import (beta_complete, beta_incomplete, check_bound, gk_rule,
                       gk_sum, in_chunks, panel_edges)
 
@@ -47,7 +47,6 @@ __all__ = [
 _Z_STEP = 2.0
 _MARGIN = 4.0
 _S_PANELS = 16          # ln s, Gamma(N) cluster-edge law
-_ETA_PANELS = 24        # logit(eta^2), distance-ratio law
 _HOLE_S_PANELS = 12     # ln s, single-station law with the exclusion disk
 _GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the ln s rule
 _DEPTH = 36.0           # e-folds below its scale at which a core may stop
@@ -82,7 +81,9 @@ def echo_laplace_exponent(z, r_far, params):
     The conditional echo-power transform is exp(-(2 pi lam / beta) * H) with
     H the value returned here; r_far is the distance to the farthest cluster
     station.  Zero at z = 0 and increasing, never flat, in z.  Broadcasts over z
-    and r_far.
+    and r_far.  By the binomial theorem, H = (c0 z)^tb sum_(i=1..q) C(q, i)
+    B(u; q-i+tb, i-tb) (tb = 2/beta, c0 = sigma2 mr ps, u = 1/(1 + c0 z
+    r_far^-beta)) is (r_far^2 (1 - u^q) + q (c0 z)^tb B(u; q+tb, 1-tb)) / tb.
     """
     z = np.asarray(z, dtype=float)
     r_far_a = np.asarray(r_far, dtype=float)
@@ -91,15 +92,12 @@ def echo_laplace_exponent(z, r_far, params):
     if np.any(r_far_a <= 0):
         raise ValueError("r_far must be positive")
     scalar = z.ndim == 0 and r_far_a.ndim == 0
-    z, r_far_a = np.broadcast_arrays(z, r_far_a)
     q = params.q_shape
     tb = 2.0 / params.beta
-    c0 = params.sigma2 * params.mr * params.ps
-    u_edge = 1.0 / (1.0 + c0 * z * r_far_a ** -params.beta)
-    i = np.arange(1, q + 1, dtype=float)
-    binom = np.array([math.comb(q, int(k)) for k in i])
-    terms = beta_incomplete(u_edge[..., None], q - i + tb, i - tb)
-    out = (c0 * z) ** tb * (binom * terms).sum(axis=-1)
+    c0z = params.sigma2 * params.mr * params.ps * z
+    x = c0z * r_far_a ** -params.beta       # u = 1 / (1 + x)
+    out = (r_far_a ** 2 * -np.expm1(-q * np.log1p(x))
+           + q * c0z ** tb * _beta_ratio(1.0, x, q + tb, 1.0 - tb)) / tb
     return float(out) if scalar else out
 
 
@@ -120,17 +118,18 @@ def interference_laplace_kernel(z, eta, params):
     z, eta_a = np.broadcast_arrays(z, eta_a)
     tb = 2.0 / params.beta
     zeta = z * eta_a ** params.beta
-    # B(x; 1 - tb, tb) at x = zeta / (1 + zeta).  For large zeta, x keeps
-    # few digits of its distance 1 - x, on which B(x) depends like
-    # (1 - x)^tb, so there B comes from the exactly computed complement
-    # 1 / (1 + zeta): B(x; a, b) = B(a, b) - B(1 - x; b, a).
-    low = zeta <= 1.0
-    part = beta_incomplete(np.where(low, zeta, 1.0) / (1.0 + zeta),
-                           np.where(low, 1.0 - tb, tb),
-                           np.where(low, tb, 1.0 - tb))
-    full = beta_complete(1.0 - tb, tb)
-    out = z ** tb / params.beta * np.where(low, part, full - part)
+    out = z ** tb / params.beta * _beta_ratio(zeta, 1.0, 1.0 - tb, tb)
     return float(out) if scalar else out
+
+
+def _beta_ratio(num, den, a, b):
+    """B(x; a, b) at x = num / (num + den).  Near x = 1, x keeps few digits
+    of 1 - x, on which B depends like (1 - x)^b, so there B(x; a, b) =
+    B(a, b) - B(1 - x; b, a) with 1 - x = den / (num + den) exact."""
+    low = num <= den
+    part = beta_incomplete(np.where(low, num, den) / (num + den),
+                           np.where(low, a, b), np.where(low, b, a))
+    return np.where(low, part, beta_complete(a, b) - part)
 
 
 def _echo_transform(z, params, complement):
@@ -157,30 +156,23 @@ def _echo_transform(z, params, complement):
 def _interference_factor(z, params):
     """Interference transform over the distance-ratio law, vectorized.
 
-    z is a 1-D array of positive arguments.  The rule runs in
-    l = logit(eta^2), in which the law (N-1)(1-eta^2)^(N-2) d(eta^2) has
-    exponential tails of rates 1 (eta -> 0) and N-1 (eta -> 1).  Its core
-    reaches below the two places where the integrand bends: zeta = z
-    eta^beta = 1, and h4 = 1/2 on the small-zeta branch, where h4 ~ z
-    eta^(beta-2)/(beta-2).  The core stops where the law's weight has
-    fallen by e^-_DEPTH below the integrand's scale z^(-2/beta).
+    z is a 1-D array of positive arguments.  The rule is
+    `coverage._ratio_rule` in ln rho, rho = eta^-2 - 1.  Its core reaches
+    beyond where the integrand bends: zeta = z eta^beta = 1, and h4 = 1/2
+    on the small-zeta branch, where h4 ~ z eta^(beta-2)/(beta-2); it stops
+    where the law has fallen by e^-_DEPTH below the scale z^(-2/beta).
     Returns (values, error bounds).
     """
-    n = params.N
     beta = params.beta
     tb = 2.0 / beta
     lz = np.log(z)
-    bend_zeta = -tb * lz
-    bend_h4 = 2.0 * (math.log((beta - 2.0) / 2.0) - lz) / (beta - 2.0)
-    lo = np.maximum(np.minimum(np.minimum(bend_zeta, bend_h4), 0.0) - _MARGIN,
-                    -(_DEPTH + np.maximum(tb * lz, 0.0)))
-    # the law itself bends at eta^2 = 1/2 (l = 0) and decays at rate N-1 above
-    ell, wk, wg = gk_rule(panel_edges(lo, _MARGIN / 2.0, _ETA_PANELS,
-                                      1.0, n - 1.0))
-    v = expit(ell)                                  # eta^2
-    h4 = interference_laplace_kernel(z[:, None, None], np.sqrt(v), params)
-    y = (n - 1) * v * expit(-ell) ** (n - 1) / (1.0 + 2.0 * h4)
-    return gk_sum(y, wk, wg)
+    bend_h4 = 2.0 * (lz - math.log((beta - 2.0) / 2.0)) / (beta - 2.0)
+    bend = np.minimum(np.maximum(tb * lz, bend_h4),
+                      _DEPTH - coverage._MARGIN + np.maximum(tb * lz, 0.0))
+    u, wk, wg = coverage._ratio_rule(params.N, bend)
+    eta = np.exp(-0.5 * np.log1p(np.exp(u)))
+    h4 = interference_laplace_kernel(z[:, None, None], eta, params)
+    return gk_sum(1.0 / (1.0 + 2.0 * h4), wk, wg)
 
 
 def echo_power_laplace(z, params, complement=False):
@@ -281,9 +273,10 @@ def radar_rate(params):
     z = np.exp(u.ravel())
     comp, comp_err = in_chunks(
         lambda zc: _echo_transform(zc, params, complement=True), z,
-        _S_PANELS * 15 * params.q_shape)
+        _S_PANELS * 15)
     factor, factor_err = in_chunks(      # core plus two six-panel tails
-        lambda zc: _interference_factor(zc, params), z, (_ETA_PANELS + 12) * 15)
+        lambda zc: _interference_factor(zc, params), z,
+        (coverage._RHO_PANELS + 12) * 15)
     value, err = gk_sum((comp * factor).reshape(u.shape), wk, wg)
     err += np.sum((comp_err * factor + comp * factor_err).reshape(u.shape) * wk)
     check_bound(value, err, "radar_rate")

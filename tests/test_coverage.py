@@ -182,6 +182,18 @@ class TestCoverageCurve:
             CoverageCurve(thresholds=np.array([1.0, 2.0]),
                           values=np.array([0.5, 1.4]),
                           method="x", uncertainty=np.zeros(2))
+        # a threshold grid is non-empty, 1-D, positive and increasing,
+        # checked before any integral or draw
+        params = SystemParams(L=2, beta=4.0)
+        curves = [lambda t: coverage_curve(params, t),
+                  lambda t: coverage_curve(params.with_(L=1), t,
+                                           method="closed-form"),
+                  lambda t: mc_coverage(params, t, McConfig(trials=100))]
+        for grid in (5.0, [], [[1.0, 2.0], [3.0, 4.0]], [2.0, 1.0],
+                     [0.0, 1.0]):
+            for curve in curves:
+                with pytest.raises(ValueError, match="thresholds must be"):
+                    curve(grid)
 
 
 class TestSystemParams:

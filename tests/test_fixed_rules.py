@@ -163,15 +163,19 @@ def sampled_coverage(params, thresholds, samples=1_000_000, seed=0,
 
 # ---------------------------------------------------------- wider-range rule
 
-WIDE = {"_Z_STEP": 1.0, "_MARGIN": 8.0, "_S_PANELS": 32, "_ETA_PANELS": 48,
-        "_HOLE_S_PANELS": 24, "_DEPTH": 45.0}
+WIDE = {(radar, "_Z_STEP"): 1.0, (radar, "_MARGIN"): 8.0,
+        (radar, "_S_PANELS"): 32, (radar, "_HOLE_S_PANELS"): 24,
+        (radar, "_DEPTH"): 45.0,
+        # the distance-ratio rule the cooperative rate shares with coverage
+        (coverage, "_RHO_PANELS"): 48, (coverage, "_MARGIN"): 8.0}
 
 
 def wide_rule(monkeypatch, f, *args):
-    """f evaluated with every radar rule at twice its panels and wider cores."""
+    """f evaluated with every rule the radar rates use at twice its panels
+    and wider cores."""
     with monkeypatch.context() as m:
-        for name, value in WIDE.items():
-            m.setattr(radar, name, value)
+        for (module, name), value in WIDE.items():
+            m.setattr(module, name, value)
         return f(*args)
 
 
@@ -328,7 +332,9 @@ def test_peak_traced_allocation(f, params):
 
 
 @pytest.mark.parametrize("module,name,call", [
-    (radar, "_ETA_PANELS", lambda: radar_rate(SystemParams(N=3))),
+    pytest.param(coverage, "_RHO_PANELS",
+                 lambda: radar_rate(SystemParams(N=3)),
+                 id="isacnet.coverage-_RHO_PANELS-radar_rate"),
     (radar, "_S_PANELS", lambda: radar_rate(SystemParams(N=3))),
     (radar, "_HOLE_S_PANELS", lambda: radar_rate_single(SystemParams())),
     (radar, "_Z_STEP", lambda: radar_rate_single(SystemParams(), False)),

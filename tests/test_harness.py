@@ -276,6 +276,10 @@ class TestCli:
         cases = [
             # a key the metric never reads is an error, never dropped
             (rate + config("t_db = 0"), "t_db has no effect"),
+            # the file's metric must be the subcommand's
+            (cov + config("metric = radar-rate\nparams.l = 2"),
+             "metric.cfg:1: metric 'radar-rate' does not match the "
+             "subcommand 'coverage'"),
             (cov + ["--n", "2"], "cli: params.n has no effect"),
             (rate + ["--l", "2"], "cli: params.l has no effect"),
             (conj + ["--ps", "0.3"], "cli: params.ps has no effect"),

@@ -70,14 +70,17 @@ class TestEchoExponent:
         assert far == pytest.approx(full, rel=1e-9)
         assert echo_laplace_exponent(1.0, 1e3, paper_params) < far
 
-    def test_against_quadrature_oracle(self, paper_params):
+    @pytest.mark.parametrize("beta", (2.05, 4.0, 6.0))
+    @pytest.mark.parametrize("mt", (2, 10, 16))
+    @pytest.mark.parametrize("z", (1e-6, 1.0, 1e6))
+    def test_against_quadrature_oracle(self, paper_params, beta, mt, z):
         # includes the u = 1/2 point: r_far chosen so ps z s2 mr r^-b = 1
-        z = 1.0
-        c = paper_params.ps * z * paper_params.sigma2 * paper_params.mr
-        r_half = c ** (1.0 / paper_params.beta)
+        params = paper_params.with_(beta=beta, mt=mt)
+        c = params.ps * z * params.sigma2 * params.mr
+        r_half = c ** (1.0 / params.beta)
         for r_far in (r_half, 20.0, 90.0):
-            ours = echo_laplace_exponent(z, r_far, paper_params)
-            ref = quad_echo_oracle(z, r_far, paper_params)
+            ours = echo_laplace_exponent(z, r_far, params)
+            ref = quad_echo_oracle(z, r_far, params)
             assert ours == pytest.approx(ref, rel=1e-8)
 
     def test_domain(self, paper_params):
