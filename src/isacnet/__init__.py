@@ -12,9 +12,8 @@ from .params import SystemParams
 from .radar import (RateEstimate, echo_laplace_exponent, echo_power_laplace,
                     hole_exclusion_integral, interference_laplace_factor,
                     interference_laplace_kernel, radar_rate, radar_rate_single)
-from .specfun import (ConvergenceError, QuadratureSpec, beta_complete,
-                      beta_incomplete, gamma_reg_lower, integrate_finite,
-                      integrate_semi_infinite)
+from .specfun import (ConvergenceError, QuadratureSpec, beta_incomplete,
+                      gamma_reg_lower, integrate_finite, integrate_semi_infinite)
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "RateEstimate", "echo_laplace_exponent", "echo_power_laplace",
     "hole_exclusion_integral", "interference_laplace_factor",
     "interference_laplace_kernel", "radar_rate", "radar_rate_single",
-    "ConvergenceError", "QuadratureSpec", "beta_complete", "beta_incomplete",
+    "ConvergenceError", "QuadratureSpec", "beta_incomplete",
     "gamma_reg_lower", "integrate_finite", "integrate_semi_infinite",
     "__version__",
 ]

@@ -30,6 +30,9 @@ __all__ = [
 # sup-norm evaluation grid: both CDFs are flat outside this range
 _GRID = np.logspace(-4.0, 2.0, 10_000)
 
+# the golden-section bracket width at which fit_alpha stops
+_ALPHA_TOL = 1e-4
+
 # fewer trials give no stable two-sample K-S estimate in verify_conjecture1
 MIN_KS_TRIALS = 10_000
 
@@ -42,14 +45,14 @@ class AlphaFit:
     grid_resolution: float
 
 
-def _gap_max(alpha, n, grid, exact):
-    approx = -np.expm1(-alpha * grid)
+def _gap_max(alpha, n):
+    approx = -np.expm1(-alpha * _GRID)
     approx = approx ** n
-    gaps = np.abs(approx - exact)
+    gaps = np.abs(approx - _exact_cdf_on_grid(n))
     i = int(np.argmax(gaps))
     best = float(gaps[i])
     # local refinement: a few Newton steps on the stationarity of the gap
-    g = float(grid[i])
+    g = float(_GRID[i])
     for _ in range(3):
         h = 1e-5 * g
         f0 = _gap_at(alpha, n, g - h)
@@ -84,37 +87,38 @@ def ks_distance(alpha, n):
         raise ValueError("alpha must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _gap_max(float(alpha), int(n), _GRID, _exact_cdf_on_grid(int(n)))
+    return _gap_max(float(alpha), int(n))
 
 
-def fit_alpha(n, search=(0.2, 6.0, 1e-4)):
+def fit_alpha(n):
     """Minimize the K-S distance over alpha by coarse grid + golden section.
 
-    The discrepancy is unimodal in alpha over any sensible bracket; the
-    coarse grid locates the basin and golden-section polishes it to `tol`.
+    The discrepancy is unimodal in alpha.  A 121-point grid on [0.2, 6]
+    locates the basin (the optimum grows with n, from 1.48 at n = 2; the
+    grid is extended upward in its own step while the minimum sits on its
+    last point, as from n = 263), and golden section polishes it to
+    _ALPHA_TOL.
     """
-    lo, hi, tol = search
-    if not 0 < lo < hi:
-        raise ValueError("search range must satisfy 0 < lo < hi")
     n = int(n)
     if n == 1:
         # (1 - e^(-g)) is already the exact exponential CDF
         return AlphaFit(shape_n=1, alpha_star=1.0, ks_distance=0.0,
-                        grid_resolution=tol)
+                        grid_resolution=_ALPHA_TOL)
 
-    coarse = np.linspace(lo, hi, 121)
+    coarse = list(np.linspace(0.2, 6.0, 121))
     dvals = [ks_distance(a, n) for a in coarse]
+    step = coarse[1] - coarse[0]
+    while int(np.argmin(dvals)) == len(dvals) - 1:
+        coarse.append(coarse[-1] + step)
+        dvals.append(ks_distance(coarse[-1], n))
     i = int(np.argmin(dvals))
-    if i == 0 or i == len(coarse) - 1:
-        raise ValueError(
-            f"search range ({lo}, {hi}) does not bracket the optimum for n={n}")
 
     a, b = coarse[i - 1], coarse[i + 1]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = ks_distance(x1, n), ks_distance(x2, n)
-    while b - a > tol:
+    while b - a > _ALPHA_TOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -126,7 +130,7 @@ def fit_alpha(n, search=(0.2, 6.0, 1e-4)):
     alpha_star = 0.5 * (a + b)
     return AlphaFit(shape_n=n, alpha_star=float(alpha_star),
                     ks_distance=ks_distance(alpha_star, n),
-                    grid_resolution=float(tol))
+                    grid_resolution=_ALPHA_TOL)
 
 
 @lru_cache(maxsize=32)

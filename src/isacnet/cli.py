@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: coverage, radar-rate, fit-alpha, conjecture1, reproduce-fig.
-dB-to-linear conversion happens here and only here; everything below the
-CLI works in linear units.  Exit codes: 0 success, 2 usage, 3 convergence
-failure, 4 configuration error.  The ISACNET_OUT_DIR environment variable
+Thresholds are given in dB here and in config files; `run_experiment`
+converts them to the linear units the library works in.  Exit codes: 0
+success, 2 usage (argparse exits with it), 3 convergence failure, 4
+configuration error.  The ISACNET_OUT_DIR environment variable
 sets the default output directory.  Each value flag's argparse dest is its
 config key (`--mt` -> `params.mt`), so `build_experiment` converts and
 checks flag values exactly as it does config-file entries; a parameter
@@ -28,7 +29,6 @@ from .harness import emit_plotdata, figure_preset, run_experiment
 from .specfun import ConvergenceError
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 

@@ -16,6 +16,11 @@ fixed composite Gauss-Kronrod rule over the law of x_L - 1 in ln(x_L - 1)
 (`_ratio_rule`, which the cooperative radar rate shares) times one GK15
 rule per intermediate station, evaluated as array passes per threshold;
 the embedded 7-point Gauss sums give the error bound each value reports.
+
+The alternating binomial sum cancels more digits the more antennas there
+are, so every value also reports a bound on its rounding error, and a
+value whose bound misses PHYSICAL_QUAD raises ConvergenceError (at
+beta = 4 from mt = 34 at L = 1 and -10 dB).
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.special import factorial
 
-from .specfun import (beta_incomplete, check_bound, gk_rule, gk_sum, in_chunks,
-                      panel_edges)
+from .specfun import (ConvergenceError, beta_incomplete, check_bound, gk_rule,
+                      gk_sum, in_chunks, panel_edges)
 
 __all__ = [
     "CoverageCurve",
@@ -48,17 +53,20 @@ _RHO_PANELS = 24
 _MARGIN = 4.0
 _THETA_PANELS = 1
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class CoverageCurve:
     """Coverage estimates over a grid of linear SIR thresholds.
 
-    Analytic curves carry `quad_error`, the per-threshold error bound the
-    fixed rule achieved (0 where the value is a closed form or, at L = 1,
-    a finite sum), and an `uncertainty` of 0.  Simulated curves carry the
-    95% half-widths in `uncertainty`, a `quad_error` of zeros (None is left
-    to curves no library path writes), the per-threshold truncation-bias
-    bounds and the simulator's bookkeeping (`montecarlo.McResult`).
+    Analytic curves carry `quad_error`, the per-threshold error bound (the
+    rounding bound of the alternating binomial sum, plus at L >= 2 the
+    bound the fixed rule achieved), and an `uncertainty` of 0.  Simulated
+    curves carry the 95% half-widths in `uncertainty`, a `quad_error` of
+    zeros (None is left to curves no library path writes), the
+    per-threshold truncation-bias bounds and the simulator's bookkeeping
+    (`montecarlo.McResult`).
     """
 
     thresholds: np.ndarray
@@ -85,8 +93,30 @@ class CoverageCurve:
 
 
 def _signed_binomials(q):
-    return np.array([(-1) ** (n + 1) * math.comb(q, n) for n in range(1, q + 1)],
-                    dtype=float)
+    try:
+        return np.array([(-1) ** (n + 1) * math.comb(q, n)
+                         for n in range(1, q + 1)], dtype=float)
+    except OverflowError:
+        raise ConvergenceError(
+            f"coverage: the binomial coefficients C({q}, n) overflow a "
+            f"double (error bound inf)", error_bound=math.inf) from None
+
+
+def _amplify(r, cond, L):
+    """Rounding error of each term c_n (1 + r_n)^-L, r_n = G_n / x_L, in
+    units of eps |term|; cond is r_n times G_n's Beta-argument condition
+    number (below).
+
+    An error model: G_n carries three eps, for the five roundings of
+    a_n = alpha n t pt / (q pc), which G passes on at most one for one,
+    and its own; plus one for the rounding of its Beta argument x, which
+    B(x; 1 - 2/beta, 2/beta) amplifies by x B'(x) / B.  A term passes
+    L r_n / (1 + r_n) of G_n's relative error on, and it and the sum add
+    one eps more.  At L = 1, against the sum at 50-digit mpmath from exact
+    a_n, eps sum_n |term| times this was 3.2x the error or more over beta
+    in {2.5, 4, 6}, mt 4-40 and -10..40 dB.
+    """
+    return 1.0 + L * (3.0 * r + cond) / (1.0 + r)
 
 
 def _h_core(pow_sum, pow_last, a, beta):
@@ -145,6 +175,8 @@ def coverage_closed_form(params, threshold):
 
     Density-free by construction: the deployment intensity cancels when the
     interference exponent is averaged over the serving-distance law.
+    Raises ConvergenceError where the sum's rounding bound misses
+    PHYSICAL_QUAD.
     """
     _require_comm_power(params)
     if params.L != 1:
@@ -152,15 +184,13 @@ def coverage_closed_form(params, threshold):
     if not math.isclose(params.beta, 4.0):
         raise ValueError("closed form requires beta = 4")
     _threshold_grid([threshold])
-    q = params.q_shape
-    alpha = params.alpha()
-    total = 0.0
-    for n in range(1, q + 1):
-        a = threshold * alpha * n * params.pt / (q * params.pc)
-        u_edge = 1.0 / (1.0 + a)
-        h = math.sqrt(a) * (math.pi / 2.0 - math.asin(math.sqrt(u_edge)))
-        total += (-1) ** (n + 1) * math.comb(q, n) / (1.0 + h)
-    return min(max(total, 0.0), 1.0)
+    a = _threshold_terms(params, [threshold])[0]
+    h = np.sqrt(a) * (math.pi / 2.0 - np.arcsin(np.sqrt(1.0 / (1.0 + a))))
+    terms = _signed_binomials(params.q_shape) / (1.0 + h)
+    total = terms.sum()
+    bound = _EPS * np.sum(np.abs(terms) * _amplify(h, 0.5 * a, 1))
+    check_bound(total, bound, "closed-form coverage")
+    return float(min(max(total, 0.0), 1.0))
 
 
 def _threshold_terms(params, thresholds):
@@ -210,7 +240,8 @@ def _theta_integrals(u, a_terms, params, rule):
     prod_j (x_j c / rho) in theta, and the integrand is F = sum_n c_n
     (1 + G_n / x_L)^-L.  Only F - F(theta = 1) goes through the theta rule:
     it vanishes where the density's factor exp(c theta_j) is hard to
-    resolve.  Returns the two (rho,) arrays.
+    resolve.  Returns the two (rho,) arrays and the rounding bound of the
+    K15 average (the rounding of F(theta = 1) cancels to first order).
     """
     L, beta = params.L, params.beta
     theta, counts, w_k, w_g = rule
@@ -219,14 +250,27 @@ def _theta_integrals(u, a_terms, params, rule):
     c = np.log1p(rho)
     pow_last = np.exp(-0.5 * beta * c)
 
+    x_last = (1.0 + rho)[..., None]
+    abs_c = np.abs(signed)
+    # r_n times G_n's condition number (`_amplify`) is
+    # (2/beta) a_n pow_last^(1 - 2/beta) / (pow_sum x_L)
+    cond_last = (2.0 / beta * a_terms
+                 * pow_last[..., None] ** (1.0 - 2.0 / beta) / x_last)
+
     def survival(pow_sum):
         g = _h_core(pow_sum, pow_last, a_terms, beta)
-        return (signed * (1.0 + g / (1.0 + rho)[..., None]) ** -L).sum(axis=-1)
+        r = g / x_last
+        damp = (1.0 + r) ** -L
+        amplify = _amplify(r, cond_last / pow_sum[..., None], L)
+        return (signed * damp).sum(axis=-1), _EPS * ((damp * amplify) @ abs_c)
 
-    f_edge = survival(1.0 + (L - 1) * pow_last)
-    f = survival(1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T)
-    y = (f - f_edge) * np.exp(c * (counts @ theta) + (L - 2) * np.log(c / rho))
-    return y @ w_k + f_edge[:, 0], y @ w_g + f_edge[:, 0]
+    f_edge, _ = survival(1.0 + (L - 1) * pow_last)
+    f, f_round = survival(1.0 + pow_last
+                          + np.exp(-0.5 * beta * c * theta) @ counts.T)
+    density = np.exp(c * (counts @ theta) + (L - 2) * np.log(c / rho))
+    y = (f - f_edge) * density
+    return (y @ w_k + f_edge[:, 0], y @ w_g + f_edge[:, 0],
+            (f_round * density) @ w_k)
 
 
 def _cluster_curve(params, a):
@@ -242,18 +286,20 @@ def _cluster_curve(params, a):
     integrand bends where a x_L^(-beta/2) crosses 1, so the rule's range
     depends on the threshold alone and a curve equals single-threshold
     calls.  The bound is the ln rho K15 - G7 bound plus |K15 - G7| in
-    theta.  Returns (values, bounds).
+    theta plus the rounding bound of the binomial sum.  Returns (values,
+    bounds).
     """
     rule = _theta_rule(params.L - 2)
     cost = len(rule[2]) * params.q_shape      # temporaries per rho node
     u, wk, wg = _ratio_rule(params.L, 2.0 / params.beta * np.log(a[:, -1]))
     values, bounds = np.empty(len(a)), np.empty(len(a))
     for i, a_terms in enumerate(a):
-        y_k, y_g = in_chunks(
+        y_k, y_g, y_round = in_chunks(
             lambda uc: _theta_integrals(uc, a_terms, params, rule),
             u[i].ravel(), cost)
         values[i], bounds[i] = gk_sum(y_k.reshape(u[i].shape), wk[i], wg[i])
         bounds[i] += abs(np.sum((y_k - y_g).reshape(u[i].shape) * wk[i]))
+        bounds[i] += np.sum(y_round.reshape(u[i].shape) * wk[i])
     return values, bounds
 
 
@@ -272,11 +318,13 @@ def _integral_curve(params, thresholds):
     if params.L == 1:
         # s_1 ~ Exp(1) alone: E[exp(-s_1 G_n)] = 1 / (1 + G_n)
         g = _h_core(1.0, 1.0, a, params.beta)
-        values = (_signed_binomials(params.q_shape) / (1.0 + g)).sum(axis=-1)
-        quad_error = np.zeros(len(a))
+        terms = _signed_binomials(params.q_shape) / (1.0 + g)
+        values = terms.sum(axis=-1)
+        quad_error = _EPS * (np.abs(terms)
+                             * _amplify(g, 2.0 / params.beta * a, 1)).sum(axis=-1)
     else:
         values, quad_error = _cluster_curve(params, a)
-        check_bound(values, quad_error, f"L={params.L} coverage")
+    check_bound(values, quad_error, f"L={params.L} coverage")
     outside = (values < -1e-9) | (values > 1.0 + 1e-9)
     for v in values[outside]:
         log.warning("coverage integral %.6g outside [0,1]; clamping", v)
@@ -286,10 +334,11 @@ def _integral_curve(params, thresholds):
 def coverage_integral(params, threshold):
     """Cluster-size-L coverage by averaging the interference Laplace sum.
 
-    A finite sum at L = 1 and, at L >= 2, a fixed rule whose error bound
-    must meet PHYSICAL_QUAD (ConvergenceError otherwise).  Out-of-range
-    results are clamped to [0, 1] and logged.  Raises ValueError when
-    pc = 0, where coverage is undefined.
+    A finite sum at L = 1 and, at L >= 2, a fixed rule; its error bound
+    (at L = 1 the rounding bound alone) must meet PHYSICAL_QUAD
+    (ConvergenceError otherwise).  Out-of-range results are clamped to
+    [0, 1] and logged.  Raises ValueError when pc = 0, where coverage is
+    undefined.
     """
     values, _ = _integral_curve(params, _threshold_grid([threshold]))
     return float(values[0])

@@ -17,13 +17,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .approx import AlphaFit, fit_alpha, verify_conjecture1
-from .config import DEFAULT_T_DB, ConfigError, ExperimentConfig
+from .config import DEFAULT_T_DB, SWEEPABLE, ConfigError, ExperimentConfig
 from .coverage import CoverageCurve, coverage_curve
 from .montecarlo import mc_coverage, mc_radar_rate
 from .radar import RateEstimate, radar_rate, radar_rate_single
 
-__all__ = ["ResultRow", "run_experiment", "write_rows", "read_rows",
-           "emit_plotdata", "figure_preset", "FIGURE_PRESETS"]
+__all__ = ["ResultRow", "run_experiment", "write_rows", "emit_plotdata",
+           "figure_preset", "FIGURE_PRESETS"]
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,12 @@ def _cell(row, col):
     return row.sweep[col] if col in row.sweep else row.extra.get(col, "")
 
 
-def write_rows(rows, path, cfg=None):
+def write_rows(rows, path, cfg):
     """Write rows as a deterministic CSV plus a .meta.json sidecar.
 
-    The CSV carries only reproducible values; wall-clock times and the
-    timestamp live in the sidecar so re-runs with one seed are identical
-    byte-for-byte.
+    The CSV carries only reproducible values; wall-clock times, the
+    timestamp and the experiment `cfg` that made the rows live in the
+    sidecar so re-runs with one seed are identical byte-for-byte.
     """
     header = _columns(rows)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -153,35 +153,15 @@ def write_rows(rows, path, cfg=None):
         "window": [row.window for row in rows],
         "bias_bound": [row.bias_bound for row in rows],
         "rows": len(rows),
+        "metric": cfg.metric,
+        "method": cfg.method,
+        "params": asdict(cfg.params),
     }
-    if cfg is not None:
-        meta["metric"] = cfg.metric
-        meta["method"] = cfg.method
-        meta["params"] = asdict(cfg.params)
-        if cfg.mc is not None:
-            meta["mc"] = {"trials": cfg.mc.trials, "seed": cfg.mc.seed}
+    if cfg.mc is not None:
+        meta["mc"] = {"trials": cfg.mc.trials, "seed": cfg.mc.seed}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_rows(path):
-    """Re-parse a result CSV into typed records (round-trip helper)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        out = []
-        for rec in reader:
-            typed = {}
-            for key, val in zip(header, rec):
-                if key == "method":
-                    typed[key] = val
-                elif val == "":
-                    typed[key] = None
-                else:
-                    typed[key] = float(val)
-            out.append(typed)
-    return out
 
 
 def emit_plotdata(rows, layout, path):
@@ -238,20 +218,18 @@ FIGURE_PRESETS = {
         "params.n": "3"},
 }
 
-_FIG_LAYOUT = {
-    4: {"x": "t_db", "series_by": "L"},
-    5: {"x": "t_db", "series_by": "mt"},
-    6: {"x": "t_db", "series_by": "mt"},
-    7: {"x": "t_db", "series_by": "lam"},
-    8: {"x": "N", "series_by": None},
-    9: {"x": "lam", "series_by": None},
-}
-
 
 def figure_preset(number):
-    """Raw config entries and plot layout for one reproduction figure."""
+    """Raw config entries and plot layout for one reproduction figure.
+
+    Coverage is plotted against t_db with one series per swept value; a
+    radar rate against the swept parameter itself.
+    """
     if number not in FIGURE_PRESETS:
         raise ConfigError(f"no preset for figure {number}; have 4..9")
     preset = {"mc.trials": _PRESET_TRIALS, **FIGURE_PRESETS[number]}
     entries = {key: (val, f"preset-fig{number}") for key, val in preset.items()}
-    return entries, _FIG_LAYOUT[number]
+    swept = SWEEPABLE[preset["sweep.param"]]
+    if preset["metric"] == "coverage":
+        return entries, {"x": "t_db", "series_by": swept}
+    return entries, {"x": swept, "series_by": None}

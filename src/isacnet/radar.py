@@ -24,11 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, gammainccinv, gammaincinv, roots_legendre
+from scipy.special import beta as beta_fn
+from scipy.special import (betainc, erfcx, gammainccinv, gammaincinv,
+                           roots_legendre)
 
 from . import coverage
-from .specfun import (beta_complete, beta_incomplete, check_bound, gk_rule,
-                      gk_sum, in_chunks, panel_edges)
+from .specfun import check_bound, gk_rule, gk_sum, in_chunks, panel_edges
 
 __all__ = [
     "RateEstimate",
@@ -43,9 +44,11 @@ __all__ = [
 
 # Budget of the fixed rules.  Outer rules run in u = ln z with core panels
 # _Z_STEP decay lengths wide; the inner rules have fixed panel counts.
-# Cores reach _MARGIN decay lengths beyond the transitions they cover.
+# Cores reach coverage._MARGIN decay lengths beyond the transitions they
+# cover.  np.exp overflows past u = 709.78, so the outer rules stop at
+# |u| = _U_MAX and bound the tails they cut off (`_cut_tails`).
 _Z_STEP = 2.0
-_MARGIN = 4.0
+_U_MAX = 700.0
 _S_PANELS = 16          # ln s, Gamma(N) cluster-edge law
 _HOLE_S_PANELS = 12     # ln s, single-station law with the exclusion disk
 _GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the ln s rule
@@ -95,7 +98,8 @@ def echo_laplace_exponent(z, r_far, params):
     q = params.q_shape
     tb = 2.0 / params.beta
     c0z = params.sigma2 * params.mr * params.ps * z
-    x = c0z * r_far_a ** -params.beta       # u = 1 / (1 + x)
+    with np.errstate(over="ignore"):        # x = inf is u = 0
+        x = c0z * r_far_a ** -params.beta   # u = 1 / (1 + x)
     out = (r_far_a ** 2 * -np.expm1(-q * np.log1p(x))
            + q * c0z ** tb * _beta_ratio(1.0, x, q + tb, 1.0 - tb)) / tb
     return float(out) if scalar else out
@@ -125,11 +129,12 @@ def interference_laplace_kernel(z, eta, params):
 def _beta_ratio(num, den, a, b):
     """B(x; a, b) at x = num / (num + den).  Near x = 1, x keeps few digits
     of 1 - x, on which B depends like (1 - x)^b, so there B(x; a, b) =
-    B(a, b) - B(1 - x; b, a) with 1 - x = den / (num + den) exact."""
+    B(a, b) (1 - I(1 - x; b, a)) with 1 - x = den / (num + den) exact and
+    I the regularized Beta.  a and b are scalars."""
     low = num <= den
-    part = beta_incomplete(np.where(low, num, den) / (num + den),
-                           np.where(low, a, b), np.where(low, b, a))
-    return np.where(low, part, beta_complete(a, b) - part)
+    part = betainc(np.where(low, a, b), np.where(low, b, a),
+                   np.where(low, num, den) / (num + den))
+    return beta_fn(a, b) * np.where(low, part, 1.0 - part)
 
 
 def _echo_transform(z, params, complement):
@@ -244,6 +249,15 @@ def hole_exclusion_integral(c, beta=4.0):
     return float(out[0]) if scalar else out
 
 
+def _cut_tails(edges, y, rate_lo, rate_hi):
+    """Bound on the outer integral beyond |u| = _U_MAX, where the rule on
+    `edges` was clipped: the integrand y decays there at least at the tail
+    rates, so each cut tail is at most its outermost node value / rate."""
+    lo_cut = abs(y[0, 0]) / rate_lo if edges[0] < -_U_MAX else 0.0
+    hi_cut = abs(y[-1, -1]) / rate_hi if edges[-1] > _U_MAX else 0.0
+    return lo_cut + hi_cut
+
+
 def radar_rate(params):
     """Cooperative radar information rate (cluster of N >= 2 stations).
 
@@ -266,10 +280,10 @@ def radar_rate(params):
     tb = 2.0 / params.beta
     c0 = params.sigma2 * params.mr * params.ps
     u_echo = -math.log(c0) - math.log(math.pi * params.lam) / tb
-    lo = min(u_echo, 0.0) - _MARGIN / tb
-    hi = max(u_echo, 0.0) + _MARGIN / tb
-    u, wk, wg = gk_rule(panel_edges(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP),
-                                    tb, tb))
+    lo = min(u_echo, 0.0) - coverage._MARGIN / tb
+    hi = max(u_echo, 0.0) + coverage._MARGIN / tb
+    edges = panel_edges(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP), tb, tb)
+    u, wk, wg = gk_rule(np.clip(edges, -_U_MAX, _U_MAX))
     z = np.exp(u.ravel())
     comp, comp_err = in_chunks(
         lambda zc: _echo_transform(zc, params, complement=True), z,
@@ -277,8 +291,10 @@ def radar_rate(params):
     factor, factor_err = in_chunks(      # core plus two six-panel tails
         lambda zc: _interference_factor(zc, params), z,
         (coverage._RHO_PANELS + 12) * 15)
-    value, err = gk_sum((comp * factor).reshape(u.shape), wk, wg)
+    y = (comp * factor).reshape(u.shape)
+    value, err = gk_sum(y, wk, wg)
     err += np.sum((comp_err * factor + comp * factor_err).reshape(u.shape) * wk)
+    err += _cut_tails(edges, y, tb, tb)
     check_bound(value, err, "radar_rate")
     return RateEstimate(value=max(float(value), 0.0),
                         method="cooperative-integral", quad_error=float(err))
@@ -296,7 +312,7 @@ def _hole_transform(omega, params, k):
     """
     beta = params.beta
     ln_hi = np.log(np.minimum(_DEPTH, np.sqrt(_DEPTH / (k * omega))))
-    ln_lo = np.minimum(0.0, -np.log(omega)) - _MARGIN
+    ln_lo = np.minimum(0.0, -np.log(omega)) - coverage._MARGIN
     sig, wk, wg = gk_rule(panel_edges(ln_lo, ln_hi, _HOLE_S_PANELS, 1.0))
     s = np.exp(sig)
     om = omega[:, None, None]
@@ -329,14 +345,14 @@ def radar_rate_single(params, include_hole=True):
     lam = params.lam
     beta = params.beta
     tb = 2.0 / beta
-    k = tb * beta_complete(tb, 1.0 - tb)
+    k = tb * beta_fn(tb, 1.0 - tb)
     c_echo = params.sigma2 * params.mr * params.ps
     u_echo = -math.log(c_echo)
     u_hole = math.log(math.pi * lam) / tb - math.log(params.pt)   # omega = 1
-    lo = min(u_echo, u_hole) - _MARGIN
-    hi = max(u_echo, u_hole) + _MARGIN
-    u, wk, wg = gk_rule(panel_edges(lo, hi, math.ceil((hi - lo) / _Z_STEP),
-                                    1.0, 1.0 / beta))
+    lo = min(u_echo, u_hole) - coverage._MARGIN
+    hi = max(u_echo, u_hole) + coverage._MARGIN
+    edges = panel_edges(lo, hi, math.ceil((hi - lo) / _Z_STEP), 1.0, 1.0 / beta)
+    u, wk, wg = gk_rule(np.clip(edges, -_U_MAX, _U_MAX))
     z = np.exp(u.ravel())
     echo = -np.expm1(-q * np.log1p(z * c_echo))
     omega = (z * params.pt) ** tb / (math.pi * lam)
@@ -349,8 +365,10 @@ def radar_rate_single(params, include_hole=True):
         r = 0.5 / np.sqrt(k * omega)
         transform = math.sqrt(math.pi) * r * erfcx(r)
         transform_err = np.zeros_like(transform)
-    value, err = gk_sum((echo * transform).reshape(u.shape), wk, wg)
+    y = (echo * transform).reshape(u.shape)
+    value, err = gk_sum(y, wk, wg)
     err += np.sum((echo * transform_err).reshape(u.shape) * wk)
+    err += _cut_tails(edges, y, 1.0, 1.0 / beta)
     check_bound(value, err, method)
     return RateEstimate(value=max(float(value), 0.0), method=method,
                         quad_error=float(err))

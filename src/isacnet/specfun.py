@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta, betainc, gammainc, gammaln
+from scipy.special import beta, betainc, gammainc
 
 __all__ = [
     "QuadratureSpec",
     "ConvergenceError",
     "DEFAULT_QUAD",
     "PHYSICAL_QUAD",
-    "beta_complete",
     "beta_incomplete",
     "gamma_reg_lower",
     "integrate_finite",
@@ -73,16 +72,6 @@ PHYSICAL_QUAD = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=400
 def _prepare(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
-
-
-def beta_complete(a, b):
-    """Complete Beta function B(a, b) for positive a, b (vectorized)."""
-    a, a_scalar = _prepare(a)
-    b, b_scalar = _prepare(b)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ValueError("beta_complete requires a > 0 and b > 0")
-    out = np.exp(gammaln(a) + gammaln(b) - gammaln(a + b))
-    return float(out) if (a_scalar and b_scalar) else out
 
 
 def beta_incomplete(x, a, b):
@@ -350,7 +339,7 @@ def in_chunks(f, z, cost):
 
 
 def check_bound(value, bound, what):
-    """Raise ConvergenceError where a fixed rule's bound misses PHYSICAL_QUAD.
+    """Raise ConvergenceError where an error bound misses PHYSICAL_QUAD.
 
     The tolerance is max(abs_tol, rel_tol * |value|), elementwise, as the
     adaptive integrators apply it; a NaN bound fails too.
@@ -362,7 +351,7 @@ def check_bound(value, bound, what):
     if np.any(bad):
         i = np.flatnonzero(bad.ravel())[0]
         raise ConvergenceError(
-            f"{what}: fixed rule error bound {bound.ravel()[i]:.3g} exceeds "
+            f"{what}: error bound {bound.ravel()[i]:.3g} exceeds "
             f"the tolerance {tol.ravel()[i]:.3g} "
             f"(estimate {value.ravel()[i]:.6g})",
             estimate=value, error_bound=bound)

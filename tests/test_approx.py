@@ -60,9 +60,14 @@ class TestFitAlpha:
     def test_deterministic(self):
         assert fit_alpha(7) == fit_alpha(7)
 
-    def test_non_bracketing_range(self):
-        with pytest.raises(ValueError):
-            fit_alpha(9, search=(0.2, 0.8, 1e-4))
+    def test_optimum_beyond_the_first_grid(self):
+        # the optimum for shape 999 lies above the first grid's end, 6.0;
+        # the grid is extended until it brackets it
+        fit = fit_alpha(999)
+        assert fit.alpha_star > 6.0
+        step = 50 * fit.grid_resolution
+        assert ks_distance(fit.alpha_star + step, 999) > fit.ks_distance
+        assert ks_distance(fit.alpha_star - step, 999) > fit.ks_distance
 
     def test_cached_helper(self):
         assert fitted_alpha(9) == fit_alpha(9).alpha_star

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from isacnet import McConfig, SystemParams, mc_coverage
+from isacnet import ConvergenceError, McConfig, SystemParams, mc_coverage
 from isacnet.coverage import (CoverageCurve, coverage_closed_form,
                               coverage_curve, coverage_integral,
                               interference_exponent)
@@ -162,6 +162,47 @@ class TestCoverageIntegral:
         lo = coverage_integral(params.with_(ps=0.7, pc=0.3), 2.0)
         hi = coverage_integral(params.with_(ps=0.3, pc=0.7), 2.0)
         assert hi > lo
+
+
+# L=1 coverage at beta=4 and -10, 0, 10, 20 dB (default powers): the finite
+# sum at 60-digit mpmath (mpmath.betainc, mpmath.binomial), from exact
+# a_n = alpha n t pt / (q pc) with the fitted alpha below.  The
+# double-precision sum loses digits to its alternating binomial terms as
+# mt grows; at mt=64 the exact sum is [1.0, 0.9999999, 0.923, 0.399].
+ROUNDING_ORACLE = {
+    16: (3.222772150314815, [0.99999999817877332, 0.99019967991212833,
+                             0.58374202612156571, 0.1958617695748539]),
+    24: (3.624565958436202, [0.99999999999985636, 0.99871849427244901,
+                             0.69447521080539167, 0.24295784730662083]),
+    32: (3.908163609940397, [0.99999999999999998, 0.99982004931445599,
+                             0.77175284178395301, 0.28197236991972896]),
+}
+ORACLE_T = 10.0 ** (np.array([-10.0, 0.0, 10.0, 20.0]) / 10.0)
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize("mt", sorted(ROUNDING_ORACLE))
+    def test_error_within_reported_bound(self, mt):
+        alpha, ref = ROUNDING_ORACLE[mt]
+        params = SystemParams(mt=mt, beta=4.0)
+        assert params.alpha() == alpha    # the oracle's surrogate
+        curve = coverage_curve(params, ORACLE_T)
+        assert np.all(curve.quad_error > 0.0)
+        assert np.all(np.abs(curve.values - ref) <= curve.quad_error)
+        closed = [coverage_closed_form(params, t) for t in ORACLE_T]
+        assert np.all(np.abs(np.array(closed) - ref) <= curve.quad_error)
+
+    def test_lost_digits_raise(self):
+        # the double-precision sum clamps to [0, 1, 0, 1] here
+        params = SystemParams(mt=64, beta=4.0)
+        with pytest.raises(ConvergenceError):
+            coverage_curve(params, ORACLE_T)
+        with pytest.raises(ConvergenceError):
+            coverage_closed_form(params, 1.0)
+
+    def test_binomial_overflow_raises(self):
+        with pytest.raises(ConvergenceError):
+            coverage_curve(SystemParams(mt=1100), ORACLE_T)
 
 
 class TestCoverageCurve:

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from isacnet import SystemParams, coverage, radar
 from isacnet.coverage import (_h_core, _signed_binomials, _threshold_terms,
@@ -24,7 +24,7 @@ from isacnet.radar import (echo_laplace_exponent, hole_exclusion_integral,
                            interference_laplace_kernel, radar_rate,
                            radar_rate_single)
 from isacnet.specfun import (PHYSICAL_QUAD, ConvergenceError, QuadratureSpec,
-                             beta_complete, beta_incomplete, integrate_finite,
+                             beta_incomplete, integrate_finite,
                              integrate_semi_infinite)
 
 # the tighter spec the oracle gives the integrals nested inside its
@@ -70,7 +70,7 @@ def oracle_radar_rate(params):
 def oracle_radar_rate_single(params, include_hole):
     q, lam, beta = params.q_shape, params.lam, params.beta
     tb = 2.0 / beta
-    bc = beta_complete(tb, 1.0 - tb)
+    bc = special.beta(tb, 1.0 - tb)
     c_echo = params.sigma2 * params.mr * params.ps
 
     def transform(z):
@@ -163,10 +163,11 @@ def sampled_coverage(params, thresholds, samples=1_000_000, seed=0,
 
 # ---------------------------------------------------------- wider-range rule
 
-WIDE = {(radar, "_Z_STEP"): 1.0, (radar, "_MARGIN"): 8.0,
+WIDE = {(radar, "_Z_STEP"): 1.0,
         (radar, "_S_PANELS"): 32, (radar, "_HOLE_S_PANELS"): 24,
         (radar, "_DEPTH"): 45.0,
-        # the distance-ratio rule the cooperative rate shares with coverage
+        # the core margin and the distance-ratio rule the radar rates share
+        # with coverage
         (coverage, "_RHO_PANELS"): 48, (coverage, "_MARGIN"): 8.0}
 
 

@@ -1,5 +1,6 @@
 """Config parsing, experiment runner, CSV persistence, plot reshaping, CLI."""
 
+import csv
 import json
 import os
 import subprocess
@@ -12,13 +13,18 @@ from isacnet.cli import main
 from isacnet.config import (ConfigError, build_experiment, parse_config_file,
                             parse_t_db)
 from isacnet.harness import (FIGURE_PRESETS, ResultRow, emit_plotdata,
-                             figure_preset, read_rows, run_experiment,
-                             write_rows)
+                             figure_preset, run_experiment, write_rows)
 from isacnet.specfun import ConvergenceError
 
 
 # the threshold grid the README documents for the coverage figures
 DOCUMENTED_T_DB = tuple(float(t) for t in range(-10, 21, 2))
+
+
+def csv_column(path, key):
+    """One column of a result CSV, as floats."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [float(rec[key]) for rec in csv.DictReader(fh)]
 
 
 def entries_of(text, tmp_path, name="exp.cfg"):
@@ -156,13 +162,14 @@ class TestRunAndPersist:
         out = str(tmp_path / "cov.csv")
         cfg = build_experiment(entries, {"out": out})
         rows = run_experiment(cfg)
-        back = read_rows(out)
+        with open(out, newline="", encoding="utf-8") as fh:
+            back = list(csv.DictReader(fh))
         assert len(back) == len(rows)
         for mem, disk in zip(rows, back):
-            assert disk["value"] == mem.value       # repr round-trip is exact
+            assert float(disk["value"]) == mem.value   # repr round-trip is exact
             assert disk["method"] == mem.method
-            assert disk["mt"] == mem.sweep["mt"]
-            assert disk["t_db"] == mem.extra["t_db"]
+            assert float(disk["mt"]) == mem.sweep["mt"]
+            assert float(disk["t_db"]) == mem.extra["t_db"]
 
     def test_mc_rerun_is_byte_identical(self, tmp_path, paper_params):
         entries, _ = entries_of(
@@ -236,7 +243,7 @@ class TestCli:
         out = str(tmp_path / "cov.csv")
         assert main(["coverage", "--method", "analytic", "--l", "1",
                      "--out", out]) == 0
-        assert tuple(r["t_db"] for r in read_rows(out)) == DOCUMENTED_T_DB
+        assert tuple(csv_column(out, "t_db")) == DOCUMENTED_T_DB
 
     def test_config_file_beats_cli_defaults(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -244,12 +251,12 @@ class TestCli:
         cfg.write_text("method = analytic\nparams.l = 1\nt_db = 0\n"
                        "out = mine.csv\n")
         assert main(["coverage", "--config", str(cfg)]) == 0
-        assert [r["t_db"] for r in read_rows("mine.csv")] == [0.0]
+        assert csv_column("mine.csv", "t_db") == [0.0]
         assert not (tmp_path / "coverage.csv").exists()
         # explicit flags still win over the file
         assert main(["coverage", "--config", str(cfg), "--t-db", "0,3",
                      "--out", "flag.csv"]) == 0
-        assert [r["t_db"] for r in read_rows("flag.csv")] == [0.0, 3.0]
+        assert csv_column("flag.csv", "t_db") == [0.0, 3.0]
 
     def test_analytic_coverage_exit_zero(self, tmp_path):
         out = str(tmp_path / "cov.csv")
@@ -353,9 +360,8 @@ class TestCli:
         out = str(tmp_path / "c1.csv")
         assert main(["conjecture1", "--sweep", "l=1,2,3", "--trials", "10000",
                      "--out", out]) == 0
-        rows = read_rows(out)
-        assert [r["cluster_size"] for r in rows] == [1.0, 2.0, 3.0]
-        assert [r["L"] for r in rows] == [1.0, 2.0, 3.0]
+        assert csv_column(out, "cluster_size") == [1.0, 2.0, 3.0]
+        assert csv_column(out, "L") == [1.0, 2.0, 3.0]
 
     def test_installed_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from isacnet.specfun import (ConvergenceError, QuadratureSpec, beta_complete,
-                             beta_incomplete, gamma_reg_lower,
-                             integrate_finite, integrate_semi_infinite)
+from isacnet.specfun import (ConvergenceError, QuadratureSpec, beta_incomplete,
+                             gamma_reg_lower, integrate_finite,
+                             integrate_semi_infinite)
 
 # frozen before the build from a quadrature oracle of t^8 e^-t / Gamma(9)
 P_9_9 = 0.5443473956775813
@@ -47,31 +47,6 @@ BETA_INCOMPLETE_ORACLE = [
 ]
 
 
-class TestBetaComplete:
-    def test_unit(self):
-        assert beta_complete(1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_arcsine_point(self):
-        assert beta_complete(0.5, 0.5) == pytest.approx(math.pi, rel=1e-12)
-
-    def test_pathloss_entry_point(self):
-        # the (2/beta, 1 - 2/beta) pair at beta = 4
-        assert beta_complete(2 / 4, 1 - 2 / 4) == pytest.approx(math.pi, rel=1e-12)
-
-    def test_against_scipy(self, rng):
-        a = rng.uniform(0.05, 20.0, 200)
-        b = rng.uniform(0.05, 20.0, 200)
-        ours = beta_complete(a, b)
-        ref = special.beta(a, b)
-        assert np.allclose(ours, ref, rtol=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            beta_complete(0.0, 1.0)
-        with pytest.raises(ValueError):
-            beta_complete(1.0, -2.0)
-
-
 class TestBetaIncomplete:
     def test_empty_interval(self):
         assert beta_incomplete(0.0, 2.0, 3.0) == 0.0
@@ -95,7 +70,7 @@ class TestBetaIncomplete:
             x = np.sort(rng.uniform(0.0, 1.0, 50))
             vals = beta_incomplete(x, a, b)
             assert np.all(np.diff(vals) >= -1e-12)
-            assert vals[-1] <= beta_complete(a, b) * (1 + 1e-12)
+            assert vals[-1] <= special.beta(a, b) * (1 + 1e-12)
 
     def test_against_scipy(self, rng):
         x = rng.uniform(0.0, 1.0, 500)
