@@ -6,7 +6,7 @@ station deployments, cross-validated by a vectorized Monte Carlo simulator.
 
 from .approx import AlphaFit, fit_alpha, fitted_alpha, ks_distance, verify_conjecture1
 from .coverage import (CoverageCurve, coverage_closed_form, coverage_curve,
-                       coverage_integral, interference_exponent)
+                       coverage_integral)
 from .montecarlo import McConfig, McResult, mc_coverage, mc_radar_rate
 from .params import SystemParams
 from .radar import (RateEstimate, echo_laplace_exponent, echo_power_laplace,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaFit", "fit_alpha", "fitted_alpha", "ks_distance", "verify_conjecture1",
     "CoverageCurve", "coverage_closed_form", "coverage_curve",
-    "coverage_integral", "interference_exponent",
+    "coverage_integral",
     "McConfig", "McResult", "mc_coverage", "mc_radar_rate",
     "SystemParams",
     "RateEstimate", "echo_laplace_exponent", "echo_power_laplace",

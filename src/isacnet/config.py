@@ -33,7 +33,7 @@ DEFAULT_T_DB = "-10:20:2"
 
 # config/CLI name -> SystemParams field
 SWEEPABLE = {
-    "lam": "lam", "lambda": "lam", "mt": "mt", "mr": "mr", "beta": "beta",
+    "lambda": "lam", "mt": "mt", "mr": "mr", "beta": "beta",
     "ps": "ps", "sigma2": "sigma2", "l": "L", "n": "N",
 }
 _INT_FIELDS = {"mt", "mr", "L", "N"}
@@ -138,7 +138,8 @@ def _take(entries, key, conv, default=None, required=False):
 
 
 def parse_t_db(text):
-    """Parse 'LO:HI:STEP' (dB) or a comma list into a float tuple."""
+    """Parse 'LO:HI:STEP' (dB) or a strictly increasing comma list into a
+    float tuple."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -152,7 +153,10 @@ def parse_t_db(text):
         if grid[-1] > hi + 1e-9:
             grid.pop()
         return tuple(grid)
-    return tuple(float(p) for p in text.split(","))
+    grid = tuple(float(p) for p in text.split(","))
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("a comma list must be strictly increasing")
+    return grid
 
 
 def _int(text):
@@ -215,7 +219,7 @@ def build_experiment(entries, overrides=None):
         sweep_name = sweep_name.lower()
         if sweep_name not in SWEEPABLE:
             raise ConfigError(
-                f"sweep.param must be one of {sorted(set(SWEEPABLE))}, "
+                f"sweep.param must be one of {sorted(SWEEPABLE)}, "
                 f"got {sweep_name!r}")
         if sweep_values is None:
             raise ConfigError("sweep.param given without sweep.values")

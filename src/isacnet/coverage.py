@@ -17,15 +17,16 @@ fixed composite Gauss-Kronrod rule over the law of x_L - 1 in ln(x_L - 1)
 rule per intermediate station, evaluated as array passes per threshold;
 the embedded 7-point Gauss sums give the error bound each value reports.
 
-The alternating binomial sum cancels more digits the more antennas there
-are, so every value also reports a bound on its rounding error, and a
-value whose bound misses PHYSICAL_QUAD raises ConvergenceError (at
-beta = 4 from mt = 34 at L = 1 and -10 dB).
+Every value, closed form included, is one alternating binomial sum over
+the mt - 1 antenna terms (`_antenna_sum`).  It cancels more digits the
+more antennas there are, so every value also reports a bound on its
+rounding error; a bound that misses PHYSICAL_QUAD (at beta = 4 from
+mt = 34 at L = 1 and -10 dB), or a value farther outside [0, 1] than its
+bound, raises ConvergenceError.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -38,13 +39,10 @@ from .specfun import (ConvergenceError, beta_incomplete, check_bound, gk_rule,
 
 __all__ = [
     "CoverageCurve",
-    "interference_exponent",
     "coverage_closed_form",
     "coverage_integral",
     "coverage_curve",
 ]
-
-log = logging.getLogger(__name__)
 
 # Budget of the ratio-law rule (shared with the cooperative radar rate): core
 # panels in ln rho, how far (in decay lengths) the core reaches beyond the
@@ -60,13 +58,13 @@ _EPS = np.finfo(float).eps
 class CoverageCurve:
     """Coverage estimates over a grid of linear SIR thresholds.
 
-    Analytic curves carry `quad_error`, the per-threshold error bound (the
-    rounding bound of the alternating binomial sum, plus at L >= 2 the
-    bound the fixed rule achieved), and an `uncertainty` of 0.  Simulated
-    curves carry the 95% half-widths in `uncertainty`, a `quad_error` of
-    zeros (None is left to curves no library path writes), the
-    per-threshold truncation-bias bounds and the simulator's bookkeeping
-    (`montecarlo.McResult`).
+    Analytic curves, closed form included, carry `quad_error`, the
+    per-threshold error bound (the rounding bound of the alternating
+    binomial sum, plus at L >= 2 the bound the fixed rule achieved), and an
+    `uncertainty` of 0.  Simulated curves carry the 95% half-widths in
+    `uncertainty`, a `quad_error` of zeros (None is left to curves no
+    library path writes), the per-threshold truncation-bias bounds and the
+    simulator's bookkeeping (`montecarlo.McResult`).
     """
 
     thresholds: np.ndarray
@@ -119,6 +117,18 @@ def _amplify(r, cond, L):
     return 1.0 + L * (3.0 * r + cond) / (1.0 + r)
 
 
+def _antenna_sum(g, cond, x_L, L):
+    """The binomial sum over the last axis of the exponents g = G_n and its
+    rounding bound: sum_n c_n (1 + G_n / x_L)^-L, with cond as `_amplify`
+    reads it.  Returns (sum, bound), each of shape g.shape[:-1].
+    """
+    signed = _signed_binomials(g.shape[-1])
+    r = g / x_L
+    damp = (1.0 + r) ** -L
+    return ((signed * damp).sum(axis=-1),
+            _EPS * ((damp * _amplify(r, cond, L)) @ np.abs(signed)))
+
+
 def _h_core(pow_sum, pow_last, a, beta):
     """Interference Laplace exponent given power-law distance aggregates.
 
@@ -140,57 +150,10 @@ def _h_core(pow_sum, pow_last, a, beta):
     return tb * (a / pow_sum) ** tb * db
 
 
-def interference_exponent(distances, n, threshold, params):
-    """Laplace exponent of the out-of-cluster interference, given distances.
-
-    `distances` are the ordered cluster distances in meters; term index n
-    runs over 1..mt-1.  The conditional coverage integrand is
-    exp(-pi * lam * H) with H the value returned here (units of area).
-    Vanishes as the threshold does.  Raises ValueError when pc = 0.
-    """
-    _require_comm_power(params)
-    r = np.asarray(distances, dtype=float)
-    if r.ndim != 1 or len(r) == 0:
-        raise ValueError("distances must be a non-empty 1-D array")
-    if np.any(r <= 0) or np.any(np.diff(r) < 0):
-        raise ValueError("distances must be positive and ascending")
-    q = params.q_shape
-    if not 1 <= n <= q:
-        raise ValueError(f"term index n must lie in 1..{q}")
-    _threshold_grid([threshold])
-    a = params.alpha() * n * threshold * params.pt / (q * params.pc)
-    pow_sum = np.sum(r ** -params.beta)
-    pow_last = r[-1] ** -params.beta
-    return float(_h_core(pow_sum, pow_last, np.array([a]), params.beta)[..., 0])
-
-
 def _require_comm_power(params):
     if params.pc == 0.0:
         raise ValueError("coverage is undefined without communication power "
                          "(pc = 0)")
-
-
-def coverage_closed_form(params, threshold):
-    """Closed-form coverage for a single serving station at beta = 4.
-
-    Density-free by construction: the deployment intensity cancels when the
-    interference exponent is averaged over the serving-distance law.
-    Raises ConvergenceError where the sum's rounding bound misses
-    PHYSICAL_QUAD.
-    """
-    _require_comm_power(params)
-    if params.L != 1:
-        raise ValueError("closed form requires a single-station cluster (L=1)")
-    if not math.isclose(params.beta, 4.0):
-        raise ValueError("closed form requires beta = 4")
-    _threshold_grid([threshold])
-    a = _threshold_terms(params, [threshold])[0]
-    h = np.sqrt(a) * (math.pi / 2.0 - np.arcsin(np.sqrt(1.0 / (1.0 + a))))
-    terms = _signed_binomials(params.q_shape) / (1.0 + h)
-    total = terms.sum()
-    bound = _EPS * np.sum(np.abs(terms) * _amplify(h, 0.5 * a, 1))
-    check_bound(total, bound, "closed-form coverage")
-    return float(min(max(total, 0.0), 1.0))
 
 
 def _threshold_terms(params, thresholds):
@@ -245,28 +208,23 @@ def _theta_integrals(u, a_terms, params, rule):
     """
     L, beta = params.L, params.beta
     theta, counts, w_k, w_g = rule
-    signed = _signed_binomials(params.q_shape)
     rho = np.exp(u)[:, None]
     c = np.log1p(rho)
     pow_last = np.exp(-0.5 * beta * c)
-
     x_last = (1.0 + rho)[..., None]
-    abs_c = np.abs(signed)
     # r_n times G_n's condition number (`_amplify`) is
     # (2/beta) a_n pow_last^(1 - 2/beta) / (pow_sum x_L)
     cond_last = (2.0 / beta * a_terms
                  * pow_last[..., None] ** (1.0 - 2.0 / beta) / x_last)
 
-    def survival(pow_sum):
-        g = _h_core(pow_sum, pow_last, a_terms, beta)
-        r = g / x_last
-        damp = (1.0 + r) ** -L
-        amplify = _amplify(r, cond_last / pow_sum[..., None], L)
-        return (signed * damp).sum(axis=-1), _EPS * ((damp * amplify) @ abs_c)
-
-    f_edge, _ = survival(1.0 + (L - 1) * pow_last)
-    f, f_round = survival(1.0 + pow_last
-                          + np.exp(-0.5 * beta * c * theta) @ counts.T)
+    edge = 1.0 + (L - 1) * pow_last
+    f_edge, edge_round = _antenna_sum(_h_core(edge, pow_last, a_terms, beta),
+                                      cond_last / edge[..., None], x_last, L)
+    if L == 2:      # no intermediate stations: theta's one node is the edge
+        return f_edge[:, 0], f_edge[:, 0], edge_round[:, 0]
+    pow_sum = 1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T
+    f, f_round = _antenna_sum(_h_core(pow_sum, pow_last, a_terms, beta),
+                              cond_last / pow_sum[..., None], x_last, L)
     density = np.exp(c * (counts @ theta) + (L - 2) * np.log(c / rho))
     y = (f - f_edge) * density
     return (y @ w_k + f_edge[:, 0], y @ w_g + f_edge[:, 0],
@@ -311,54 +269,72 @@ def _threshold_grid(thresholds):
     return t
 
 
-def _integral_curve(params, thresholds):
-    """(values, quad_error) of the integral path, clamped to [0, 1]."""
+def _curve(params, thresholds, method):
+    """(values, quad_error) of either method on a checked threshold grid."""
     _require_comm_power(params)
     a = _threshold_terms(params, thresholds)
-    if params.L == 1:
+    if method == "closed-form":
+        if params.L != 1:
+            raise ValueError("closed form requires a single-station cluster (L=1)")
+        if not math.isclose(params.beta, 4.0):
+            raise ValueError("closed form requires beta = 4")
+        # the beta = 4 exponent in arcsine form, independent of _h_core
+        g = np.sqrt(a) * (math.pi / 2.0 - np.arcsin(np.sqrt(1.0 / (1.0 + a))))
+        values, bound = _antenna_sum(g, 0.5 * a, 1.0, 1)
+    elif method != "integral":
+        raise ValueError("method must be 'integral' or 'closed-form'")
+    elif params.L == 1:
         # s_1 ~ Exp(1) alone: E[exp(-s_1 G_n)] = 1 / (1 + G_n)
-        g = _h_core(1.0, 1.0, a, params.beta)
-        terms = _signed_binomials(params.q_shape) / (1.0 + g)
-        values = terms.sum(axis=-1)
-        quad_error = _EPS * (np.abs(terms)
-                             * _amplify(g, 2.0 / params.beta * a, 1)).sum(axis=-1)
+        values, bound = _antenna_sum(_h_core(1.0, 1.0, a, params.beta),
+                                     2.0 / params.beta * a, 1.0, 1)
     else:
-        values, quad_error = _cluster_curve(params, a)
-    check_bound(values, quad_error, f"L={params.L} coverage")
-    outside = (values < -1e-9) | (values > 1.0 + 1e-9)
-    for v in values[outside]:
-        log.warning("coverage integral %.6g outside [0,1]; clamping", v)
-    return np.clip(values, 0.0, 1.0), quad_error
+        values, bound = _cluster_curve(params, a)
+    what = f"L={params.L} {method} coverage"
+    check_bound(values, bound, what)
+    excess = np.maximum(values - 1.0, -values)
+    if np.any(excess > bound):
+        i = int(np.argmax(excess - bound))
+        raise ConvergenceError(
+            f"{what}: estimate {values[i]:.17g} lies outside [0, 1] by more "
+            f"than its error bound {bound[i]:.3g}",
+            estimate=values, error_bound=bound)
+    return np.clip(values, 0.0, 1.0), bound
+
+
+def coverage_closed_form(params, threshold):
+    """Closed-form coverage for a single serving station at beta = 4.
+
+    Density-free by construction: the deployment intensity cancels when the
+    interference exponent is averaged over the serving-distance law.  Its
+    exponent is the arcsine form, not `_h_core`, so it checks the integral
+    path.  Raises ConvergenceError as `coverage_curve` does.
+    """
+    values, _ = _curve(params, _threshold_grid([threshold]), "closed-form")
+    return float(values[0])
 
 
 def coverage_integral(params, threshold):
     """Cluster-size-L coverage by averaging the interference Laplace sum.
 
-    A finite sum at L = 1 and, at L >= 2, a fixed rule; its error bound
-    (at L = 1 the rounding bound alone) must meet PHYSICAL_QUAD
-    (ConvergenceError otherwise).  Out-of-range results are clamped to
-    [0, 1] and logged.  Raises ValueError when pc = 0, where coverage is
-    undefined.
+    A finite sum at L = 1 and, at L >= 2, a fixed rule; raises
+    ConvergenceError as `coverage_curve` does, and ValueError when pc = 0,
+    where coverage is undefined.
     """
-    values, _ = _integral_curve(params, _threshold_grid([threshold]))
+    values, _ = _curve(params, _threshold_grid([threshold]), "integral")
     return float(values[0])
 
 
 def coverage_curve(params, thresholds, method="integral"):
     """Coverage over a threshold grid; method 'integral' or 'closed-form'.
 
-    The grid must be non-empty, 1-D, positive and increasing.  The integral
-    path gives each threshold the value and error bound of a single
-    `coverage_integral` call.
+    The grid must be non-empty, 1-D, positive and increasing.  Each
+    threshold gets the value and error bound of a single-threshold call.
+    A bound that misses PHYSICAL_QUAD, or a value farther outside [0, 1]
+    than its bound (the bound is then wrong), raises ConvergenceError;
+    otherwise the values are clipped to [0, 1].
     """
     thresholds = _threshold_grid(thresholds)
-    if method == "closed-form":
-        values = np.array([coverage_closed_form(params, t) for t in thresholds])
-        quad_error = np.zeros_like(thresholds)
-    elif method == "integral":
-        values, quad_error = _integral_curve(params, thresholds)
-    else:
-        raise ValueError("method must be 'integral' or 'closed-form'")
+    values, quad_error = _curve(params, thresholds, method)
     return CoverageCurve(thresholds=thresholds, values=values, method=method,
                          uncertainty=np.zeros_like(thresholds),
                          quad_error=quad_error)

@@ -75,6 +75,8 @@ class McConfig:
             raise ValueError("trials must be >= 2 (a half-width needs two)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0 <= self.seed < 1 << 128:      # conjecture1's Philox key
+            raise ValueError("seed must lie in [0, 2**128)")
 
 
 @dataclass(frozen=True)

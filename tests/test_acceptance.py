@@ -42,8 +42,7 @@ from scipy import integrate, special
 
 from isacnet import SystemParams
 from isacnet.approx import fit_alpha, ks_distance
-from isacnet.coverage import (coverage_closed_form, coverage_curve,
-                              interference_exponent)
+from isacnet.coverage import _h_core, coverage_closed_form, coverage_curve
 from isacnet.montecarlo import McConfig, mc_coverage, mc_radar_rate
 from isacnet.radar import (echo_laplace_exponent, interference_laplace_kernel,
                            radar_rate, radar_rate_single)
@@ -288,7 +287,8 @@ def test_c10_kernel_quadrature_oracles(comm_params, rng):
             lambda x: (c * x ** -beta) / (1.0 + c * x ** -beta) * x,
             r[-1], np.inf, limit=400, epsabs=1e-300, epsrel=1e-10)
         ref = 2.0 * val
-        ours = interference_exponent(r, n, t, params)
+        ours = float(_h_core(np.sum(r ** -beta), r[-1] ** -beta,
+                             np.array([a_n]), beta)[0])
         worst = max(worst, abs(ours / ref - 1.0))
 
         # echo exponent vs its defining integral

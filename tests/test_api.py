@@ -1,12 +1,16 @@
 """The package's public names."""
 
+import argparse
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import isacnet
 from isacnet.cli import _entries, _overrides, build_parser
-from isacnet.config import build_experiment
+from isacnet.config import SWEEPABLE, build_experiment
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def test_every_exported_name_resolves():
@@ -41,3 +45,19 @@ def test_benchmark_figure_invocations_build():
         args = build_parser().parse_args(argv)
         cfg = build_experiment(_entries(args), _overrides(args))
         assert cfg.metric == argv[0], argv
+
+
+def test_readme_names_every_sweepable_key():
+    # an undocumented alias (once `lam` beside `lambda`) cannot come back
+    names = re.search(r"sweeps must name a system\s+parameter \(`([^`]*)`\)",
+                      README).group(1)
+    assert sorted(names.split(", ")) == sorted(SWEEPABLE)
+
+
+def test_readme_flags_are_the_coverage_options():
+    bullet = re.search(r"^\* Flags:(.*?)^\* ", README, re.M | re.S).group(1)
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    options = {opt for action in subs.choices["coverage"]._actions
+               for opt in action.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", bullet)) == options

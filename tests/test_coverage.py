@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from isacnet import ConvergenceError, McConfig, SystemParams, mc_coverage
-from isacnet.coverage import (CoverageCurve, coverage_closed_form,
-                              coverage_curve, coverage_integral,
-                              interference_exponent)
+from isacnet import (ConvergenceError, McConfig, SystemParams, coverage,
+                     mc_coverage)
+from isacnet.coverage import (CoverageCurve, _h_core, _ratio_rule,
+                              coverage_closed_form, coverage_curve,
+                              coverage_integral)
+
+
+def exponent(distances, n, threshold, params):
+    """`_h_core` at ordered distances in meters and term index n: the
+    interference Laplace exponent H (units of area) of exp(-pi lam H)."""
+    r = np.asarray(distances, dtype=float)
+    a = params.alpha() * n * threshold * params.pt / (params.q_shape * params.pc)
+    return float(_h_core(np.sum(r ** -params.beta), r[-1] ** -params.beta,
+                         np.array([a]), params.beta)[0])
 
 
 def quad_exponent_oracle(distances, n, threshold, params):
@@ -31,14 +41,14 @@ def quad_exponent_oracle(distances, n, threshold, params):
 
 class TestInterferenceExponent:
     def test_vanishing_threshold(self, paper_params):
-        h = interference_exponent(np.array([1.0]), 1, 1e-12, paper_params)
+        h = exponent(np.array([1.0]), 1, 1e-12, paper_params)
         assert 0.0 <= h < 1e-9
 
     def test_single_station_reduction(self, paper_params):
         # at L=1, beta=4 the kernel collapses to the arcsine form
         r1 = 40.0
         for n in (1, 4, 9):
-            h = interference_exponent(np.array([r1]), n, 2.0, paper_params)
+            h = exponent(np.array([r1]), n, 2.0, paper_params)
             a = paper_params.alpha() * n * 2.0 * paper_params.pt / (
                 paper_params.q_shape * paper_params.pc)
             ref = r1 ** 2 * math.sqrt(a) * (
@@ -51,17 +61,9 @@ class TestInterferenceExponent:
             r = np.sort(rng.uniform(10.0, 200.0, 2))
             n = int(rng.integers(1, 10))
             t = float(rng.uniform(0.1, 10.0))
-            ours = interference_exponent(r, n, t, params)
+            ours = exponent(r, n, t, params)
             ref = quad_exponent_oracle(r, n, t, params)
             assert ours == pytest.approx(ref, rel=1e-8)
-
-    def test_validation(self, paper_params):
-        with pytest.raises(ValueError):
-            interference_exponent(np.array([2.0, 1.0]), 1, 1.0, paper_params)
-        with pytest.raises(ValueError):
-            interference_exponent(np.array([1.0]), 10, 1.0, paper_params)
-        with pytest.raises(ValueError):
-            interference_exponent(np.array([1.0]), 1, 0.0, paper_params)
 
 
 class TestClosedForm:
@@ -148,8 +150,6 @@ class TestCoverageIntegral:
             mc_coverage(params, np.array([0.1, 1.0]), McConfig(trials=100))
         with pytest.raises(ValueError):
             coverage_closed_form(params.with_(L=1, beta=4.0), 1.0)
-        with pytest.raises(ValueError):
-            interference_exponent(np.arange(1.0, L + 1.0), 1, 1.0, params)
 
     def test_non_increasing_in_threshold(self, paper_params):
         params = paper_params.with_(L=2)
@@ -189,8 +189,9 @@ class TestRoundingBound:
         curve = coverage_curve(params, ORACLE_T)
         assert np.all(curve.quad_error > 0.0)
         assert np.all(np.abs(curve.values - ref) <= curve.quad_error)
-        closed = [coverage_closed_form(params, t) for t in ORACLE_T]
-        assert np.all(np.abs(np.array(closed) - ref) <= curve.quad_error)
+        closed = coverage_curve(params, ORACLE_T, method="closed-form")
+        assert np.all(closed.quad_error > 0.0)
+        assert np.all(np.abs(closed.values - ref) <= closed.quad_error)
 
     def test_lost_digits_raise(self):
         # the double-precision sum clamps to [0, 1, 0, 1] here
@@ -204,8 +205,39 @@ class TestRoundingBound:
         with pytest.raises(ConvergenceError):
             coverage_curve(SystemParams(mt=1100), ORACLE_T)
 
+    def test_value_within_its_bound_of_one(self, caplog):
+        # the sum is 1 + 5e-8 here, inside its own bound: clipped, not logged
+        curve = coverage_curve(SystemParams(mt=32), [10 ** -0.6])
+        assert curve.values[0] == 1.0
+        assert curve.quad_error[0] == pytest.approx(6.9e-7, rel=0.01)
+        assert caplog.records == []
+
+    def test_value_beyond_its_bound_raises(self, monkeypatch):
+        # a negative exponent puts the sum near 2, far beyond its bound
+        monkeypatch.setattr(coverage, "_h_core",
+                            lambda pow_sum, pow_last, a, beta: -0.5 + 0.0 * a)
+        with pytest.raises(ConvergenceError, match="outside"):
+            coverage_curve(SystemParams(mt=4), ORACLE_T)
+
 
 class TestCoverageCurve:
+    def test_single_edge_pass_at_two_stations(self, monkeypatch):
+        # L = 2 has no intermediate station: one Beta point per rho node
+        # and antenna term
+        points = []
+        original = coverage.beta_incomplete
+
+        def counted(x, a, b):
+            points.append(np.broadcast(x, a, b).size)
+            return original(x, a, b)
+
+        monkeypatch.setattr(coverage, "beta_incomplete", counted)
+        params = SystemParams(L=2, mt=10)
+        t = 10 ** (np.arange(-10.0, 21.0, 2.0) / 10.0)
+        coverage_curve(params, t)
+        rho_nodes = _ratio_rule(2, 0.0)[0].size
+        assert sum(points) == len(t) * rho_nodes * params.q_shape
+
     def test_closed_form_curve(self, paper_params):
         t = 10 ** (np.arange(-10.0, 21.0, 2.0) / 10.0)
         curve = coverage_curve(paper_params, t, method="closed-form")

@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from isacnet import McConfig, SystemParams, mc_coverage, mc_radar_rate
 from isacnet.specfun import integrate_finite, integrate_semi_infinite
 
 
@@ -27,6 +28,20 @@ def sample_hppp(lam, window_radius, seed):
     radius = window_radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     angle = rng.uniform(0.0, 2.0 * math.pi, n)
     return np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+def sample_hppp_trials(lam, window_radius, trials, rng):
+    """Origin distances and angles of `trials` PPPs in a disk, in meters.
+
+    Returns (r, phi), each (trials, n_max): each row's distances ascending,
+    padded with inf past its Poisson count; angles are i.i.d. uniform, so
+    they may be drawn after the sort.
+    """
+    n = rng.poisson(lam * math.pi * window_radius ** 2, trials)
+    keep = np.arange(n.max()) < n[:, None]
+    r = np.sort(np.where(keep, window_radius * np.sqrt(rng.random(keep.shape)),
+                         np.inf), axis=1)
+    return r, rng.uniform(0.0, 2.0 * math.pi, r.shape)
 
 
 def nearest_k(points, k):
@@ -182,3 +197,55 @@ class TestEtaPdf:
         draws.sort()
         assert ks_gap(draws, 1.0 - (1.0 - draws ** 2) ** (n_cl - 1)) < 0.01
 
+
+
+class TestSimulatorInMeters:
+    """The radial simulator against deployments drawn in meters.
+
+    Stations fill a disk holding about 400 on average at lam = 1e-4; the
+    SIR laws mirror `mc_coverage` (Gamma(mt-1) gains from the L nearest,
+    exp(1) from the rest) and `mc_radar_rate` (echo from the N nearest,
+    received at the nearest, interferers at their distance from it).  With
+    the disk radius scaled as lam^(-1/2), two densities at one seed give
+    the same deployment up to scale, so this checks the radial
+    representation, not density invariance.
+    """
+
+    PARAMS = SystemParams(L=2, N=2)
+    T_LIN = 10.0 ** (np.arange(-5.0, 15.5, 1.0) / 10.0)
+
+    @pytest.fixture(scope="class")
+    def sirs(self):
+        p = self.PARAMS
+        rng = np.random.Generator(np.random.Philox(key=2024))
+        radius = math.sqrt(400.0 / (math.pi * p.lam))
+        cov, rad = [], []
+        for _ in range(20):
+            r, phi = sample_hppp_trials(p.lam, radius, 1000, rng)
+            w = r ** -p.beta
+            gains = rng.gamma(float(p.q_shape), 1.0, (len(r), 2))
+            fades = rng.standard_exponential(w.shape)
+            cov.append(p.pc * np.sum(gains * w[:, :p.L], axis=1)
+                       / (p.pt * np.sum(fades[:, p.L:] * w[:, p.L:], axis=1)))
+            x, y = r * np.cos(phi), r * np.sin(phi)
+            d = np.hypot(x[:, p.N:] - x[:, :1], y[:, p.N:] - y[:, :1])
+            echo = (p.sigma2 * p.mr * p.ps / p.pt * w[:, 0]
+                    * np.sum(gains * w[:, :p.N], axis=1))
+            rad.append(echo / np.sum(fades[:, p.N:] * d ** -p.beta, axis=1))
+        return np.concatenate(cov), np.concatenate(rad)
+
+    def test_cluster_coverage(self, sirs):
+        n = len(sirs[0])
+        hits = (sirs[0][:, None] >= self.T_LIN).sum(axis=0)
+        smooth = (hits + 1.0) / (n + 2.0)
+        ci = 1.96 * np.sqrt(smooth * (1.0 - smooth) / n)
+        sim = mc_coverage(self.PARAMS, self.T_LIN,
+                          McConfig(trials=200_000, seed=5))
+        gap = np.abs(hits / n - sim.values)
+        assert np.all(gap <= 3.0 * np.hypot(ci, sim.uncertainty))
+
+    def test_cooperative_rate(self, sirs):
+        vals = np.log1p(sirs[1])
+        ci = 1.96 * vals.std() / math.sqrt(len(vals))
+        sim = mc_radar_rate(self.PARAMS, McConfig(trials=200_000, seed=5))
+        assert abs(vals.mean() - sim.value) <= 3.0 * math.hypot(ci, sim.uncertainty)

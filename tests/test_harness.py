@@ -305,6 +305,20 @@ class TestCli:
             (rate + ["--sweep", "n=0"], "cli: bad value '0' for 'n'"),
             (cov + ["--sweep", "l=1.5,2.7"], "cli: bad value '1.5' for 'l'"),
             (rate + ["--n", "2.9"], "cli: bad value '2.9' for 'n'"),
+            # one config name per parameter: lambda, not lam
+            (cov + config("params.lam = 0.5\nparams.lambda = 0.1"),
+             "unknown key 'params.lam'"),
+            (cov + ["--sweep", "lam=1e-4"], "got 'lam'"),
+            # a comma grid must be strictly increasing
+            (["coverage", "--method", "analytic", "--t-db", "5,0"],
+             "bad value for 't_db'"),
+            (["coverage", "--method", "analytic", "--t-db", "0,0"],
+             "bad value for 't_db'"),
+            # seeds key conjecture1's Philox: [0, 2**128)
+            (["coverage", "--method", "mc", "--trials", "1000", "--t-db", "0",
+              "--seed", "-1"], "seed must lie in [0, 2**128)"),
+            (conj + ["--seed", "-1"], "seed must lie in [0, 2**128)"),
+            (conj + ["--seed", str(2 ** 128)], "seed must lie in [0, 2**128)"),
             # a 95% half-width needs two trials
             (["coverage", "--method", "mc", "--trials", "1",
               "--t-db", "0:0:1"], "trials must be >= 2"),
