@@ -9,7 +9,7 @@ keeps the statistic small.
 
 import sys
 
-from isacnet import verify_conjecture1
+from isacnet import SystemParams, verify_conjecture1
 
 TRIALS = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
 
@@ -18,8 +18,7 @@ def main():
     print(f"trials per construction: {TRIALS:,}")
     print(f"{'cluster L':>10} {'K-S distance':>13}")
     for L in (1, 2, 3, 4, 6, 8):
-        ks = verify_conjecture1(L, exponent=4.0, lam=1e-4, shape=9,
-                                trials=TRIALS, seed=20 + L)
+        ks = verify_conjecture1(SystemParams(L=L), trials=TRIALS, seed=20 + L)
         print(f"{L:>10} {ks:13.4f}")
     print("\nL = 1 is the identical-law noise floor; the gap grows slowly "
           "with the cluster size.")

@@ -9,7 +9,7 @@ of the rate - the simulator is the reference there.
 
 import sys
 
-from isacnet import McConfig, SystemParams, mc_radar_rate, radar_rate, radar_rate_single
+from isacnet import McConfig, SystemParams, mc_radar_rate, radar_rate
 
 TRIALS = int(sys.argv[1]) if len(sys.argv) > 1 else 150_000
 
@@ -21,8 +21,7 @@ def main():
         for n in (1, 2, 3, 4):
             params = SystemParams(lam=lam, mt=10, mr=6, beta=4.0,
                                   ps=0.5, pc=0.5, N=n)
-            analytic = (radar_rate_single(params) if n == 1
-                        else radar_rate(params)).value
+            analytic = radar_rate(params).value
             mc = mc_radar_rate(params, McConfig(trials=TRIALS, seed=30 + n))
             rel = (analytic - mc.value) / mc.value
             print(f"{n:>3} {analytic:9.4f} {mc.value:10.4f} {rel:+9.1%}")

@@ -9,11 +9,9 @@ from .coverage import (CoverageCurve, coverage_closed_form, coverage_curve,
                        coverage_integral)
 from .montecarlo import McConfig, McResult, mc_coverage, mc_radar_rate
 from .params import SystemParams
-from .radar import (RateEstimate, echo_laplace_exponent, echo_power_laplace,
-                    hole_exclusion_integral, interference_laplace_factor,
+from .radar import (RateEstimate, echo_laplace_exponent, hole_exclusion_integral,
                     interference_laplace_kernel, radar_rate, radar_rate_single)
-from .specfun import (ConvergenceError, QuadratureSpec, beta_incomplete,
-                      gamma_reg_lower, integrate_finite, integrate_semi_infinite)
+from .specfun import ConvergenceError, beta_incomplete, gamma_reg_lower
 
 __version__ = "0.1.0"
 
@@ -23,10 +21,8 @@ __all__ = [
     "coverage_integral",
     "McConfig", "McResult", "mc_coverage", "mc_radar_rate",
     "SystemParams",
-    "RateEstimate", "echo_laplace_exponent", "echo_power_laplace",
-    "hole_exclusion_integral", "interference_laplace_factor",
+    "RateEstimate", "echo_laplace_exponent", "hole_exclusion_integral",
     "interference_laplace_kernel", "radar_rate", "radar_rate_single",
-    "ConvergenceError", "QuadratureSpec", "beta_incomplete",
-    "gamma_reg_lower", "integrate_finite", "integrate_semi_infinite",
+    "ConvergenceError", "beta_incomplete", "gamma_reg_lower",
     "__version__",
 ]

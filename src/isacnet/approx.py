@@ -146,25 +146,23 @@ def _ks_two_sample(x, y):
     return float(np.abs(cx - cy).max())
 
 
-def verify_conjecture1(cluster_size, exponent, lam, shape, trials, seed):
+def verify_conjecture1(params, trials, seed):
     """Two-sample K-S distance between the exact and collapsed fading sums.
 
-    Per trial both constructions share one set of ordered cluster distances
-    r_1..r_L: the exact sum uses i.i.d. Gamma(shape, 1) gains per link, the
-    collapsed one reuses a single fresh Gamma gain for the whole cluster.
-    Small values mean the collapse is statistically benign.  This is a
-    diagnostic, not a gate.
+    Per trial both constructions share the ordered distances r_1..r_L of
+    one cluster (L, lam and beta from `params`): the exact sum uses i.i.d.
+    Gamma(mt - 1, 1) gains per link, the collapsed one reuses a single
+    fresh Gamma gain for the whole cluster.  Small values mean the collapse
+    is statistically benign.  This is a diagnostic, not a gate.
     """
-    if cluster_size < 1:
-        raise ValueError("cluster_size must be >= 1")
     if trials < MIN_KS_TRIALS:
         raise ValueError("need at least 1e4 trials for a stable K-S estimate")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    gaps = rng.standard_exponential((trials, cluster_size))
+    gaps = rng.standard_exponential((trials, params.L))
     u = np.cumsum(gaps, axis=1)
-    # pi*lam*r^2 is a unit-rate arrival process, so r^(-e) = (u/(pi lam))^(-e/2)
-    w = (u / (math.pi * lam)) ** (-exponent / 2.0)
-    per_link = rng.gamma(shape, 1.0, (trials, cluster_size))
+    # pi*lam*r^2 is a unit-rate arrival process, so r^(-b) = (u/(pi lam))^(-b/2)
+    w = (u / (math.pi * params.lam)) ** (-params.beta / 2.0)
+    per_link = rng.gamma(params.q_shape, 1.0, (trials, params.L))
     exact = (per_link * w).sum(axis=1)
-    shared = rng.gamma(shape, 1.0, trials) * w.sum(axis=1)
+    shared = rng.gamma(params.q_shape, 1.0, trials) * w.sum(axis=1)
     return _ks_two_sample(exact, shared)

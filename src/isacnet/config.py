@@ -107,6 +107,13 @@ def _reject_unknown(entries):
 
 
 def _closest(key):
+    """The known key an unknown one most likely meant: `params.<field>`
+    for a SystemParams field with another config name gets that name
+    (`params.lam` is 'params.lambda', not the nearer 'params.l')."""
+    fld = key.removeprefix("params.")
+    names = {f: name for name, f in SWEEPABLE.items()}
+    if fld != key and fld in names:
+        return f"params.{names[fld]}"
     import difflib
     match = difflib.get_close_matches(key, _KNOWN_KEYS, n=1, cutoff=0.6)
     return match[0] if match else None

@@ -20,7 +20,7 @@ from .approx import AlphaFit, fit_alpha, verify_conjecture1
 from .config import DEFAULT_T_DB, SWEEPABLE, ConfigError, ExperimentConfig
 from .coverage import CoverageCurve, coverage_curve
 from .montecarlo import mc_coverage, mc_radar_rate
-from .radar import RateEstimate, radar_rate, radar_rate_single
+from .radar import RateEstimate, radar_rate
 
 __all__ = ["ResultRow", "run_experiment", "write_rows", "emit_plotdata",
            "figure_preset", "FIGURE_PRESETS"]
@@ -58,12 +58,11 @@ def _fmt(x):
 _ESTIMATORS = {
     ("coverage", "analytic"): lambda cfg, p, t: coverage_curve(p, t),
     ("coverage", "mc"): lambda cfg, p, t: mc_coverage(p, t, cfg.mc),
-    ("radar-rate", "analytic"): lambda cfg, p, t: (
-        radar_rate_single(p) if p.N == 1 else radar_rate(p)),
+    ("radar-rate", "analytic"): lambda cfg, p, t: radar_rate(p),
     ("radar-rate", "mc"): lambda cfg, p, t: mc_radar_rate(p, cfg.mc),
     ("fit-alpha", "analytic"): lambda cfg, p, t: fit_alpha(p.q_shape),
     ("conjecture1", "mc"): lambda cfg, p, t: verify_conjecture1(
-        p.L, p.beta, p.lam, p.q_shape, cfg.mc.trials, cfg.mc.seed),
+        p, cfg.mc.trials, cfg.mc.seed),
 }
 
 

@@ -1,4 +1,4 @@
-"""Analytic radar information rate for cooperative sensing clusters.
+"""Analytic radar information rate of an N-station sensing cluster.
 
 The rate E[ln(1 + SIR)] is written as an outer integral over the Laplace
 transforms of the echo power and of the interference power.  For clusters
@@ -46,7 +46,7 @@ __all__ = [
 # _Z_STEP decay lengths wide; the inner rules have fixed panel counts.
 # Cores reach coverage._MARGIN decay lengths beyond the transitions they
 # cover.  np.exp overflows past u = 709.78, so the outer rules stop at
-# |u| = _U_MAX and bound the tails they cut off (`_cut_tails`).
+# |u| = _U_MAX and bound the tails they cut off (`_outer_rate`).
 _Z_STEP = 2.0
 _U_MAX = 700.0
 _S_PANELS = 16          # ln s, Gamma(N) cluster-edge law
@@ -137,6 +137,13 @@ def _beta_ratio(num, den, a, b):
     return beta_fn(a, b) * np.where(low, part, 1.0 - part)
 
 
+def _edge_rule(n):
+    """GK15 rule in ln s over the central 1 - 2 * _GAMMA_TAIL of Gamma(n)."""
+    return gk_rule(np.linspace(math.log(gammaincinv(n, _GAMMA_TAIL)),
+                               math.log(gammainccinv(n, _GAMMA_TAIL)),
+                               _S_PANELS + 1))
+
+
 def _echo_transform(z, params, complement):
     """Echo-power transform over the Gamma(N) cluster-edge law, vectorized.
 
@@ -146,9 +153,7 @@ def _echo_transform(z, params, complement):
     """
     n = params.N
     lam = params.lam
-    sig, wk, wg = gk_rule(np.linspace(math.log(gammaincinv(n, _GAMMA_TAIL)),
-                                      math.log(gammainccinv(n, _GAMMA_TAIL)),
-                                      _S_PANELS + 1))
+    sig, wk, wg = _edge_rule(n)
     s = np.exp(sig)
     weight = np.exp(n * sig - s - math.lgamma(n))   # density times ds/dsig
     r_far = np.sqrt(s / (math.pi * lam))
@@ -236,44 +241,50 @@ def hole_exclusion_integral(c, beta=4.0):
     t -> 0 endpoint finite without a separate limit branch.
     """
     c_arr = np.asarray(c, dtype=float)
-    scalar = c_arr.ndim == 0
-    c_arr = np.atleast_1d(c_arr)
     if np.any(c_arr < 0):
         raise ValueError("c must be nonnegative")
-    out = np.zeros_like(c_arr)
-    pos = c_arr > 0
-    if pos.any():
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = 1.0 / (1.0 + _HT[None, :] ** beta / c_arr[pos, None])
-        out[pos] = (ratio * (_HKERNEL * _HW)[None, :]).sum(axis=1)
-    return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore", over="ignore"):   # c = 0 gives 0
+        ratio = 1.0 / (1.0 + _HT ** beta / c_arr[..., None])
+    out = (ratio * (_HKERNEL * _HW)).sum(axis=-1)
+    return float(out) if c_arr.ndim == 0 else out
 
 
-def _cut_tails(edges, y, rate_lo, rate_hi):
-    """Bound on the outer integral beyond |u| = _U_MAX, where the rule on
-    `edges` was clipped: the integrand y decays there at least at the tail
-    rates, so each cut tail is at most its outermost node value / rate."""
-    lo_cut = abs(y[0, 0]) / rate_lo if edges[0] < -_U_MAX else 0.0
-    hi_cut = abs(y[-1, -1]) / rate_hi if edges[-1] > _U_MAX else 0.0
-    return lo_cut + hi_cut
+def _outer_rate(lo, hi, panels, rate_lo, rate_hi, integrand, cost, what):
+    """A radar rate's outer integral over u = ln z and its error bound.
+
+    `panels` core panels on [lo, hi], then tails where the integrand decays
+    at least at rate_lo and rate_hi per unit u, cut at |u| = _U_MAX.
+    integrand(z) returns (values, inner error bounds); it runs in slices
+    holding `cost` temporaries per z.  The bound adds K15 - G7, the inner
+    bounds and each cut tail's outermost value / rate; a bound that misses
+    PHYSICAL_QUAD raises ConvergenceError.
+    """
+    edges = panel_edges(lo, hi, panels, rate_lo, rate_hi)
+    u, wk, wg = gk_rule(np.clip(edges, -_U_MAX, _U_MAX))
+    y, inner_err = in_chunks(integrand, np.exp(u.ravel()), cost)
+    value, err = gk_sum(y.reshape(u.shape), wk, wg)
+    err += np.sum(inner_err.reshape(u.shape) * wk)
+    err += ((abs(y[0]) / rate_lo if edges[0] < -_U_MAX else 0.0)
+            + (abs(y[-1]) / rate_hi if edges[-1] > _U_MAX else 0.0))
+    check_bound(value, err, what)
+    return max(float(value), 0.0), float(err)
 
 
 def radar_rate(params):
-    """Cooperative radar information rate (cluster of N >= 2 stations).
+    """Radar information rate of an N-station sensing cluster, in nats.
 
-    Outer integral over u = ln z of (1 - echo transform) times the
-    interference factor.  The echo factor bends where c0 z (pi lam)^(beta/2)
-    = 1 and the interference factor near z = 1; beyond both, the integrand
-    decays like z^(+-2/beta), so the rule's tails are sized by that rate.
-    Raises ConvergenceError when the achieved bound (outer K15 - G7 plus
-    the propagated inner bounds) exceeds PHYSICAL_QUAD.  The
-    echo/interference independence baked into the factorization
-    underestimates the rate in regimes dominated by rare near-target
-    deployments; the Monte Carlo estimator is the reference.
+    At N = 1 it is `radar_rate_single(params)`, exact with the exclusion
+    disk.  At N >= 2 it is the outer integral over u = ln z of (1 - echo
+    transform) times the interference factor.  The echo factor bends where
+    c0 z (pi lam)^(beta/2) = 1 and the interference factor near z = 1;
+    beyond both, the integrand decays like z^(+-2/beta), so the rule's
+    tails are sized by that rate.  The echo/interference independence
+    baked into the factorization underestimates the rate in regimes
+    dominated by rare near-target deployments; the Monte Carlo estimator
+    is the reference.
     """
-    if params.N < 2:
-        raise ValueError("cooperative rate needs N >= 2; "
-                         "use radar_rate_single for N=1")
+    if params.N == 1:
+        return radar_rate_single(params)
     if params.ps == 0.0:
         return RateEstimate(value=0.0, method="cooperative-integral")
 
@@ -282,22 +293,19 @@ def radar_rate(params):
     u_echo = -math.log(c0) - math.log(math.pi * params.lam) / tb
     lo = min(u_echo, 0.0) - coverage._MARGIN / tb
     hi = max(u_echo, 0.0) + coverage._MARGIN / tb
-    edges = panel_edges(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP), tb, tb)
-    u, wk, wg = gk_rule(np.clip(edges, -_U_MAX, _U_MAX))
-    z = np.exp(u.ravel())
-    comp, comp_err = in_chunks(
-        lambda zc: _echo_transform(zc, params, complement=True), z,
-        _S_PANELS * 15)
-    factor, factor_err = in_chunks(      # core plus two six-panel tails
-        lambda zc: _interference_factor(zc, params), z,
-        (coverage._RHO_PANELS + 12) * 15)
-    y = (comp * factor).reshape(u.shape)
-    value, err = gk_sum(y, wk, wg)
-    err += np.sum((comp_err * factor + comp * factor_err).reshape(u.shape) * wk)
-    err += _cut_tails(edges, y, tb, tb)
-    check_bound(value, err, "radar_rate")
-    return RateEstimate(value=max(float(value), 0.0),
-                        method="cooperative-integral", quad_error=float(err))
+
+    def integrand(z):
+        comp, comp_err = _echo_transform(z, params, complement=True)
+        factor, factor_err = _interference_factor(z, params)
+        return comp * factor, comp_err * factor + comp * factor_err
+
+    # per z: the nodes of both inner rules
+    cost = (_edge_rule(params.N)[0].size
+            + coverage._ratio_rule(params.N, 0.0)[0].size)
+    value, err = _outer_rate(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP),
+                             tb, tb, integrand, cost, "radar_rate")
+    return RateEstimate(value=value, method="cooperative-integral",
+                        quad_error=err)
 
 
 def _hole_transform(omega, params, k):
@@ -341,34 +349,26 @@ def radar_rate_single(params, include_hole=True):
     if params.ps == 0.0:
         return RateEstimate(value=0.0, method=method)
 
-    q = params.q_shape
-    lam = params.lam
-    beta = params.beta
-    tb = 2.0 / beta
+    tb = 2.0 / params.beta
     k = tb * beta_fn(tb, 1.0 - tb)
     c_echo = params.sigma2 * params.mr * params.ps
     u_echo = -math.log(c_echo)
-    u_hole = math.log(math.pi * lam) / tb - math.log(params.pt)   # omega = 1
+    u_hole = math.log(math.pi * params.lam) / tb - math.log(params.pt)
     lo = min(u_echo, u_hole) - coverage._MARGIN
     hi = max(u_echo, u_hole) + coverage._MARGIN
-    edges = panel_edges(lo, hi, math.ceil((hi - lo) / _Z_STEP), 1.0, 1.0 / beta)
-    u, wk, wg = gk_rule(np.clip(edges, -_U_MAX, _U_MAX))
-    z = np.exp(u.ravel())
-    echo = -np.expm1(-q * np.log1p(z * c_echo))
-    omega = (z * params.pt) ** tb / (math.pi * lam)
-    if include_hole:
-        transform, transform_err = in_chunks(   # core, one tail, disk rule
-            lambda om: _hole_transform(om, params, k), omega,
-            (_HOLE_S_PANELS + 6) * 15 * len(_HKERNEL))
-    else:
-        # int_0^inf exp(-s - k omega s^2) ds
-        r = 0.5 / np.sqrt(k * omega)
-        transform = math.sqrt(math.pi) * r * erfcx(r)
-        transform_err = np.zeros_like(transform)
-    y = (echo * transform).reshape(u.shape)
-    value, err = gk_sum(y, wk, wg)
-    err += np.sum((echo * transform_err).reshape(u.shape) * wk)
-    err += _cut_tails(edges, y, 1.0, 1.0 / beta)
-    check_bound(value, err, method)
-    return RateEstimate(value=max(float(value), 0.0), method=method,
-                        quad_error=float(err))
+
+    def integrand(z):
+        echo = -np.expm1(-params.q_shape * np.log1p(z * c_echo))
+        omega = (z * params.pt) ** tb / (math.pi * params.lam)
+        if include_hole:
+            t, t_err = _hole_transform(omega, params, k)
+        else:   # closed form: int_0^inf exp(-s - k omega s^2) ds
+            r = 0.5 / np.sqrt(k * omega)
+            t, t_err = math.sqrt(math.pi) * r * erfcx(r), 0.0
+        return echo * t, echo * t_err
+
+    # per z: the hole rule (core, one tail) times the disk rule, or one pass
+    cost = (_HOLE_S_PANELS + 6) * 15 * len(_HKERNEL) if include_hole else 1
+    value, err = _outer_rate(lo, hi, math.ceil((hi - lo) / _Z_STEP), 1.0,
+                             1.0 / params.beta, integrand, cost, method)
+    return RateEstimate(value=value, method=method, quad_error=err)

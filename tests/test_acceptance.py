@@ -13,14 +13,14 @@ left failing on purpose rather than loosened:
   by the same nearest-station distance.  At density 1e-4 /m^2 the metric
   is dominated by rare near-target deployments that make echo large
   exactly when interference is small; the factorized integral suppresses
-  those events and lands 82.8%, 82.4% and 82.7% below the simulation for
+  those events and lands 82.6%, 82.6% and 82.4% below the simulation for
   N = 2, 3 and 4.  The cause has been measured: a simulation that draws
   the echo and the interference from independent deployments matches
   `radar_rate` within its CI (400k trials, CI about +-3%: +1.3%, -0.8%
   and -1.8% for N = 2, 3 and 4; at normalized density 0.1, 200k trials:
   within 0.1%), so the integral is a faithful evaluation of the factorized
   model and the gap is the independence assumption itself.  At normalized
-  density 0.1 the gap to the simulation shrinks but stays: -10.5%, -2.9%
+  density 0.1 the gap to the simulation shrinks but stays: -10.3%, -2.2%
   and +0.3% for N = 2, 3 and 4 (200k simulated trials), so moving the
   operating point does not help.
 

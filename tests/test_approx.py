@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isacnet import SystemParams
 from isacnet.approx import fit_alpha, fitted_alpha, ks_distance, verify_conjecture1
 
 # frozen before the build by an exhaustive grid oracle: alpha step 1e-3
@@ -76,17 +77,17 @@ class TestFitAlpha:
 class TestConjecture1:
     def test_single_link_is_noise_floor(self):
         # identical laws; the statistic sits at the two-sample noise level
-        ks = verify_conjecture1(1, 4.0, 1e-4, 9, trials=50_000, seed=11)
+        ks = verify_conjecture1(SystemParams(L=1), trials=50_000, seed=11)
         assert ks < 0.015
 
     def test_two_station_cluster_close(self):
-        ks = verify_conjecture1(2, 4.0, 1e-4, 9, trials=100_000, seed=12)
+        ks = verify_conjecture1(SystemParams(L=2), trials=100_000, seed=12)
         assert ks < 0.05
 
     def test_four_station_cluster_reported(self):
-        ks = verify_conjecture1(4, 4.0, 1e-4, 9, trials=100_000, seed=13)
+        ks = verify_conjecture1(SystemParams(L=4), trials=100_000, seed=13)
         assert 0.0 <= ks < 0.1
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
-            verify_conjecture1(2, 4.0, 1e-4, 9, trials=100, seed=0)
+            verify_conjecture1(SystemParams(L=2), trials=100, seed=0)

@@ -64,8 +64,7 @@ def test_coverage_at_the_edges(beta, mt, lam, L, ps):
        ps=st.one_of(st.sampled_from([0.0, 1.0]), interior_ps))
 def test_radar_rate_at_the_edges(beta, mt, lam, N, ps):
     params = SystemParams(beta=beta, mt=mt, lam=lam, N=N, ps=ps, pc=1.0 - ps)
-    rate = radar_rate_single if N == 1 else radar_rate
-    est = finite_or_clean_failure(lambda: rate(params))
+    est = finite_or_clean_failure(lambda: radar_rate(params))
     if est is not None:
         assert math.isfinite(est.value) and est.value >= 0.0
         assert math.isfinite(est.quad_error)

@@ -305,9 +305,10 @@ class TestCli:
             (rate + ["--sweep", "n=0"], "cli: bad value '0' for 'n'"),
             (cov + ["--sweep", "l=1.5,2.7"], "cli: bad value '1.5' for 'l'"),
             (rate + ["--n", "2.9"], "cli: bad value '2.9' for 'n'"),
-            # one config name per parameter: lambda, not lam
+            # one config name per parameter: lambda, not lam, and the hint
+            # names the density, not the nearer spelling 'params.l'
             (cov + config("params.lam = 0.5\nparams.lambda = 0.1"),
-             "unknown key 'params.lam'"),
+             "unknown key 'params.lam' (did you mean 'params.lambda'?)"),
             (cov + ["--sweep", "lam=1e-4"], "got 'lam'"),
             # a comma grid must be strictly increasing
             (["coverage", "--method", "analytic", "--t-db", "5,0"],

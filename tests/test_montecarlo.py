@@ -140,6 +140,37 @@ class TestAgainstExactLaws:
         assert np.all(curve.bias_bounds <= 0.1 * curve.uncertainty)
 
 
+
+class TestBiasBoundAtCappedWindow:
+    """The first-order truncation-bias bound against the bias of a window
+    capped at K = 16, which breaks the CI/10 rule: each estimate must lie
+    within its bias bound plus 3 CI of the exact value, and the run must
+    report the broken rule rather than meet it."""
+
+    @pytest.fixture(autouse=True)
+    def cap_window(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_K", 16)
+
+    @pytest.mark.parametrize("beta, seed", ((2.5, 61), (4.0, 62)))
+    def test_coverage(self, paper_params, beta, seed):
+        # at mt = 2 the gain surrogate is exact (alpha = 1)
+        params = paper_params.with_(mt=2, beta=beta)
+        curve = mc_coverage(params, T_GRID, McConfig(trials=400_000, seed=seed))
+        exact = coverage_curve(params, T_GRID).values
+        slack = curve.bias_bounds + 3.0 * curve.uncertainty
+        assert np.all(np.abs(curve.values - exact) <= slack)
+        assert curve.mc_result.window_mean_count == 16
+        assert curve.mc_result.bias_to_ci > 0.1
+
+    def test_single_station_rate(self, paper_params):
+        params = paper_params.with_(lam=0.1, beta=2.5)
+        est = mc_radar_rate(params, McConfig(trials=400_000, seed=63))
+        exact = radar_rate_single(params).value
+        slack = est.mc_result.truncation_bias_bound + 3.0 * est.uncertainty
+        assert abs(est.value - exact) <= slack
+        assert est.mc_result.window_mean_count == 16
+        assert est.mc_result.bias_to_ci > 0.1
+
 def series_tail_mean(u_k, b, u_1):
     """Oracle: u_K^(1-b) sum_k ((b)_k/k!)^2 r^k/(b+k-1), r = u_1/u_K, summed
     per row until the geometric bound on its remainder is below 1e-12."""

@@ -208,6 +208,10 @@ class TestHoleIntegral:
             0.0, 2.0, limit=200, epsabs=1e-300, epsrel=1e-10)
         assert hole_exclusion_integral(c, beta) == pytest.approx(ref, rel=1e-8)
 
+    def test_nan_is_not_read_as_zero(self):
+        # a NaN c reaches the caller's bound check
+        assert np.isnan(hole_exclusion_integral(np.array([0.0, np.nan]))[1])
+
     def test_monotone_in_c(self):
         c = 10 ** np.linspace(-3, 5, 40)
         vals = hole_exclusion_integral(c)
@@ -219,9 +223,11 @@ class TestCooperativeRate:
         est = radar_rate(paper_params.with_(N=2, ps=0.0, pc=1.0))
         assert est.value == 0.0
 
-    def test_single_station_rejected(self, paper_params):
-        with pytest.raises(ValueError):
-            radar_rate(paper_params.with_(N=1))
+    @pytest.mark.parametrize("lam", (1e-4, 0.1))
+    @pytest.mark.parametrize("ps", (0.0, 0.5))
+    def test_single_station_is_the_exact_rate(self, paper_params, lam, ps):
+        params = paper_params.with_(N=1, lam=lam, ps=ps, pc=1.0 - ps)
+        assert radar_rate(params) == radar_rate_single(params)
 
     def test_grows_with_cluster(self, paper_params):
         r2 = radar_rate(paper_params.with_(N=2)).value
