@@ -7,7 +7,8 @@ station deployments, cross-validated by a vectorized Monte Carlo simulator.
 from .approx import AlphaFit, fit_alpha, fitted_alpha, ks_distance, verify_conjecture1
 from .coverage import (CoverageCurve, coverage_closed_form, coverage_curve,
                        coverage_integral)
-from .montecarlo import McConfig, McResult, mc_coverage, mc_radar_rate
+from .montecarlo import (McConfig, McResult, mc_coverage, mc_coverage_sweep,
+                         mc_radar_rate, mc_radar_rate_sweep)
 from .params import SystemParams
 from .radar import (RateEstimate, echo_laplace_exponent, hole_exclusion_integral,
                     interference_laplace_kernel, radar_rate, radar_rate_single)
@@ -19,7 +20,8 @@ __all__ = [
     "AlphaFit", "fit_alpha", "fitted_alpha", "ks_distance", "verify_conjecture1",
     "CoverageCurve", "coverage_closed_form", "coverage_curve",
     "coverage_integral",
-    "McConfig", "McResult", "mc_coverage", "mc_radar_rate",
+    "McConfig", "McResult", "mc_coverage", "mc_coverage_sweep",
+    "mc_radar_rate", "mc_radar_rate_sweep",
     "SystemParams",
     "RateEstimate", "echo_laplace_exponent", "hole_exclusion_integral",
     "interference_laplace_kernel", "radar_rate", "radar_rate_single",

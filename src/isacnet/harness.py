@@ -19,7 +19,7 @@ import numpy as np
 from .approx import AlphaFit, fit_alpha, verify_conjecture1
 from .config import DEFAULT_T_DB, SWEEPABLE, ConfigError, ExperimentConfig
 from .coverage import CoverageCurve, coverage_curve
-from .montecarlo import mc_coverage, mc_radar_rate
+from .montecarlo import mc_coverage_sweep, mc_radar_rate_sweep
 from .radar import RateEstimate, radar_rate
 
 __all__ = ["ResultRow", "run_experiment", "write_rows", "emit_plotdata",
@@ -30,9 +30,10 @@ __all__ = ["ResultRow", "run_experiment", "write_rows", "emit_plotdata",
 class ResultRow:
     """One (sweep point x method) outcome.
 
-    `window` (stations drawn per trial) and `bias_bound` (truncation-bias
-    bound) describe simulated rows and are None elsewhere; like `wall_ms`
-    they go to the sidecar, not the CSV.
+    `window` (stations drawn per trial), `bias_bound` (truncation-bias
+    bound) and `bias_to_ci` (that bound over the row's 95% half-width)
+    describe simulated rows and are None elsewhere; like `wall_ms` they go
+    to the sidecar, not the CSV.
     """
 
     sweep: dict                 # swept parameter values, may be empty
@@ -44,6 +45,7 @@ class ResultRow:
     extra: dict = field(default_factory=dict)   # e.g. t_db for coverage rows
     window: int | None = None
     bias_bound: float | None = None
+    bias_to_ci: float | None = None
 
 
 def _fmt(x):
@@ -57,12 +59,16 @@ def _fmt(x):
 # (metric, method) -> estimate at one point, from (cfg, params, thresholds)
 _ESTIMATORS = {
     ("coverage", "analytic"): lambda cfg, p, t: coverage_curve(p, t),
-    ("coverage", "mc"): lambda cfg, p, t: mc_coverage(p, t, cfg.mc),
     ("radar-rate", "analytic"): lambda cfg, p, t: radar_rate(p),
-    ("radar-rate", "mc"): lambda cfg, p, t: mc_radar_rate(p, cfg.mc),
     ("fit-alpha", "analytic"): lambda cfg, p, t: fit_alpha(p.q_shape),
     ("conjecture1", "mc"): lambda cfg, p, t: verify_conjecture1(
         p, cfg.mc.trials, cfg.mc.seed),
+}
+# (metric, method) -> estimates at every point of a sweep, from one draw set,
+# from (cfg, [params], thresholds)
+_SWEEPS = {
+    ("coverage", "mc"): lambda cfg, ps, t: mc_coverage_sweep(ps, t, cfg.mc),
+    ("radar-rate", "mc"): lambda cfg, ps, t: mc_radar_rate_sweep(ps, cfg.mc),
 }
 
 
@@ -73,7 +79,8 @@ def _cells(est, cfg, params):
         mc = est.mc_result
         bias = est.bias_bounds.tolist() if mc else [None] * len(cfg.t_db)
         return [dict(value=v, uncertainty=u, quad_error=qe, extra={"t_db": t},
-                     window=mc.window_mean_count if mc else None, bias_bound=b)
+                     window=mc.window_mean_count if mc else None, bias_bound=b,
+                     bias_to_ci=None if b is None else b / max(u, 1e-300))
                 for t, v, u, qe, b in zip(
                     cfg.t_db, est.values.tolist(), est.uncertainty.tolist(),
                     est.quad_error.tolist(), bias)]
@@ -82,7 +89,8 @@ def _cells(est, cfg, params):
         return [dict(value=est.value, uncertainty=est.uncertainty,
                      quad_error=est.quad_error,
                      window=mc.window_mean_count if mc else None,
-                     bias_bound=mc.truncation_bias_bound if mc else None)]
+                     bias_bound=mc.truncation_bias_bound if mc else None,
+                     bias_to_ci=mc.bias_to_ci if mc else None)]
     if isinstance(est, AlphaFit):
         return [dict(value=est.alpha_star, uncertainty=0.0, quad_error=0.0,
                      extra={"shape_n": est.shape_n,
@@ -94,24 +102,43 @@ def _cells(est, cfg, params):
                         "exponent": params.beta, "trials": cfg.mc.trials})]
 
 
+def _method_cells(cfg, method, t_lin):
+    """Per sweep point, the cells of one method's estimate and their
+    `wall_ms`: a point's time over its rows, or for a shared sweep the
+    sweep's time split evenly over all of its rows."""
+    params = [p for _, p in cfg.points]
+    if (cfg.metric, method) in _SWEEPS:
+        t0 = time.perf_counter()
+        estimates = _SWEEPS[cfg.metric, method](cfg, params, t_lin)
+        cells = [_cells(est, cfg, p) for est, p in zip(estimates, params)]
+        ms = (time.perf_counter() - t0) * 1e3 / sum(map(len, cells))
+        return [(point, ms) for point in cells]
+    out = []
+    for p in params:
+        t0 = time.perf_counter()
+        point = _cells(_ESTIMATORS[cfg.metric, method](cfg, p, t_lin), cfg, p)
+        out.append((point, (time.perf_counter() - t0) * 1e3 / len(point)))
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Execute a validated experiment; returns rows and optionally writes CSV.
 
     Every sweep point runs each method that `cfg.method` selects and the
-    metric has; a row's `wall_ms` is its estimate's time over its rows.
+    metric has; the simulator runs all points of the sweep on one draw set
+    (`mc_coverage_sweep`, `mc_radar_rate_sweep`).  Rows come point by
+    point, each point's methods in the order analytic, mc.
     """
-    methods = [m for m in ("analytic", "mc")
-               if cfg.method in (m, "both") and (cfg.metric, m) in _ESTIMATORS]
+    methods = [m for m in ("analytic", "mc") if cfg.method in (m, "both")
+               and ((cfg.metric, m) in _ESTIMATORS or (cfg.metric, m) in _SWEEPS)]
     if not methods:
         raise ConfigError(f"metric {cfg.metric!r} has no {cfg.method!r} method")
     t_lin = np.array([10.0 ** (t / 10.0) for t in cfg.t_db])
+    by_method = {method: _method_cells(cfg, method, t_lin) for method in methods}
     rows = []
-    for sweep, params in cfg.points:
+    for i, (sweep, _) in enumerate(cfg.points):
         for method in methods:
-            t0 = time.perf_counter()
-            cells = _cells(_ESTIMATORS[cfg.metric, method](cfg, params, t_lin),
-                           cfg, params)
-            ms = (time.perf_counter() - t0) * 1e3 / len(cells)
+            cells, ms = by_method[method][i]
             rows += [ResultRow(sweep=sweep, method=method, wall_ms=ms, **cell)
                      for cell in cells]
     if cfg.out:
@@ -151,6 +178,7 @@ def write_rows(rows, path, cfg):
         "wall_ms": [row.wall_ms for row in rows],
         "window": [row.window for row in rows],
         "bias_bound": [row.bias_bound for row in rows],
+        "bias_to_ci": [row.bias_to_ci for row in rows],
         "rows": len(rows),
         "metric": cfg.metric,
         "method": cfg.method,

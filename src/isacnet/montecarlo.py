@@ -2,11 +2,11 @@
 
 The simulator samples the deployment in radial form: squared origin
 distances scaled by pi*lam form a unit-rate arrival process.  The m
-nearest stations (m = L or N) come in order from a cumulative sum of
-exponential gaps, u_K is u_m plus a Gamma(K - m) gap, and the K - m - 1
-stations between, i.i.d. uniform on (u_m, u_K) given both, are drawn
-unordered.  Interferer positions relative to the receiving station only
-need the radial pair plus a uniform relative angle, whose cosine is
+nearest stations (m the largest L or N of a sweep) come in order from a
+cumulative sum of exponential gaps, u_K is u_m plus a Gamma(K - m) gap, and
+the K - m - 1 stations between, i.i.d. uniform on (u_m, u_K) given both, are
+drawn unordered.  Interferer positions relative to the receiving station
+only need the radial pair plus a uniform relative angle, whose cosine is
 cos(pi U) by symmetry; this is exactly the 2-D geometry - the station-free
 disk around the sensing target emerges naturally, with no correction term.
 
@@ -17,7 +17,16 @@ interference they add is replaced by its exact conditional mean given the
 trial's own u_K: u_K^(1-b)/(b-1) at the origin (b = beta/2), and at the
 radar receiver, which sits at u_1, u_K^(1-b) 2F1(b, b-1; 1; u_1/u_K)/(b-1),
 evaluated by scipy.special.hyp2f1.  The tail's conditional spread about
-that mean enters a first-order bound on the bias the replacement leaves.
+that mean enters a first-order bound on the bias the replacement leaves:
+the estimate's sensitivity to a relative change of the interference times
+the mean relative spread.  For coverage that sensitivity is the slope of
+P[SIR >= T] in ln T, measured at each threshold from the run's own draws
+by conditional Monte Carlo: with the nearest station's Gamma(q) gain
+(q = mt - 1) integrated out, P[SIR >= T | rest] = Q(q, T a - b), where
+a = interference/(pc w_1) and b = sum_{i>=2} g_i w_i / w_1 (w_i the path
+gains), so the slope is the mean of d = T a f_q(T a - b), f_q the Gamma(q)
+density and d = 0 where T a <= b.  The bound takes the slope's upper 95%
+limit, mean + 1.96 standard errors; it depends on no threshold grid.
 
 K is chosen per run: a pilot of _PILOT_TRIALS trials at K = _PILOT_K
 predicts the worst bias bound over the 95% half-width the full trial count
@@ -29,13 +38,24 @@ for.  K never drops below max(16, 2(m+1)) and never exceeds _MAX_K; past
 that cap, reached only with path loss near beta = 2 and many trials, the
 rule is reported (`McResult.bias_to_ci`), not met.
 
+Sweeps: `mc_coverage_sweep` and `mc_radar_rate_sweep` run every point of a
+sweep on one draw set (common random numbers).  The window is ordered to
+the sweep's largest cluster size m; each trial draws one Gamma(q) gain
+column set per distinct mt, and exp(1) gains (for the rate, also relative
+angles) for the far stations and for the near ones that interfere at some
+point.  K is the largest that any point's own bias/CI ratio calls for, so
+a larger K than a point alone would draw only lowers its bias.  Each point
+keeps its own estimate, CI, bias bound and bias/CI ratio; errors along a
+sweep are correlated.  `mc_coverage` and `mc_radar_rate` are one-point
+sweeps.
+
 Reproducibility: trials are processed in batches, closures
-batch(rng, rows, k) over the point; batch k draws from PCG64(seed) jumped
+batch(rng, rows, k) over the sweep; batch k draws from PCG64(seed) jumped
 k times and the pilot from the stream jumped _PILOT_STREAM times, which no
 batch reaches.  Batches run on a pool of `workers` threads (numpy's draws
 and array passes release the GIL) and their statistics are reduced in
-batch order, so K and every result are a pure function of the parameters
-and the config, bitwise identical for any number of workers.
+batch order, so K and every result are a pure function of the sweep's
+points and the config, bitwise identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -50,7 +70,8 @@ from scipy.special import hyp2f1
 from .coverage import CoverageCurve, _require_comm_power, _threshold_grid
 from .radar import RateEstimate
 
-__all__ = ["McConfig", "McResult", "mc_coverage", "mc_radar_rate"]
+__all__ = ["McConfig", "McResult", "mc_coverage", "mc_coverage_sweep",
+           "mc_radar_rate", "mc_radar_rate_sweep"]
 
 _BATCH_SIZE = 8192
 _BATCH_DOUBLES = 1 << 22        # bound on one (rows, K) array of a batch
@@ -81,12 +102,13 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Trial bookkeeping of one simulator run.
+    """Trial bookkeeping of one simulated point.
 
-    `truncation_bias_bound` is the largest bias bound over the estimates
-    and `bias_to_ci` the largest ratio of a bias bound to its estimate's
-    95% half-width (the estimate's own `uncertainty`).
-    `window_mean_count` is K, the stations drawn per trial.
+    `truncation_bias_bound` is the largest bias bound over the point's
+    estimates and `bias_to_ci` the largest ratio of a bias bound to its
+    estimate's 95% half-width (the estimate's own `uncertainty`).
+    `window_mean_count` is K, the stations drawn per trial, shared by every
+    point of a sweep.
     """
 
     trials_used: int
@@ -123,7 +145,8 @@ def _batch_plan(cfg, k):
 
 
 def _run_batches(batch, cfg, k):
-    """Run the batches of one run at window K; reduce in batch order."""
+    """Run the batches of one run at window K; reduce each point's
+    statistics in batch order."""
     sizes = _batch_plan(cfg, k)
 
     def run(stream, rows):
@@ -135,43 +158,48 @@ def _run_batches(batch, cfg, k):
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             parts = list(pool.map(run, range(len(sizes)), sizes))
-    return [sum(stat) for stat in zip(*parts)]
+    return [[sum(stat) for stat in zip(*point)] for point in zip(*parts)]
 
 
-def _simulate(batch, summary, params, cfg, m):
-    """Choose K, run the batches, and return (estimate, CI, bias, McResult).
+def _simulate(batch, summary, points, cfg, m):
+    """Choose K, run the batches, and return per point (estimate, CI, bias,
+    McResult).
 
-    `batch(rng, rows, k)` returns the stats of `rows` trials at window K;
-    `summary(stats, n)` turns the stats of n trials into (estimate, CI,
-    bias bound), with the CI taken at the run's full trial count.  The
-    tail's spread, and with it the bias bound, scales as u_K^((1-beta)/2),
-    so a run at K0 with bias/CI ratio r calls for
-    K = K0 (r/_BIAS_TO_CI)^(2/(beta-1)).  The pilot gives the first K; a
-    run whose own ratio still exceeds _BIAS_RULE (the pilot cannot see how
-    small a half-width will be where it drew no miss) is repeated at the K
-    its own statistics call for.  The McResult holds the accepted run's K,
-    its largest bias bound and the ratio that accepted it.  K stays above
-    the m stations drawn in order.
+    `batch(rng, rows, k)` returns, per point, the stats of `rows` trials
+    at window K; `summary(stats, n)` turns one point's stats of n trials
+    into (estimate, CI, bias bound), with the CI taken at the run's full
+    trial count.  The tail's spread, and with it the bias bound, scales as
+    u_K^((1-beta)/2), so a point at path-loss exponent beta whose run at K0
+    has bias/CI ratio r calls for K = K0 (r/_BIAS_TO_CI)^(2/(beta-1)); the
+    run takes the largest K its points call for.  The pilot gives the first
+    K; a run in which a point's own ratio still exceeds _BIAS_RULE (the
+    pilot cannot see how small a half-width will be where it drew no miss)
+    is repeated at the K its own statistics call for.  Each McResult holds
+    the accepted run's K and the point's largest bias bound and ratio.  K
+    stays above the m stations drawn in order.
     """
     floor = max(16, 2 * (m + 1))
 
     def assess(stats, n, k_run):
-        estimate, ci, bias = summary(stats, n)
-        ratio = float(np.max(bias / np.maximum(ci, 1e-300)))
-        k = min(k_run * (ratio / _BIAS_TO_CI) ** (2.0 / (params.beta - 1.0)),
-                _MAX_K)
-        return (estimate, ci, bias), ratio, max(math.ceil(k), floor)
+        runs, k = [], floor
+        for params, point_stats in zip(points, stats):
+            estimate, ci, bias = summary(point_stats, n)
+            ratio = float(np.max(bias / np.maximum(ci, 1e-300)))
+            k = max(k, math.ceil(min(k_run * (ratio / _BIAS_TO_CI)
+                                     ** (2.0 / (params.beta - 1.0)), _MAX_K)))
+            runs.append((estimate, ci, bias, ratio))
+        return runs, k
 
     k0 = max(_PILOT_K, floor)
     pilot = batch(_batch_rng(cfg.seed, _PILOT_STREAM), _PILOT_TRIALS, k0)
-    _, _, k = assess(pilot, _PILOT_TRIALS, k0)
+    _, k = assess(pilot, _PILOT_TRIALS, k0)
     while True:
-        (estimate, ci, bias), ratio, k_next = assess(
-            _run_batches(batch, cfg, k), cfg.trials, k)
-        if ratio <= _BIAS_RULE or k == _MAX_K:
-            return estimate, ci, bias, McResult(
+        runs, k_next = assess(_run_batches(batch, cfg, k), cfg.trials, k)
+        if max(run[3] for run in runs) <= _BIAS_RULE or k == _MAX_K:
+            return [(estimate, ci, bias, McResult(
                 trials_used=cfg.trials, truncation_bias_bound=float(np.max(bias)),
-                window_mean_count=k, bias_to_ci=ratio)
+                window_mean_count=k, bias_to_ci=ratio))
+                for estimate, ci, bias, ratio in runs]
         k = k_next
 
 
@@ -189,68 +217,125 @@ def _draw_window(rng, rows, k, m):
     return near, far, u_k
 
 
+def _sweep_shape(points, size):
+    """The draw set's layout: the largest and smallest cluster size, and the
+    distinct Gamma shapes and path-loss exponents, in order of appearance."""
+    if not points:
+        raise ValueError("a sweep needs at least one point")
+    sizes = [size(p) for p in points]
+    return (max(sizes), min(sizes), list(dict.fromkeys(p.q_shape for p in points)),
+            list(dict.fromkeys(p.beta for p in points)))
+
+
+def _path_loss(x, betas):
+    """x^(-beta/2) per distinct beta; the last one is computed in place."""
+    for i, beta in enumerate(betas):
+        yield beta, np.power(x, -beta / 2.0, out=x if i == len(betas) - 1 else None)
+
+
 # ----------------------------------------------------------------- coverage
 
 def mc_coverage(params, thresholds, cfg):
-    """Simulated coverage over a threshold grid (linear SIR units).
+    """Simulated coverage over a threshold grid; a one-point
+    `mc_coverage_sweep`."""
+    return mc_coverage_sweep([params], thresholds, cfg)[0]
 
-    Per trial the nearest L stations, drawn in order, transmit the desired
-    signal with i.i.d. Gamma(mt-1, 1) gains; the other K-L drawn stations
-    (unordered between u_L and u_K, and u_K itself) interfere at full power
+
+def mc_coverage_sweep(points, thresholds, cfg):
+    """Simulated coverage of every point of a sweep, from one draw set.
+
+    Per trial the nearest L stations of a point, drawn in order, transmit
+    the desired signal with i.i.d. Gamma(mt-1, 1) gains; the other K-L
+    drawn stations (those of the m nearest past the L-th, then the others
+    unordered between u_m and u_K, and u_K itself) interfere at full power
     with exp(1) gains, and those beyond them through their exact
-    conditional mean.  One SIR draw per trial is compared against
-    the whole grid, which guarantees the curve is non-increasing in the
-    threshold.  Returns a CoverageCurve whose `bias_bounds` hold the
-    per-threshold truncation-bias estimates and whose `mc_result` carries
-    the trial bookkeeping.  Raises ValueError when pc = 0, where coverage
-    is undefined.
+    conditional mean.  One SIR draw per trial is compared against the whole
+    grid, which guarantees each curve is non-increasing in the threshold.
+    Returns one CoverageCurve per point, whose `bias_bounds` hold the
+    per-threshold truncation-bias bounds and whose `mc_result` carries the
+    trial bookkeeping.  Raises ValueError when a point has pc = 0, where
+    coverage is undefined.
     """
-    _require_comm_power(params)
+    for params in points:
+        _require_comm_power(params)
     thresholds = _threshold_grid(thresholds)
-    beta = params.beta
-
-    def batch(rng, rows, k):
-        near, far, u_k = _draw_window(rng, rows, k, params.L)
-        g_des = rng.gamma(float(params.q_shape), 1.0, (rows, params.L))
-        g_int = rng.standard_exponential((rows, k - params.L))
-        desired = params.pc * np.einsum("ij,ij->i", g_des, near ** (-beta / 2.0))
-        interf = np.einsum("ij,ij->i", g_int, np.power(far, -beta / 2.0, out=far))
-        interf += _tail_mean(u_k, beta / 2.0)
-        interf *= params.pt
-        # exp(1) gains have second moment 2
-        spread = params.pt * np.sqrt(2.0 * _tail_mean(u_k, beta))
-        sir = desired
-        sir /= interf
-        hits = (sir[:, None] >= thresholds[None, :]).sum(axis=0).astype(np.int64)
-        return hits, float((spread / interf).sum())
 
     def summary(stats, n):
-        hits, rel_spread = stats
+        hits, d_sum, d_sq, rel_spread = stats
         values = hits / float(n)
         # add-one smoothing keeps the half-width positive at p-hat in {0, 1}
         smooth = (hits + 1.0) / (n + 2.0)
         ci = 1.96 * np.sqrt(smooth * (1.0 - smooth) / cfg.trials)
-        # first-order truncation bias per point: local curve slope in ln T
-        # times the relative interference perturbation left by the tail
-        bias = _local_slopes(values, thresholds) * (rel_spread / n)
-        return values, ci, bias
+        # first-order truncation bias per point: the slope in ln T (upper
+        # 95% limit) times the relative interference perturbation the tail
+        # leaves
+        slope = d_sum / n
+        se = np.sqrt(np.maximum(d_sq / n - slope * slope, 0.0) / n)
+        return values, ci, (slope + 1.96 * se) * (rel_spread / n)
 
-    values, ci, bias, result = _simulate(batch, summary, params, cfg, params.L)
-    return CoverageCurve(
+    batch, m = _coverage_batch(points, thresholds)
+    runs = _simulate(batch, summary, points, cfg, m)
+    return [CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
         uncertainty=ci, quad_error=np.zeros_like(thresholds), bias_bounds=bias,
-        mc_result=result)
+        mc_result=result) for values, ci, bias, result in runs]
 
 
-def _local_slopes(values, thresholds):
-    if len(thresholds) < 2:
-        return np.array([0.25])
-    s = np.abs(np.diff(values) / np.diff(np.log(thresholds)))
-    out = np.empty_like(values)
-    out[0] = s[0]
-    out[-1] = s[-1]
-    out[1:-1] = np.maximum(s[:-1], s[1:])
-    return out
+def _coverage_batch(points, thresholds):
+    """The batch of a coverage sweep, and its largest cluster size m.
+
+    batch(rng, rows, k) returns per point the hit counts per threshold, the
+    sum and squared sum per threshold of the conditional density
+    d = T a f_q(T a - b) (module docstring), and the summed relative spread
+    of the tail interference.
+    """
+    m, l_min, shapes, betas = _sweep_shape(points, lambda p: p.L)
+
+    def point_stats(params, g, g_near, w, interf_base, tail_sd):
+        L, q = params.L, params.q_shape
+        desired = params.pc * np.einsum("ij,ij->i", g[:, :L], w[:, :L])
+        interf = interf_base + np.einsum("ij,ij->i", g_near[:, L - l_min:],
+                                         w[:, L:])
+        interf *= params.pt
+        rel_spread = float((params.pt * tail_sd / interf).sum())
+        # the nearest gain g_1 covers T iff g_1 >= T a - b
+        a = interf / (params.pc * w[:, 0])
+        b = np.einsum("ij,ij->i", g[:, 1:L], w[:, 1:L]) / w[:, 0]
+        sir = desired
+        sir /= interf
+        log_a, log_norm = np.log(a), math.lgamma(q)
+        hits = np.empty(len(thresholds), dtype=np.int64)
+        d_sum, d_sq = np.empty(len(thresholds)), np.empty(len(thresholds))
+        for j, t in enumerate(thresholds):
+            hits[j] = np.count_nonzero(sir >= t)
+            x = t * a - b
+            live = x > 0.0
+            x = x[live]
+            log_d = log_a[live] + (math.log(t) - log_norm) - x
+            if q > 1:
+                log_d += (q - 1) * np.log(x)
+            d = np.exp(log_d)
+            d_sum[j], d_sq[j] = d.sum(), (d * d).sum()
+        return hits, d_sum, d_sq, rel_spread
+
+    def batch(rng, rows, k):
+        near, far, u_k = _draw_window(rng, rows, k, m)
+        g_des = {q: rng.gamma(float(q), 1.0, (rows, m)) for q in shapes}
+        g_int = rng.standard_exponential((rows, k - m))
+        # exp(1) gains of the near stations past the smallest L
+        g_near = rng.standard_exponential((rows, m - l_min))
+        per_beta = {}
+        for beta, w_far in _path_loss(far, betas):
+            interf_base = np.einsum("ij,ij->i", g_int, w_far)
+            interf_base += _tail_mean(u_k, beta / 2.0)
+            # exp(1) gains have second moment 2
+            per_beta[beta] = (near ** (-beta / 2.0), interf_base,
+                              np.sqrt(2.0 * _tail_mean(u_k, beta)))
+        del far, g_int, w_far      # the (rows, K) arrays, before the row passes
+        return [point_stats(p, g_des[p.q_shape], g_near, *per_beta[p.beta])
+                for p in points]
+
+    return batch, m
 
 
 # -------------------------------------------------------------- radar rate
@@ -270,36 +355,55 @@ def _receiver_d2(rng, u_1, u):
 
 
 def mc_radar_rate(params, cfg):
-    """Simulated radar information rate, E[ln(1 + SIR)] in nats.
+    """Simulated radar information rate, E[ln(1 + SIR)] in nats; a
+    one-point `mc_radar_rate_sweep`."""
+    return mc_radar_rate_sweep([params], cfg)[0]
 
-    Per trial the N nearest stations, drawn in order, illuminate the
-    origin target with Gamma(mt-1, 1) gains; the nearest one receives the
-    echo, and the other K-N drawn stations (unordered between u_N and u_K,
-    and u_K itself) interfere at their true 2-D distance from that receiver
-    with exp(1) gains, those beyond them through their exact conditional
-    mean at the receiver.  Returns a RateEstimate whose
-    `mc_result` carries trial bookkeeping and the truncation-bias estimate.
+
+def mc_radar_rate_sweep(points, cfg):
+    """Simulated radar information rate of every point of a sweep, from one
+    draw set.
+
+    Per trial the N nearest stations of a point, drawn in order, illuminate
+    the origin target with Gamma(mt-1, 1) gains; the nearest one receives
+    the echo, and the other K-N drawn stations (those of the m nearest past
+    the N-th, then the others unordered between u_m and u_K, and u_K
+    itself) interfere at their true 2-D distance from that receiver with
+    exp(1) gains, those beyond them through their exact conditional mean at
+    the receiver.  Returns one RateEstimate per point, whose `mc_result`
+    carries trial bookkeeping and the truncation-bias estimate.
     """
-    echo_scale = (params.sigma2 * params.mr * params.ps / params.pt
-                  * (math.pi * params.lam) ** (params.beta / 2.0))
-    beta = params.beta
+    def summary(stats, n):
+        total, total_sq, sens_sum = stats
+        mean = total / n
+        var = max(total_sq / n - mean * mean, 0.0)
+        return mean, 1.96 * math.sqrt(var / cfg.trials), sens_sum / n
 
-    def batch(rng, rows, k):
-        near, far, u_k = _draw_window(rng, rows, k, params.N)
-        f_des = rng.gamma(float(params.q_shape), 1.0, (rows, params.N))
-        f_int = rng.standard_exponential((rows, k - params.N))
+    batch, m = _rate_batch(points)
+    runs = _simulate(batch, summary, points, cfg, m)
+    return [RateEstimate(value=max(mean, 0.0), method="monte-carlo",
+                         uncertainty=ci, mc_result=result)
+            for mean, ci, _, result in runs]
 
-        w_des = near ** (-beta / 2.0)
-        echo = np.einsum("ij,ij->i", f_des, w_des)
-        echo *= echo_scale * w_des[:, 0]
 
-        u_1 = near[:, 0]
-        d2 = _receiver_d2(rng, u_1[:, None], far)
-        interf = np.einsum("ij,ij->i", f_int, np.power(d2, -beta / 2.0, out=d2))
-        interf += _tail_mean(u_k, beta / 2.0, u_1)
-        # exp(1) gains have second moment 2
-        spread = np.sqrt(2.0 * _tail_mean(u_k, beta, u_1))
+def _rate_batch(points):
+    """The batch of a radar-rate sweep, and its largest cluster size m.
 
+    batch(rng, rows, k) returns per point the sum and squared sum of
+    ln(1 + SIR) and the summed sensitivity of that log to the tail
+    interference times the tail's spread.
+    """
+    m, n_min, shapes, betas = _sweep_shape(points, lambda p: p.N)
+    echo_scales = [p.sigma2 * p.mr * p.ps / p.pt * (math.pi * p.lam) ** (p.beta / 2.0)
+                   for p in points]
+
+    def point_stats(params, echo_scale, f, f_near, w, interf_base, w_near,
+                    spread):
+        N = params.N
+        echo = np.einsum("ij,ij->i", f[:, :N], w[:, :N])
+        echo *= echo_scale * w[:, 0]
+        interf = interf_base + np.einsum("ij,ij->i", f_near[:, N - n_min:],
+                                         w_near[:, N - n_min:])
         sir = echo
         sir /= interf
         vals = np.log1p(sir)
@@ -307,12 +411,27 @@ def mc_radar_rate(params, cfg):
         return (float(vals.sum()), float((vals * vals).sum()),
                 float((spread * sens).sum()))
 
-    def summary(stats, n):
-        total, total_sq, sens_sum = stats
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0)
-        return mean, 1.96 * math.sqrt(var / cfg.trials), sens_sum / n
+    def batch(rng, rows, k):
+        near, far, u_k = _draw_window(rng, rows, k, m)
+        f_des = {q: rng.gamma(float(q), 1.0, (rows, m)) for q in shapes}
+        f_int = rng.standard_exponential((rows, k - m))
+        u_1 = near[:, :1]
+        d2 = _receiver_d2(rng, u_1, far)
+        del far
+        # exp(1) gains and receiver distances of the near stations past the
+        # smallest N
+        f_near = rng.standard_exponential((rows, m - n_min))
+        d2_near = _receiver_d2(rng, u_1, near[:, n_min:])
+        per_beta = {}
+        for beta, w_far in _path_loss(d2, betas):
+            interf_base = np.einsum("ij,ij->i", f_int, w_far)
+            interf_base += _tail_mean(u_k, beta / 2.0, u_1[:, 0])
+            # exp(1) gains have second moment 2
+            per_beta[beta] = (near ** (-beta / 2.0), interf_base,
+                              d2_near ** (-beta / 2.0),
+                              np.sqrt(2.0 * _tail_mean(u_k, beta, u_1[:, 0])))
+        del d2, f_int, w_far       # the (rows, K) arrays, before the row passes
+        return [point_stats(p, scale, f_des[p.q_shape], f_near, *per_beta[p.beta])
+                for p, scale in zip(points, echo_scales)]
 
-    mean, ci, _, result = _simulate(batch, summary, params, cfg, params.N)
-    return RateEstimate(value=max(mean, 0.0), method="monte-carlo",
-                        uncertainty=ci, mc_result=result)
+    return batch, m

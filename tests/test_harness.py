@@ -14,6 +14,7 @@ from isacnet.config import (ConfigError, build_experiment, parse_config_file,
                             parse_t_db)
 from isacnet.harness import (FIGURE_PRESETS, ResultRow, emit_plotdata,
                              figure_preset, run_experiment, write_rows)
+from isacnet.montecarlo import mc_coverage_sweep
 from isacnet.specfun import ConvergenceError
 
 
@@ -196,6 +197,29 @@ class TestRunAndPersist:
                 assert window >= 16 and 0.0 <= bias <= 0.1 * row.uncertainty
             else:
                 assert window is None and bias is None
+
+    def test_mc_sweep_shares_one_run(self, tmp_path):
+        entries, _ = entries_of(
+            BASE.replace("method = analytic", "method = mc")
+            + "sweep.param = mt\nsweep.values = 4,10\nmc.trials = 5000\n",
+            tmp_path)
+        out = str(tmp_path / "cov.csv")
+        cfg = build_experiment(entries, {"out": out})
+        rows = run_experiment(cfg)
+        meta = json.load(open(out + ".meta.json"))
+        assert len(meta["bias_to_ci"]) == len(rows) == 8
+        for row, ratio in zip(rows, meta["bias_to_ci"]):
+            assert ratio == row.bias_to_ci == row.bias_bound / row.uncertainty
+            assert ratio <= 0.1
+        # one draw set: one window, and the sweep's time split evenly
+        assert len(set(meta["window"])) == 1
+        assert len(set(meta["wall_ms"])) == 1
+        # each point's largest row ratio is the one its run was judged by
+        t_lin = np.array([10.0 ** (t / 10.0) for t in cfg.t_db])
+        curves = mc_coverage_sweep([p for _, p in cfg.points], t_lin, cfg.mc)
+        for i, curve in enumerate(curves):
+            assert max(meta["bias_to_ci"][4 * i:4 * i + 4]) == \
+                curve.mc_result.bias_to_ci
 
     def test_emit_plotdata_residual(self, tmp_path):
         rows = [

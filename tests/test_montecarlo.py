@@ -9,8 +9,10 @@ from scipy import integrate, stats
 from isacnet import SystemParams, montecarlo
 from isacnet.coverage import coverage_closed_form, coverage_curve
 from isacnet.montecarlo import (McConfig, _PILOT_STREAM, _batch_rng,
-                                _draw_window, _receiver_d2, _tail_mean,
-                                mc_coverage, mc_radar_rate)
+                                _coverage_batch, _draw_window, _receiver_d2,
+                                _run_batches, _tail_mean, mc_coverage,
+                                mc_coverage_sweep, mc_radar_rate,
+                                mc_radar_rate_sweep)
 from isacnet.radar import radar_rate_single
 
 T_GRID = 10 ** (np.arange(-10.0, 21.0, 5.0) / 10.0)
@@ -139,6 +141,119 @@ class TestAgainstExactLaws:
         assert np.all(np.abs(curve.values - exact) <= slack)
         assert np.all(curve.bias_bounds <= 0.1 * curve.uncertainty)
 
+
+
+class TestConditionalSlope:
+    """The bias bound's slope of coverage in ln T, measured from the draws by
+    integrating out the nearest station's gain."""
+
+    @pytest.mark.parametrize("beta, k", ((2.5, 600), (4.0, 100)))
+    def test_against_exact_derivative(self, paper_params, beta, k):
+        # at mt = 2 the gain surrogate is exact (alpha = 1), so a central
+        # difference of the L = 1 analytic curve is the true slope
+        params = paper_params.with_(mt=2, beta=beta)
+        n = 100_000
+        batch, _ = _coverage_batch([params], T_GRID)
+        ((_, d_sum, d_sq, _),) = _run_batches(batch, McConfig(trials=n, seed=11),
+                                              k)
+        slope = d_sum / n
+        se = np.sqrt((d_sq / n - slope * slope) / n)
+        h = 0.01
+        exact = (coverage_curve(params, T_GRID * math.exp(-h)).values
+                 - coverage_curve(params, T_GRID * math.exp(h)).values) / (2 * h)
+        assert np.all(np.abs(slope - exact) <= 3.0 * se)
+
+    def test_window_does_not_follow_the_grid(self):
+        # an L = 2 point of the figure benchmark on thresholds 10 dB apart;
+        # a chord slope to the next threshold once drew 3-4x the window
+        # there that the same point drew on the 2 dB grid
+        params = SystemParams(L=2, mt=6, ps=0.4, pc=0.6)
+        cfg = McConfig(trials=20_000, seed=2)
+        fine = mc_coverage(params, 10 ** (GRID_DB / 10.0), cfg)
+        coarse = mc_coverage(params, 10 ** (np.array([-5.0, 5.0, 15.0]) / 10.0),
+                             cfg)
+        assert (coarse.mc_result.window_mean_count
+                <= 1.2 * fine.mc_result.window_mean_count)
+
+
+def combined_ci(a, b):
+    return np.sqrt(np.square(a.uncertainty) + np.square(b.uncertainty))
+
+
+class TestSweep:
+    """Every point of a sweep from one draw set (common random numbers)."""
+
+    def test_one_point_sweep_is_the_single_call(self, paper_params):
+        cfg = McConfig(trials=20_000, seed=3)
+        single = mc_coverage(paper_params.with_(L=2), T_GRID, cfg)
+        (swept,) = mc_coverage_sweep([paper_params.with_(L=2)], T_GRID, cfg)
+        for field in ("values", "uncertainty", "bias_bounds"):
+            assert np.array_equal(getattr(single, field), getattr(swept, field))
+        assert single.mc_result == swept.mc_result
+        single = mc_radar_rate(paper_params.with_(N=2), cfg)
+        (swept,) = mc_radar_rate_sweep([paper_params.with_(N=2)], cfg)
+        assert single == swept
+
+    def test_worker_invariance(self, paper_params):
+        cov = [paper_params.with_(L=L, mt=mt) for L, mt in ((1, 4), (3, 10), (2, 6))]
+        rate = [paper_params.with_(N=n, lam=lam) for n, lam in ((3, 0.1), (1, 1e-3))]
+        runs = []
+        for workers in (1, 2):
+            cfg = McConfig(trials=30_000, seed=4, workers=workers)
+            runs.append((mc_coverage_sweep(cov, T_GRID, cfg),
+                         mc_radar_rate_sweep(rate, cfg)))
+        (cov1, rate1), (cov2, rate2) = runs
+        for a, b in zip(cov1, cov2):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.uncertainty, b.uncertainty)
+            assert np.array_equal(a.bias_bounds, b.bias_bounds)
+            assert a.mc_result == b.mc_result
+        assert rate1 == rate2
+
+    @pytest.mark.parametrize("points", (
+        [{"L": 1, "mt": mt} for mt in (4, 6, 8, 10)],
+        [{"L": L} for L in (1, 2, 3, 4)],
+        [{"L": 2, "beta": beta} for beta in (3.5, 4.0)]),
+        ids=("mt", "L", "beta"))
+    def test_coverage_points_match_standalone_runs(self, paper_params, points):
+        points = [paper_params.with_(**p) for p in points]
+        cfg = McConfig(trials=40_000, seed=5, workers=2)
+        swept = mc_coverage_sweep(points, T_GRID, cfg)
+        k = swept[0].mc_result.window_mean_count
+        for params, curve in zip(points, swept):
+            alone = mc_coverage(params, T_GRID, cfg)
+            assert curve.mc_result.window_mean_count == k
+            assert np.all(np.abs(curve.values - alone.values)
+                          <= 3.0 * combined_ci(curve, alone))
+            assert np.all(curve.bias_bounds <= 0.1 * curve.uncertainty)
+
+    @pytest.mark.parametrize("points", (
+        [{"N": n, "lam": 0.1} for n in (1, 2, 3, 4)],
+        [{"N": 3, "lam": lam} for lam in (1e-4, 1e-3, 1e-2, 1e-1)]),
+        ids=("N", "lambda"))
+    def test_rate_points_match_standalone_runs(self, paper_params, points):
+        points = [paper_params.with_(**p) for p in points]
+        cfg = McConfig(trials=40_000, seed=6, workers=2)
+        for params, est in zip(points, mc_radar_rate_sweep(points, cfg)):
+            alone = mc_radar_rate(params, cfg)
+            assert abs(est.value - alone.value) <= 3.0 * combined_ci(est, alone)
+            assert est.mc_result.truncation_bias_bound <= 0.1 * est.uncertainty
+
+    def test_density_sweep_of_coverage_is_one_curve(self, paper_params):
+        # coverage never reads the density, so every point of a lambda sweep
+        # computes the same curve from the same draws
+        points = [paper_params.with_(lam=lam) for lam in (1e-5, 1e-4, 1e-3)]
+        first, *rest = mc_coverage_sweep(points, T_GRID,
+                                         McConfig(trials=20_000, seed=8))
+        for curve in rest:
+            assert np.array_equal(curve.values, first.values)
+            assert np.array_equal(curve.uncertainty, first.uncertainty)
+            assert np.array_equal(curve.bias_bounds, first.bias_bounds)
+            assert curve.mc_result == first.mc_result
+
+    def test_empty_sweep(self):
+        with pytest.raises(ValueError):
+            mc_coverage_sweep([], T_GRID, McConfig(trials=100))
 
 
 class TestBiasBoundAtCappedWindow:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import roots_legendre
 
+from isacnet import radar
 from isacnet.radar import (RateEstimate, echo_laplace_exponent,
                            echo_power_laplace, hole_exclusion_integral,
                            interference_laplace_factor,
@@ -283,6 +285,67 @@ class TestSingleStationRate:
             paper_params.with_(ps=ps, pc=1.0 - ps)).value
             for ps in np.arange(0.1, 0.95, 0.1)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _gl_panels(lo, hi, n, nodes=20):
+    """Composite Gauss-Legendre nodes and weights, n equal panels."""
+    x, w = roots_legendre(nodes)
+    edges = np.linspace(lo, hi, n + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    return ((edges[:-1, None] + half) + half * x).ravel(), (half * w).ravel()
+
+
+def composite_hole_oracle():
+    """An accurate stand-in for `hole_exclusion_integral`: 20-point panels
+    of width 1/2 in ln t on (0, 1], cut at t = e^-20 where the integrand's
+    remaining mass is below pi e^-40 / 2, and eight panels in v on [1, 2]
+    through t = 2 - v^2.  The panels are narrow against the pole of
+    1/(1 + t^beta/c) at ln t + i pi/beta, so the rule is good to a few
+    eps at beta <= 8."""
+    s, ws = _gl_panels(-20.0, 0.0, 40)
+    v, wv = _gl_panels(0.0, 1.0, 8)
+    t = np.concatenate([np.exp(s), 2.0 - v * v])
+    kernel = 2.0 * np.arccos(t / 2.0) * t * np.concatenate(
+        [np.exp(s) * ws, 2.0 * v * wv])
+
+    def oracle(c, beta=4.0):
+        c = np.asarray(c, dtype=float)
+        flat, out = c.ravel(), np.empty(c.size)
+        t_beta = t ** beta
+        for i in range(0, flat.size, 2000):     # bounded temporaries
+            with np.errstate(divide="ignore"):
+                out[i:i + 2000] = (1.0 / (1.0 + t_beta / flat[i:i + 2000, None])
+                                   ) @ kernel
+        return out.reshape(c.shape)
+
+    return oracle
+
+
+HOLE_ORACLE = composite_hole_oracle()
+
+
+class TestHoleRuleInTheBound:
+    """`radar_rate_single`'s quad_error omits the error of the fixed 96-point
+    rule inside `hole_exclusion_integral`; that is honest only while the
+    rule's share of the rate's error is far below the stated bound."""
+
+    @pytest.mark.parametrize("beta", (2.5, 8.0))
+    @pytest.mark.parametrize("c", (1e-3, 1.0, 30.0, 1e6))
+    def test_oracle_against_quad(self, beta, c):
+        ref, _ = integrate.quad(
+            lambda t: 2.0 * np.arccos(t / 2.0) * t / (1.0 + t ** beta / c),
+            0.0, 2.0, limit=400, epsabs=1e-300, epsrel=1e-13)
+        assert HOLE_ORACLE(np.array([c]), beta)[0] == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", (2.5, 4.0, 8.0))
+    @pytest.mark.parametrize("lam", (1e-4, 10.0))
+    def test_rule_error_within_bound(self, paper_params, monkeypatch, beta,
+                                     lam):
+        params = paper_params.with_(beta=beta, lam=lam)
+        est = radar_rate_single(params)
+        monkeypatch.setattr(radar, "hole_exclusion_integral", HOLE_ORACLE)
+        accurate = radar_rate_single(params).value
+        assert abs(est.value - accurate) <= 0.1 * est.quad_error
 
 
 class TestRateEstimate:
