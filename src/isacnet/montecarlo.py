@@ -5,10 +5,11 @@ distances scaled by pi*lam form a unit-rate arrival process.  The m
 nearest stations (m the largest L or N of a sweep) come in order from a
 cumulative sum of exponential gaps, u_K is u_m plus a Gamma(K - m) gap, and
 the K - m - 1 stations between, i.i.d. uniform on (u_m, u_K) given both, are
-drawn unordered.  Interferer positions relative to the receiving station
-only need the radial pair plus a uniform relative angle, whose cosine is
-cos(pi U) by symmetry; this is exactly the 2-D geometry - the station-free
-disk around the sensing target emerges naturally, with no correction term.
+drawn unordered, in column blocks (see Batches).  Interferer positions
+relative to the receiving station only need the radial pair plus a uniform
+relative angle, whose cosine is cos(pi U) by symmetry; this is exactly the
+2-D geometry - the station-free disk around the sensing target emerges
+naturally, with no correction term.
 
 Window: every trial draws exactly the K nearest stations.  By the strong
 Markov property of the arrival process, the stations beyond the K-th
@@ -49,13 +50,25 @@ keeps its own estimate, CI, bias bound and bias/CI ratio; errors along a
 sweep are correlated.  `mc_coverage` and `mc_radar_rate` are one-point
 sweeps.
 
-Reproducibility: trials are processed in batches, closures
-batch(rng, rows, k) over the sweep; batch k draws from PCG64(seed) jumped
-k times and the pilot from the stream jumped _PILOT_STREAM times, which no
-batch reaches.  Batches run on a pool of `workers` threads (numpy's draws
-and array passes release the GIL) and their statistics are reduced in
-batch order, so K and every result are a pure function of the sweep's
-points and the config, bitwise identical for any number of workers.
+Batches: trials are processed in batches of _BATCH_SIZE rows (the last one
+holds the remainder), closures batch(rng, rows, k) over the sweep.  A batch
+draws, in this order: the m ordered arrivals (gaps, then u_K's Gamma gap);
+one Gamma(q) gain set (rows, m) per distinct mt; the exp(1) gains of the
+near stations past the smallest cluster (for the rate, then their relative
+angles); then the K - m far stations in column blocks of at most _BLOCK,
+each block its arrivals, then its exp(1) gains (for the rate, then its
+relative angles), the last block ending with u_K.  Each block is reduced
+into one sum per row and beta, sum g x^(-beta/2), and its buffers (one
+allocation per batch) are reused by the next, so no (rows, K) array
+exists: a batch's working set is the (rows, m) arrays plus a few blocks,
+4-9 MB at 8,192 rows, at any K.
+
+Reproducibility: batch k draws from PCG64(seed) jumped k times and the
+pilot from the stream jumped _PILOT_STREAM times, which no batch reaches.
+Batches run on a pool of `workers` threads (numpy's draws and array passes
+release the GIL) and their statistics are reduced in batch order, so K and
+every result are a pure function of the sweep's points and the config,
+bitwise identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -74,7 +87,7 @@ __all__ = ["McConfig", "McResult", "mc_coverage", "mc_coverage_sweep",
            "mc_radar_rate", "mc_radar_rate_sweep"]
 
 _BATCH_SIZE = 8192
-_BATCH_DOUBLES = 1 << 22        # bound on one (rows, K) array of a batch
+_BLOCK = 32                     # columns per block of the far stations
 _PILOT_STREAM = 1 << 40
 _PILOT_TRIALS = 2048
 _PILOT_K = 64
@@ -138,22 +151,22 @@ def _batch_rng(seed, stream):
     return np.random.Generator(np.random.PCG64(seed).jumped(stream))
 
 
-def _batch_plan(cfg, k):
-    batch = max(1, min(_BATCH_SIZE, _BATCH_DOUBLES // k))
-    n_batches = (cfg.trials + batch - 1) // batch
-    return [batch] * (n_batches - 1) + [cfg.trials - batch * (n_batches - 1)]
+def _batch_plan(cfg):
+    full, rest = divmod(cfg.trials, _BATCH_SIZE)
+    return [_BATCH_SIZE] * full + [rest] * (rest > 0)
 
 
 def _run_batches(batch, cfg, k):
     """Run the batches of one run at window K; reduce each point's
     statistics in batch order."""
-    sizes = _batch_plan(cfg, k)
+    sizes = _batch_plan(cfg)
 
     def run(stream, rows):
         return batch(_batch_rng(cfg.seed, stream), rows, k)
 
     if cfg.workers == 1 or len(sizes) == 1:
-        # a pool thread's own malloc arena would add ~20 MB to the peak RSS
+        # a pool thread's own malloc arena would add ~2 MB to the peak RSS
+        # (benchmark simulate rounds 0-2: 72.5 MB here, 74.6 MB in a pool)
         parts = list(map(run, range(len(sizes)), sizes))
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -204,17 +217,47 @@ def _simulate(batch, summary, points, cfg, m):
 
 
 def _draw_window(rng, rows, k, m):
-    """The K nearest arrivals per row: the m nearest in order (rows, m), the
-    other K - m unordered but for u_K in the last column, and u_K itself."""
+    """The m nearest arrivals per row in order (rows, m), and the K-th, u_K."""
     near = rng.standard_exponential((rows, m))
     np.cumsum(near, axis=1, out=near)
+    return near, near[:, -1] + rng.standard_gamma(k - m, rows)
+
+
+def _far_blocks(rng, near, u_k, k, receiver=None):
+    """The K - m arrivals past the m-th and their exp(1) gains, in column
+    blocks (x, g) of at most _BLOCK columns.  Each block draws its arrivals,
+    unordered and uniform on (u_m, u_K), then their gains; the last block
+    ends with u_K itself.  x is the arrivals or, with `receiver` (rows, 1),
+    their squared distances to a receiver at that arrival (`_receiver_d2`,
+    whose angles are drawn after the gains).  Every block is a view of the
+    same buffers, so it is valid only until the next one is drawn."""
+    rows, n_far = len(u_k), k - near.shape[1]
     u_m = near[:, -1:]
-    u_k = u_m[:, 0] + rng.standard_gamma(k - m, rows)
-    far = rng.random((rows, k - m))
-    far *= u_k[:, None] - u_m
-    far += u_m
-    far[:, -1] = u_k
-    return near, far, u_k
+    span = u_k[:, None] - u_m
+    # one allocation for all buffers: glibc's malloc keeps up to twice its
+    # largest freed mapped chunk in the heap, so a chunk this size lets the
+    # next batch reuse these pages instead of faulting in fresh ones
+    bufs = np.empty((2 if receiver is None else 3, rows * min(_BLOCK, n_far)))
+    for start in range(0, n_far, _BLOCK):
+        width = min(_BLOCK, n_far - start)
+        u, g, *d2 = (buf[:rows * width].reshape(rows, width) for buf in bufs)
+        rng.random(out=u)
+        rng.standard_exponential(out=g)
+        u *= span
+        u += u_m
+        if start + width == n_far:
+            u[:, -1] = u_k
+        yield u if receiver is None else _receiver_d2(rng, receiver, u, *d2), g
+
+
+def _far_sums(rng, near, u_k, k, betas, receiver=None):
+    """Per beta, each row's sum of g x^(-beta/2) over the blocks (x, g) of
+    `_far_blocks`."""
+    sums = {beta: np.zeros(len(u_k)) for beta in betas}
+    for x, g in _far_blocks(rng, near, u_k, k, receiver):
+        for beta, w in _path_loss(x, betas):
+            sums[beta] += np.einsum("ij,ij->i", g, w)
+    return sums
 
 
 def _sweep_shape(points, size):
@@ -319,19 +362,16 @@ def _coverage_batch(points, thresholds):
         return hits, d_sum, d_sq, rel_spread
 
     def batch(rng, rows, k):
-        near, far, u_k = _draw_window(rng, rows, k, m)
+        near, u_k = _draw_window(rng, rows, k, m)
         g_des = {q: rng.gamma(float(q), 1.0, (rows, m)) for q in shapes}
-        g_int = rng.standard_exponential((rows, k - m))
         # exp(1) gains of the near stations past the smallest L
         g_near = rng.standard_exponential((rows, m - l_min))
         per_beta = {}
-        for beta, w_far in _path_loss(far, betas):
-            interf_base = np.einsum("ij,ij->i", g_int, w_far)
+        for beta, interf_base in _far_sums(rng, near, u_k, k, betas).items():
             interf_base += _tail_mean(u_k, beta / 2.0)
             # exp(1) gains have second moment 2
             per_beta[beta] = (near ** (-beta / 2.0), interf_base,
                               np.sqrt(2.0 * _tail_mean(u_k, beta)))
-        del far, g_int, w_far      # the (rows, K) arrays, before the row passes
         return [point_stats(p, g_des[p.q_shape], g_near, *per_beta[p.beta])
                 for p in points]
 
@@ -340,11 +380,12 @@ def _coverage_batch(points, thresholds):
 
 # -------------------------------------------------------------- radar rate
 
-def _receiver_d2(rng, u_1, u):
+def _receiver_d2(rng, u_1, u, out=None):
     """Squared distances, in u units, from a receiver at arrival u_1 to
     stations at arrivals u: u_1 + u - 2 sqrt(u_1 u) cos(phi), with phi
-    uniform by rotation symmetry, so cos(phi) has the law of cos(pi U)."""
-    d2 = rng.random(u.shape)
+    uniform by rotation symmetry, so cos(phi) has the law of cos(pi U).
+    Written into `out` (u's shape, not u itself) when given."""
+    d2 = rng.random(u.shape, out=out)
     d2 *= math.pi
     np.cos(d2, out=d2)
     d2 *= np.sqrt(u)
@@ -412,25 +453,20 @@ def _rate_batch(points):
                 float((spread * sens).sum()))
 
     def batch(rng, rows, k):
-        near, far, u_k = _draw_window(rng, rows, k, m)
+        near, u_k = _draw_window(rng, rows, k, m)
         f_des = {q: rng.gamma(float(q), 1.0, (rows, m)) for q in shapes}
-        f_int = rng.standard_exponential((rows, k - m))
         u_1 = near[:, :1]
-        d2 = _receiver_d2(rng, u_1, far)
-        del far
         # exp(1) gains and receiver distances of the near stations past the
         # smallest N
         f_near = rng.standard_exponential((rows, m - n_min))
         d2_near = _receiver_d2(rng, u_1, near[:, n_min:])
         per_beta = {}
-        for beta, w_far in _path_loss(d2, betas):
-            interf_base = np.einsum("ij,ij->i", f_int, w_far)
+        for beta, interf_base in _far_sums(rng, near, u_k, k, betas, u_1).items():
             interf_base += _tail_mean(u_k, beta / 2.0, u_1[:, 0])
             # exp(1) gains have second moment 2
             per_beta[beta] = (near ** (-beta / 2.0), interf_base,
                               d2_near ** (-beta / 2.0),
                               np.sqrt(2.0 * _tail_mean(u_k, beta, u_1[:, 0])))
-        del d2, f_int, w_far       # the (rows, K) arrays, before the row passes
         return [point_stats(p, scale, f_des[p.q_shape], f_near, *per_beta[p.beta])
                 for p, scale in zip(points, echo_scales)]
 

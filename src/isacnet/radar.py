@@ -239,6 +239,15 @@ def hole_exclusion_integral(c, beta=4.0):
     over c.  Tends to 0 as c -> 0 and to pi (the normalized disk area) as
     c -> inf; writing the saturating ratio as 1/(1 + t^beta/c) keeps the
     t -> 0 endpoint finite without a separate limit branch.
+
+    The rule is a fixed 96-point one and reports no error.  At small c, where
+    the integrand lives on t below about c^(1/beta), it is far off: at
+    c = 1e-12 it reads +25% at beta=4 and -72% at beta=2.5 (-0.33% at
+    beta=8), against 1.9e-3 relative at c = 1e-6 and beta=2.5.  Inside
+    `radar_rate_single` such c carry little weight, so there the rule moves
+    the rate by at most 0.012 of that rate's own bound
+    (`tests/test_radar.py::TestHoleRuleInTheBound`); a direct caller gets no
+    such guarantee.
     """
     c_arr = np.asarray(c, dtype=float)
     if np.any(c_arr < 0):

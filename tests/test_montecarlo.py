@@ -1,6 +1,7 @@
 """Simulator: determinism, confidence scaling, agreement with exact laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from scipy import integrate, stats
 
 from isacnet import SystemParams, montecarlo
 from isacnet.coverage import coverage_closed_form, coverage_curve
-from isacnet.montecarlo import (McConfig, _PILOT_STREAM, _batch_rng,
-                                _coverage_batch, _draw_window, _receiver_d2,
-                                _run_batches, _tail_mean, mc_coverage,
-                                mc_coverage_sweep, mc_radar_rate,
+from isacnet.montecarlo import (McConfig, _BATCH_SIZE, _BLOCK, _MAX_K,
+                                _PILOT_STREAM, _batch_rng, _coverage_batch,
+                                _draw_window, _far_blocks, _rate_batch,
+                                _receiver_d2, _run_batches, _tail_mean,
+                                mc_coverage, mc_coverage_sweep, mc_radar_rate,
                                 mc_radar_rate_sweep)
 from isacnet.radar import radar_rate_single
 
@@ -372,43 +374,136 @@ def ordered_window(rng, rows, k):
     return np.cumsum(rng.standard_exponential((rows, k)), axis=1)
 
 
+def far_window(rng, near, u_k, k, receiver=None):
+    """The simulator's far stations (arrivals, or squared distances to the
+    receiver) and their gains, the blocks concatenated (each copied before
+    the next overwrites the shared buffers), and the block widths."""
+    blocks = [(x.copy(), g.copy())
+              for x, g in _far_blocks(rng, near, u_k, k, receiver)]
+    return (np.hstack([u for u, _ in blocks]), np.hstack([g for _, g in blocks]),
+            [u.shape[1] for u, _ in blocks])
+
+
 class TestWindowLaw:
     # the simulator's window against the ordered draw it replaces, 50k rows
     ROWS, K = 50_000, 24
+
+    @staticmethod
+    def interference(m, k, beta, at_receiver, seed):
+        # sum g x^(-beta/2) over the K - m stations past the m-th, at the
+        # origin or at a receiver on the nearest station, drawn by the
+        # simulator and by the ordered oracle
+        rng = _batch_rng(seed, 0)
+        near, u_k = _draw_window(rng, TestWindowLaw.ROWS, k, m)
+        far, gains, _ = far_window(rng, near, u_k, k,
+                                   near[:, :1] if at_receiver else None)
+        oracle = np.random.Generator(np.random.Philox(key=seed))
+        u = ordered_window(oracle, TestWindowLaw.ROWS, k)
+        near_ref, far_ref = u[:, :m], u[:, m:]
+        if at_receiver:
+            cos = np.cos(oracle.uniform(0.0, 2.0 * math.pi, far_ref.shape))
+            u_1 = near_ref[:, :1]
+            far_ref = u_1 + far_ref - 2.0 * np.sqrt(u_1 * far_ref) * cos
+        gains_ref = oracle.standard_exponential(far_ref.shape)
+        return [(g * x ** (-beta / 2.0)).sum(1)
+                for g, x in ((gains, far), (gains_ref, far_ref))]
 
     @pytest.mark.parametrize("beta", (2.5, 4.0))
     @pytest.mark.parametrize("m", (1, 3))
     @pytest.mark.parametrize("at_receiver", (False, True))
     def test_interference(self, m, beta, at_receiver):
-        # sum g x^(-beta/2) over the K - m stations past the m-th, at the
-        # origin or at a receiver on the nearest station
         seed = 100 + 10 * m + int(beta) + 50 * at_receiver
-        rng = _batch_rng(seed, 0)
-        near, far, _ = _draw_window(rng, self.ROWS, self.K, m)
-        oracle = np.random.Generator(np.random.Philox(key=seed))
-        u = ordered_window(oracle, self.ROWS, self.K)
-        near_ref, far_ref = u[:, :m], u[:, m:]
-        if at_receiver:
-            far = _receiver_d2(rng, near[:, :1], far)
-            cos = np.cos(oracle.uniform(0.0, 2.0 * math.pi, far_ref.shape))
-            u_1 = near_ref[:, :1]
-            far_ref = u_1 + far_ref - 2.0 * np.sqrt(u_1 * far_ref) * cos
-        interf = [(g.standard_exponential(x.shape) * x ** (-beta / 2.0)).sum(1)
-                  for g, x in ((rng, far), (oracle, far_ref))]
+        interf = self.interference(m, self.K, beta, at_receiver, seed)
         assert stats.ks_2samp(*interf).pvalue > 1e-3
 
     @pytest.mark.parametrize("m", (1, 3))
     def test_last_arrival_is_gamma(self, m):
-        _, far, u_k = _draw_window(_batch_rng(7, m), self.ROWS, self.K, m)
+        rng = _batch_rng(7, m)
+        near, u_k = _draw_window(rng, self.ROWS, self.K, m)
+        far, _, _ = far_window(rng, near, u_k, self.K)
         assert np.array_equal(far[:, -1], u_k)
         assert np.all(far[:, :-1] < u_k[:, None])
         assert stats.kstest(u_k, stats.gamma(self.K).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("widths", ([_BLOCK - 12], [_BLOCK], [_BLOCK, 1]),
+                             ids=("below", "one", "one-plus-one"))
+    def test_block_edges(self, widths):
+        # K - m below one block, exactly one block, and one block plus the
+        # u_K column alone in a second block
+        m, n_far = 3, sum(widths)
+        k = m + n_far
+        rng = _batch_rng(9, n_far)
+        near, u_k = _draw_window(rng, self.ROWS, k, m)
+        far, gains, drawn = far_window(rng, near, u_k, k)
+        assert drawn == widths
+        assert np.array_equal(far[:, -1], u_k)
+        assert np.all((far[:, :-1] > near[:, -1:]) & (far[:, :-1] < u_k[:, None]))
+        # the columns on either side of a block edge: uniform between u_m and
+        # u_K, with exp(1) gains
+        rel = (far - near[:, -1:]) / (u_k - near[:, -1])[:, None]
+        for j in {0, min(n_far, _BLOCK) - 2, n_far - 2}:
+            assert stats.kstest(rel[:, j], stats.uniform.cdf).pvalue > 1e-3
+        for j in {0, min(n_far, _BLOCK) - 1, n_far - 1}:
+            assert stats.kstest(gains[:, j], stats.expon.cdf).pvalue > 1e-3
+        interf = self.interference(m, k, 2.5, False, 200 + n_far)
+        assert stats.ks_2samp(*interf).pvalue > 1e-3
 
     def test_angle_cosine_is_arcsine(self):
         # a receiver and a station both at arrival 1 are 2 - 2 cos(phi) apart
         d2 = _receiver_d2(_batch_rng(8, 0), np.ones(1), np.ones(self.ROWS))
         law = stats.arcsine(loc=-1.0, scale=2.0)
         assert stats.kstest(1.0 - d2 / 2.0, law.cdf).pvalue > 1e-3
+
+
+class TestBatchMemory:
+    """A batch streams its far stations in blocks, so neither its memory nor
+    its row count depends on K."""
+
+    @pytest.mark.parametrize("factory", (
+        lambda p: _coverage_batch([p.with_(L=2)], T_GRID)[0],
+        lambda p: _rate_batch([p.with_(N=2)])[0]), ids=("coverage", "rate"))
+    def test_peak_does_not_grow_with_k(self, paper_params, factory):
+        # one (2048, 4096) float64 array alone would take 64 MiB
+        batch = factory(paper_params)
+        peaks = {}
+        for k in (64, 4096):
+            tracemalloc.start()
+            try:
+                batch(_batch_rng(3, 0), 2048, k)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] <= 1.5 * peaks[64] + (1 << 20)
+
+    def test_batch_rows_at_every_k(self):
+        cfg = McConfig(trials=3 * _BATCH_SIZE + 5)
+        for k in (16, 1024, _MAX_K):
+            calls = []
+
+            def batch(rng, rows, k_run):
+                calls.append((rows, k_run))
+                return [[float(rows)]]
+
+            ((total,),) = _run_batches(batch, cfg, k)
+            assert calls == [(_BATCH_SIZE, k)] * 3 + [(5, k)]
+            assert total == cfg.trials
+
+    def test_worker_invariance_across_blocks(self, paper_params):
+        # beta = 2.5 leaves the most interference in the tail, so the K - m
+        # far stations span three blocks or more
+        runs = [mc_coverage(paper_params.with_(beta=2.5), T_GRID,
+                            McConfig(trials=20_000, seed=12, workers=w))
+                for w in (1, 2)]
+        assert runs[0].mc_result.window_mean_count - 1 > 2 * _BLOCK
+        assert np.array_equal(runs[0].values, runs[1].values)
+        assert np.array_equal(runs[0].uncertainty, runs[1].uncertainty)
+        assert np.array_equal(runs[0].bias_bounds, runs[1].bias_bounds)
+        assert runs[0].mc_result == runs[1].mc_result
+        rate = [mc_radar_rate(paper_params.with_(N=2, beta=2.5),
+                              McConfig(trials=20_000, seed=13, workers=w))
+                for w in (1, 2)]
+        assert rate[0].mc_result.window_mean_count - 2 > 2 * _BLOCK
+        assert rate[0] == rate[1]
 
 
 class TestWindowPolicy:
