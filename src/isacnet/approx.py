@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammainc
 
 from .specfun import gamma_reg_lower
 
@@ -29,6 +30,8 @@ __all__ = [
 
 # sup-norm evaluation grid: both CDFs are flat outside this range
 _GRID = np.logspace(-4.0, 2.0, 10_000)
+# every _BOUND_STRIDE-th grid point carries fit_alpha's lower bounds
+_BOUND_STRIDE = 10
 
 # the golden-section bracket width at which fit_alpha stops
 _ALPHA_TOL = 1e-4
@@ -71,7 +74,9 @@ def _gap_max(alpha, n):
 
 
 def _gap_at(alpha, n, g):
-    exact = gamma_reg_lower(float(n), n * g)
+    # scipy's kernel directly: n >= 1 and g > 0 hold, so the checks of
+    # `gamma_reg_lower` (same kernel, same bits) would only cost time
+    exact = gammainc(float(n), n * g)
     approx = (-np.expm1(-alpha * g)) ** n
     return abs(approx - exact)
 
@@ -90,6 +95,16 @@ def ks_distance(alpha, n):
     return _gap_max(float(alpha), int(n))
 
 
+def _coarse_bounds(alphas, n):
+    """Lower bounds on ks_distance(alpha, n) for each alpha: the gap max on
+    every _BOUND_STRIDE-th point of _GRID, elementwise the values
+    `_gap_max` computes there."""
+    sub = slice(None, None, _BOUND_STRIDE)
+    approx = -np.expm1(-np.asarray(alphas)[:, None] * _GRID[sub])
+    approx = approx ** n
+    return np.abs(approx - _exact_cdf_on_grid(n)[sub]).max(axis=1)
+
+
 def fit_alpha(n):
     """Minimize the K-S distance over alpha by coarse grid + golden section.
 
@@ -98,6 +113,15 @@ def fit_alpha(n):
     grid is extended upward in its own step while the minimum sits on its
     last point, as from n = 263), and golden section polishes it to
     _ALPHA_TOL.
+
+    The grid's minimum is found without evaluating ks_distance at every
+    point.  The gap max over a sub-grid of _GRID is at most the max over
+    _GRID, which is at most the Newton-refined ks_distance, so
+    `_coarse_bounds` bounds every point from below in one array pass.
+    Points are evaluated in ascending bound order until the next bound
+    exceeds the best value found: each point skipped is strictly worse, so
+    the minimum and its first index (as np.argmin picks) are those of the
+    exhaustive scan.
     """
     n = int(n)
     if n == 1:
@@ -106,12 +130,20 @@ def fit_alpha(n):
                         grid_resolution=_ALPHA_TOL)
 
     coarse = list(np.linspace(0.2, 6.0, 121))
-    dvals = [ks_distance(a, n) for a in coarse]
+    bounds = _coarse_bounds(coarse, n)
+    i, best = 0, math.inf
+    for j in np.argsort(bounds, kind="stable"):
+        if bounds[j] > best:
+            break
+        d = ks_distance(coarse[j], n)
+        if d < best or (d == best and j < i):
+            i, best = int(j), d
     step = coarse[1] - coarse[0]
-    while int(np.argmin(dvals)) == len(dvals) - 1:
+    while i == len(coarse) - 1:
         coarse.append(coarse[-1] + step)
-        dvals.append(ks_distance(coarse[-1], n))
-    i = int(np.argmin(dvals))
+        d = ks_distance(coarse[-1], n)
+        if d < best:
+            i, best = len(coarse) - 1, d
 
     a, b = coarse[i - 1], coarse[i + 1]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -223,13 +224,25 @@ def interference_laplace_factor(z, params):
     return float(value[0])
 
 
-# fixed Gauss-Legendre rule for the exclusion-disk integral after the
-# substitution t = 2 - v^2, which removes the arccos endpoint singularity
-_GL_V, _GL_W = roots_legendre(96)
-_HV = (_GL_V + 1.0) * (math.sqrt(2.0) / 2.0)
-_HW = _GL_W * (math.sqrt(2.0) / 2.0)
-_HT = 2.0 - _HV * _HV
-_HKERNEL = 2.0 * np.arccos(_HT / 2.0) * _HT * 2.0 * _HV
+# nodes of the fixed Gauss-Legendre rule for the exclusion-disk integral
+_HOLE_NODES = 96
+
+
+@cache
+def _hole_rule():
+    """The exclusion-disk rule after the substitution t = 2 - v^2, which
+    removes the arccos endpoint singularity: its nodes t and its weights
+    times the kernel.  Built on first use, because `roots_legendre` loads
+    scipy.linalg, which most processes never need."""
+    v, w = roots_legendre(_HOLE_NODES)
+    hv = (v + 1.0) * (math.sqrt(2.0) / 2.0)
+    hw = w * (math.sqrt(2.0) / 2.0)
+    ht = 2.0 - hv * hv
+    kernel = 2.0 * np.arccos(ht / 2.0) * ht * 2.0 * hv
+    weights = kernel * hw
+    ht.setflags(write=False)        # every caller shares the cached arrays
+    weights.setflags(write=False)
+    return ht, weights
 
 
 def hole_exclusion_integral(c, beta=4.0):
@@ -252,9 +265,10 @@ def hole_exclusion_integral(c, beta=4.0):
     c_arr = np.asarray(c, dtype=float)
     if np.any(c_arr < 0):
         raise ValueError("c must be nonnegative")
+    t, weights = _hole_rule()
     with np.errstate(divide="ignore", over="ignore"):   # c = 0 gives 0
-        ratio = 1.0 / (1.0 + _HT ** beta / c_arr[..., None])
-    out = (ratio * (_HKERNEL * _HW)).sum(axis=-1)
+        ratio = 1.0 / (1.0 + t ** beta / c_arr[..., None])
+    out = (ratio * weights).sum(axis=-1)
     return float(out) if c_arr.ndim == 0 else out
 
 
@@ -377,7 +391,7 @@ def radar_rate_single(params, include_hole=True):
         return echo * t, echo * t_err
 
     # per z: the hole rule (core, one tail) times the disk rule, or one pass
-    cost = (_HOLE_S_PANELS + 6) * 15 * len(_HKERNEL) if include_hole else 1
+    cost = (_HOLE_S_PANELS + 6) * 15 * _HOLE_NODES if include_hole else 1
     value, err = _outer_rate(lo, hi, math.ceil((hi - lo) / _Z_STEP), 1.0,
                              1.0 / params.beta, integrand, cost, method)
     return RateEstimate(value=value, method=method, quad_error=err)

@@ -3,7 +3,10 @@
 import argparse
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import isacnet
@@ -17,6 +20,23 @@ def test_every_exported_name_resolves():
     missing = [name for name in isacnet.__all__ if not hasattr(isacnet, name)]
     assert missing == []
     assert len(set(isacnet.__all__)) == len(isacnet.__all__)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg (50-80 ms, 7.5 MB) loads with the hole rule, on the first
+    # single-station rate; importing the package or its CLI must not load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, isacnet, isacnet.cli; "
+            "print(isacnet.__file__); print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = proc.stdout.split()
+    assert Path(path).resolve().is_relative_to(src)
+    assert loaded == "False"
 
 
 def test_traced_functions_resolve():

@@ -1,16 +1,49 @@
 """Gamma-CDF surrogate fitting and the fading-collapse diagnostic."""
 
+import math
+
 import numpy as np
 import pytest
 
-from isacnet import SystemParams
-from isacnet.approx import fit_alpha, fitted_alpha, ks_distance, verify_conjecture1
+from isacnet import SystemParams, approx
+from isacnet.approx import (AlphaFit, fit_alpha, fitted_alpha, ks_distance,
+                            verify_conjecture1)
+from isacnet.specfun import gamma_reg_lower
 
 # frozen before the build by an exhaustive grid oracle: alpha step 1e-3
 # (refined to 1e-4 at the optimum), sup-gap grid of 2e6 log-spaced points
 ORACLE_N9_ALPHA = 2.7520
 ORACLE_N9_D = 0.057233
 ORACLE_N9_D_AT_ONE = 0.8195939038
+
+
+def exhaustive_fit(n):
+    """fit_alpha with ks_distance evaluated at every coarse-grid point."""
+    if n == 1:
+        return AlphaFit(1, 1.0, 0.0, approx._ALPHA_TOL)
+    coarse = list(np.linspace(0.2, 6.0, 121))
+    dvals = [ks_distance(a, n) for a in coarse]
+    step = coarse[1] - coarse[0]
+    while int(np.argmin(dvals)) == len(dvals) - 1:
+        coarse.append(coarse[-1] + step)
+        dvals.append(ks_distance(coarse[-1], n))
+    i = int(np.argmin(dvals))
+    a, b = coarse[i - 1], coarse[i + 1]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = ks_distance(x1, n), ks_distance(x2, n)
+    while b - a > approx._ALPHA_TOL:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = ks_distance(x1, n)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = ks_distance(x2, n)
+    alpha_star = 0.5 * (a + b)
+    return AlphaFit(n, float(alpha_star), ks_distance(alpha_star, n),
+                    approx._ALPHA_TOL)
 
 
 class TestKsDistance:
@@ -69,6 +102,27 @@ class TestFitAlpha:
         step = 50 * fit.grid_resolution
         assert ks_distance(fit.alpha_star + step, 999) > fit.ks_distance
         assert ks_distance(fit.alpha_star - step, 999) > fit.ks_distance
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 263, 999])
+    def test_pruned_scan_matches_exhaustive(self, n):
+        # 263 is the first shape whose grid is extended
+        assert fit_alpha(n) == exhaustive_fit(n)
+
+    @pytest.mark.parametrize("n", [2, 9, 263, 999])
+    def test_coarse_bounds_are_lower_bounds(self, n):
+        alphas = np.linspace(0.2, 12.0, 60)
+        exact = [ks_distance(a, n) for a in alphas]
+        assert np.all(approx._coarse_bounds(alphas, n) <= exact)
+
+    def test_gap_at_matches_the_wrapper(self, rng):
+        # scipy's kernel called directly gives the checked wrapper's bits
+        for _ in range(10_000):
+            alpha = rng.uniform(0.1, 12.0)
+            n = int(rng.integers(2, 1000))
+            g = 10.0 ** rng.uniform(-12.0, 2.0)
+            wrapped = abs((-np.expm1(-alpha * g)) ** n
+                          - gamma_reg_lower(float(n), n * g))
+            assert approx._gap_at(alpha, n, g) == wrapped
 
     def test_cached_helper(self):
         assert fitted_alpha(9) == fit_alpha(9).alpha_star

@@ -219,6 +219,18 @@ class TestHoleIntegral:
         vals = hole_exclusion_integral(c)
         assert np.all(np.diff(vals) > 0)
 
+    @pytest.mark.parametrize("beta", [2.5, 4.0, 8.0])
+    def test_bitwise_the_legendre_rule(self, beta):
+        # the rule built on first use is the 96-point one, to the bit
+        v, w = roots_legendre(96)
+        hv = (v + 1.0) * (math.sqrt(2.0) / 2.0)
+        hw = w * (math.sqrt(2.0) / 2.0)
+        t = 2.0 - hv * hv
+        kernel = 2.0 * np.arccos(t / 2.0) * t * 2.0 * hv
+        c = np.logspace(-12.0, 12.0, 97)
+        ref = (1.0 / (1.0 + t ** beta / c[:, None]) * (kernel * hw)).sum(axis=-1)
+        assert np.array_equal(hole_exclusion_integral(c, beta), ref)
+
 
 class TestCooperativeRate:
     def test_zero_sensing_power(self, paper_params):
