@@ -4,27 +4,25 @@ Analytic coverage probability and radar information rate over Poisson
 station deployments, cross-validated by a vectorized Monte Carlo simulator.
 """
 
-from .approx import AlphaFit, fit_alpha, fitted_alpha, ks_distance, verify_conjecture1
+from .approx import AlphaFit, fit_alpha, ks_distance, verify_conjecture1
 from .coverage import (CoverageCurve, coverage_closed_form, coverage_curve,
                        coverage_integral)
 from .montecarlo import (McConfig, McResult, mc_coverage, mc_coverage_sweep,
                          mc_radar_rate, mc_radar_rate_sweep)
 from .params import SystemParams
-from .radar import (RateEstimate, echo_laplace_exponent, hole_exclusion_integral,
-                    interference_laplace_kernel, radar_rate, radar_rate_single)
-from .specfun import ConvergenceError, beta_incomplete, gamma_reg_lower
+from .radar import RateEstimate, radar_rate, radar_rate_single
+from .specfun import ConvergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaFit", "fit_alpha", "fitted_alpha", "ks_distance", "verify_conjecture1",
+    "AlphaFit", "fit_alpha", "ks_distance", "verify_conjecture1",
     "CoverageCurve", "coverage_closed_form", "coverage_curve",
     "coverage_integral",
     "McConfig", "McResult", "mc_coverage", "mc_coverage_sweep",
     "mc_radar_rate", "mc_radar_rate_sweep",
     "SystemParams",
-    "RateEstimate", "echo_laplace_exponent", "hole_exclusion_integral",
-    "interference_laplace_kernel", "radar_rate", "radar_rate_single",
-    "ConvergenceError", "beta_incomplete", "gamma_reg_lower",
+    "RateEstimate", "radar_rate", "radar_rate_single",
+    "ConvergenceError",
     "__version__",
 ]

@@ -74,8 +74,8 @@ def _gap_max(alpha, n):
 
 
 def _gap_at(alpha, n, g):
-    # scipy's kernel directly: n >= 1 and g > 0 hold, so the checks of
-    # `gamma_reg_lower` (same kernel, same bits) would only cost time
+    # scipy's kernel directly, as `gamma_reg_lower` calls it (same bits):
+    # this runs per Newton probe, where a wrapper call would only cost time
     exact = gammainc(float(n), n * g)
     approx = (-np.expm1(-alpha * g)) ** n
     return abs(approx - exact)

@@ -62,16 +62,16 @@ class CoverageCurve:
     per-threshold error bound (the rounding bound of the alternating
     binomial sum, plus at L >= 2 the bound the fixed rule achieved), and an
     `uncertainty` of 0.  Simulated curves carry the 95% half-widths in
-    `uncertainty`, a `quad_error` of zeros (None is left to curves no
-    library path writes), the per-threshold truncation-bias bounds and the
-    simulator's bookkeeping (`montecarlo.McResult`).
+    `uncertainty`, a `quad_error` of zeros, the per-threshold
+    truncation-bias bounds and the simulator's bookkeeping
+    (`montecarlo.McResult`).
     """
 
     thresholds: np.ndarray
     values: np.ndarray
     method: str
     uncertainty: np.ndarray
-    quad_error: np.ndarray | None = None
+    quad_error: np.ndarray
     bias_bounds: np.ndarray | None = None
     mc_result: object | None = None
 
@@ -82,7 +82,7 @@ class CoverageCurve:
             raise ValueError("thresholds, values, uncertainty must align")
         if np.any(v < 0) or np.any(v > 1):
             raise ValueError("coverage values must lie in [0, 1]")
-        if self.quad_error is not None and len(self.quad_error) != len(t):
+        if len(self.quad_error) != len(t):
             raise ValueError("quad_error must align with thresholds")
 
     @property

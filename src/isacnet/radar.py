@@ -34,11 +34,8 @@ from .specfun import check_bound, gk_rule, gk_sum, in_chunks, panel_edges
 
 __all__ = [
     "RateEstimate",
-    "echo_laplace_exponent",
-    "interference_laplace_kernel",
     "echo_power_laplace",
     "interference_laplace_factor",
-    "hole_exclusion_integral",
     "radar_rate",
     "radar_rate_single",
 ]
@@ -84,26 +81,19 @@ def echo_laplace_exponent(z, r_far, params):
 
     The conditional echo-power transform is exp(-(2 pi lam / beta) * H) with
     H the value returned here; r_far is the distance to the farthest cluster
-    station.  Zero at z = 0 and increasing, never flat, in z.  Broadcasts over z
-    and r_far.  By the binomial theorem, H = (c0 z)^tb sum_(i=1..q) C(q, i)
-    B(u; q-i+tb, i-tb) (tb = 2/beta, c0 = sigma2 mr ps, u = 1/(1 + c0 z
-    r_far^-beta)) is (r_far^2 (1 - u^q) + q (c0 z)^tb B(u; q+tb, 1-tb)) / tb.
+    station.  Zero at z = 0 and increasing, never flat, in z.  Broadcasts over
+    z >= 0 and r_far > 0, unchecked.  By the binomial theorem, H = (c0 z)^tb
+    sum_(i=1..q) C(q, i) B(u; q-i+tb, i-tb) (tb = 2/beta, c0 = sigma2 mr ps,
+    u = 1/(1 + c0 z r_far^-beta)) is (r_far^2 (1 - u^q) + q (c0 z)^tb
+    B(u; q+tb, 1-tb)) / tb.
     """
-    z = np.asarray(z, dtype=float)
-    r_far_a = np.asarray(r_far, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("z must be nonnegative")
-    if np.any(r_far_a <= 0):
-        raise ValueError("r_far must be positive")
-    scalar = z.ndim == 0 and r_far_a.ndim == 0
     q = params.q_shape
     tb = 2.0 / params.beta
     c0z = params.sigma2 * params.mr * params.ps * z
     with np.errstate(over="ignore"):        # x = inf is u = 0
-        x = c0z * r_far_a ** -params.beta   # u = 1 / (1 + x)
-    out = (r_far_a ** 2 * -np.expm1(-q * np.log1p(x))
-           + q * c0z ** tb * _beta_ratio(1.0, x, q + tb, 1.0 - tb)) / tb
-    return float(out) if scalar else out
+        x = c0z * r_far ** -params.beta     # u = 1 / (1 + x)
+    return (r_far ** 2 * -np.expm1(-q * np.log1p(x))
+            + q * c0z ** tb * _beta_ratio(1.0, x, q + tb, 1.0 - tb)) / tb
 
 
 def interference_laplace_kernel(z, eta, params):
@@ -111,20 +101,12 @@ def interference_laplace_kernel(z, eta, params):
 
     eta is the nearest-to-farthest cluster distance ratio; the conditional
     interference transform is exp(-2 pi lam r1^2 * H4) with H4 returned
-    here.  Zero at z = 0, increasing in z and in eta.
+    here.  Zero at z = 0, increasing in z and in eta.  Broadcasts over
+    z >= 0 and 0 < eta <= 1, unchecked.
     """
-    z = np.asarray(z, dtype=float)
-    eta_a = np.asarray(eta, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("z must be nonnegative")
-    if np.any(eta_a <= 0) or np.any(eta_a > 1):
-        raise ValueError("eta must lie in (0, 1]")
-    scalar = z.ndim == 0 and eta_a.ndim == 0
-    z, eta_a = np.broadcast_arrays(z, eta_a)
     tb = 2.0 / params.beta
-    zeta = z * eta_a ** params.beta
-    out = z ** tb / params.beta * _beta_ratio(zeta, 1.0, 1.0 - tb, tb)
-    return float(out) if scalar else out
+    zeta = z * eta ** params.beta
+    return z ** tb / params.beta * _beta_ratio(zeta, 1.0, 1.0 - tb, tb)
 
 
 def _beta_ratio(num, den, a, b):
@@ -245,7 +227,7 @@ def _hole_rule():
     return ht, weights
 
 
-def hole_exclusion_integral(c, beta=4.0):
+def hole_exclusion_integral(c, beta):
     """Station-free-disk correction integral as a function of c = z p_t r1^beta.
 
     Evaluates int_0^2 2 arccos(t/2) * t / (1 + t^beta / c) dt, vectorized
@@ -260,16 +242,12 @@ def hole_exclusion_integral(c, beta=4.0):
     `radar_rate_single` such c carry little weight, so there the rule moves
     the rate by at most 0.012 of that rate's own bound
     (`tests/test_radar.py::TestHoleRuleInTheBound`); a direct caller gets no
-    such guarantee.
+    such guarantee, nor a check that c >= 0.
     """
-    c_arr = np.asarray(c, dtype=float)
-    if np.any(c_arr < 0):
-        raise ValueError("c must be nonnegative")
     t, weights = _hole_rule()
     with np.errstate(divide="ignore", over="ignore"):   # c = 0 gives 0
-        ratio = 1.0 / (1.0 + t ** beta / c_arr[..., None])
-    out = (ratio * weights).sum(axis=-1)
-    return float(out) if c_arr.ndim == 0 else out
+        ratio = 1.0 / (1.0 + t ** beta / np.expand_dims(c, -1))
+    return (ratio * weights).sum(axis=-1)
 
 
 def _outer_rate(lo, hi, panels, rate_lo, rate_hi, integrand, cost, what):

@@ -21,8 +21,6 @@ __all__ = [
     "ConvergenceError",
     "DEFAULT_QUAD",
     "PHYSICAL_QUAD",
-    "beta_incomplete",
-    "gamma_reg_lower",
     "integrate_finite",
     "integrate_semi_infinite",
     "panel_edges",
@@ -69,38 +67,19 @@ DEFAULT_QUAD = QuadratureSpec()
 PHYSICAL_QUAD = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=4000)
 
 
-def _prepare(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def beta_incomplete(x, a, b):
     """Non-regularized incomplete Beta, int_0^x t^(a-1) (1-t)^(b-1) dt.
 
-    scipy's regularized `betainc` times the complete Beta; integrable
-    endpoint singularities (a < 1 or b < 1) are fine.
+    scipy's regularized `betainc` times the complete Beta, for 0 <= x <= 1
+    and a, b > 0 (not checked); integrable endpoint singularities (a < 1 or
+    b < 1) are fine.
     """
-    x, xs = _prepare(x)
-    a, as_ = _prepare(a)
-    b, bs = _prepare(b)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ValueError("beta_incomplete requires a > 0 and b > 0")
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("beta_incomplete requires 0 <= x <= 1")
-    out = betainc(a, b, x) * beta(a, b)
-    return float(out) if (xs and as_ and bs) else out
+    return betainc(a, b, x) * beta(a, b)
 
 
 def gamma_reg_lower(s, x):
     """Regularized lower incomplete Gamma P(s, x), the CDF of Gamma(s, 1)."""
-    s, ss = _prepare(s)
-    x, xs = _prepare(x)
-    if np.any(s <= 0):
-        raise ValueError("gamma_reg_lower requires s > 0")
-    if np.any(x < 0):
-        raise ValueError("gamma_reg_lower requires x >= 0")
-    out = gammainc(s, x)
-    return float(out) if (ss and xs) else out
+    return gammainc(s, x)
 
 
 # Gauss-Kronrod 7-15 pair: Kronrod abscissae/weights on [-1, 1] (symmetric,

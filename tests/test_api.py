@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -72,6 +73,16 @@ def test_readme_names_every_sweepable_key():
     names = re.search(r"sweeps must name a system\s+parameter \(`([^`]*)`\)",
                       README).group(1)
     assert sorted(names.split(", ")) == sorted(SWEEPABLE)
+
+
+def test_readme_lists_the_package_names():
+    # an unchecked kernel cannot return to the namespace unnoticed
+    section = re.search(r"^### Python API\n(.*?)^#", README, re.M | re.S).group(1)
+    names = re.findall(r"`(\w+)`", section)
+    assert sorted(names) == sorted(isacnet.__all__)
+    bound = {name for name, value in vars(isacnet).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert bound == set(isacnet.__all__) - {"__version__"}
 
 
 def test_readme_flags_are_the_coverage_options():

@@ -115,7 +115,7 @@ class TestFitAlpha:
         assert np.all(approx._coarse_bounds(alphas, n) <= exact)
 
     def test_gap_at_matches_the_wrapper(self, rng):
-        # scipy's kernel called directly gives the checked wrapper's bits
+        # scipy's kernel called directly gives the wrapper's bits
         for _ in range(10_000):
             alpha = rng.uniform(0.1, 12.0)
             n = int(rng.integers(2, 1000))

@@ -250,11 +250,13 @@ class TestCoverageCurve:
         with pytest.raises(ValueError):
             CoverageCurve(thresholds=np.array([1.0, 1.0]),
                           values=np.array([0.5, 0.4]),
-                          method="x", uncertainty=np.zeros(2))
+                          method="x", uncertainty=np.zeros(2),
+                          quad_error=np.zeros(2))
         with pytest.raises(ValueError):
             CoverageCurve(thresholds=np.array([1.0, 2.0]),
                           values=np.array([0.5, 1.4]),
-                          method="x", uncertainty=np.zeros(2))
+                          method="x", uncertainty=np.zeros(2),
+                          quad_error=np.zeros(2))
         # a threshold grid is non-empty, 1-D, positive and increasing,
         # checked before any integral or draw
         params = SystemParams(L=2, beta=4.0)

@@ -14,7 +14,8 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-from isacnet import McConfig, SystemParams, mc_coverage, mc_radar_rate
+from isacnet import (McConfig, SystemParams, coverage_curve, mc_coverage,
+                     mc_radar_rate)
 from isacnet.specfun import integrate_finite, integrate_semi_infinite
 
 
@@ -249,3 +250,39 @@ class TestSimulatorInMeters:
         ci = 1.96 * vals.std() / math.sqrt(len(vals))
         sim = mc_radar_rate(self.PARAMS, McConfig(trials=200_000, seed=5))
         assert abs(vals.mean() - sim.value) <= 3.0 * math.hypot(ci, sim.uncertainty)
+
+
+class TestDensityInvarianceInMeters:
+    """L = 1 coverage at two densities, drawn in meters in one fixed disk.
+
+    The disk holds about 400 stations on average at lam = 1e-4 and 4,000 at
+    lam = 1e-3, so the denser deployment is not a scaled copy of the
+    sparser one.  At mt = 2 the desired gain is exponential, the alpha
+    surrogate is exact (alpha = 1) and `coverage_curve` is the true,
+    density-free coverage; each density's curve must lie within 3 CI of it.
+    """
+
+    PARAMS = SystemParams(L=1, mt=2)
+    T_LIN = 10.0 ** (np.arange(-10.0, 20.5, 5.0) / 10.0)
+    TRIALS = 20_000
+    BATCH = 250             # about 8 MB per (BATCH, stations) array at 1e-3
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3])
+    def test_coverage_is_the_exact_law(self, lam):
+        p = self.PARAMS.with_(lam=lam)
+        radius = math.sqrt(400.0 / (math.pi * 1e-4))
+        rng = np.random.Generator(np.random.Philox(key=2025))
+        hits = np.zeros(len(self.T_LIN))
+        for _ in range(self.TRIALS // self.BATCH):
+            r = sample_hppp_trials(lam, radius, self.BATCH, rng)[0]
+            w = r ** -p.beta
+            gain = rng.gamma(float(p.q_shape), 1.0, len(r))
+            fades = rng.standard_exponential(w.shape)
+            sir = (p.pc * gain * w[:, 0]
+                   / (p.pt * np.sum(fades[:, 1:] * w[:, 1:], axis=1)))
+            hits += (sir[:, None] >= self.T_LIN).sum(axis=0)
+        n = self.TRIALS
+        smooth = (hits + 1.0) / (n + 2.0)
+        ci = 1.96 * np.sqrt(smooth * (1.0 - smooth) / n)
+        dev = np.abs(hits / n - coverage_curve(p, self.T_LIN).values)
+        assert np.all(dev <= 3.0 * ci), (dev / ci).max()

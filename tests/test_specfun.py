@@ -84,14 +84,6 @@ class TestBetaIncomplete:
         x, a, b, ref = np.array(BETA_INCOMPLETE_ORACLE).T
         assert np.allclose(beta_incomplete(x, a, b), ref, rtol=1e-13, atol=0.0)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            beta_incomplete(1.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            beta_incomplete(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            beta_incomplete(0.5, 0.0, 1.0)
-
 
 class TestGammaRegLower:
     def test_exponential_cdf(self):
@@ -116,12 +108,6 @@ class TestGammaRegLower:
         x = rng.uniform(0.0, 60.0, 400)
         assert np.allclose(gamma_reg_lower(s, x), special.gammainc(s, x),
                            rtol=1e-11, atol=1e-300)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_reg_lower(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_reg_lower(1.0, -1.0)
 
 
 class TestQuadratureSpec:
