@@ -17,27 +17,41 @@ arrival u_K form a fresh unit-rate process on (u_K, inf), so the
 interference they add is replaced by its exact conditional mean given the
 trial's own u_K: u_K^(1-b)/(b-1) at the origin (b = beta/2), and at the
 radar receiver, which sits at u_1, u_K^(1-b) 2F1(b, b-1; 1; u_1/u_K)/(b-1),
-evaluated by scipy.special.hyp2f1.  The tail's conditional spread about
-that mean enters a first-order bound on the bias the replacement leaves:
-the estimate's sensitivity to a relative change of the interference times
-the mean relative spread.  For coverage that sensitivity is the slope of
-P[SIR >= T] in ln T, measured at each threshold from the run's own draws
-by conditional Monte Carlo: with the nearest station's Gamma(q) gain
-(q = mt - 1) integrated out, P[SIR >= T | rest] = Q(q, T a - b), where
+evaluated by scipy.special.hyp2f1.
+
+Bias bound: given u_K and the drawn stations, the tail T has mean mu and
+a variance Var(T | u_K) that is twice that mean taken at 2b in place of b
+(exp(1) gains have second moment 2), and an estimate f(mu) of E f(T) is
+off by at most
+(1/2) sup|f''| Var, the sup over every value T can take: the first-order
+term averages out, as E[T - mu | u_K, drawn] = 0.  Since a hit count has
+the bias of its conditional expectation given the drawn stations, the
+bound covers the estimates the simulator reports.  The interference only
+grows from its drawn part D (the tail adds to it), so the sup runs over
+I >= D.  For coverage, with the nearest station's Gamma(q) gain integrated
+out (q = mt - 1), P[SIR >= T | rest] = Q(q, T a - b), where
 a = interference/(pc w_1) and b = sum_{i>=2} g_i w_i / w_1 (w_i the path
-gains), so the slope is the mean of d = T a f_q(T a - b), f_q the Gamma(q)
-density and d = 0 where T a <= b.  The bound takes the slope's upper 95%
-limit, mean + 1.96 standard errors; it depends on no threshold grid.
+gains); so f'' is (T pt/(pc w_1))^2 times -f_q', f_q the Gamma(q) density,
+and |f_q'| has a closed-form sup over x >= x_D, the x at the drawn
+interference (`_density_slope_sup`).  At q = 1 and L >= 2, f_q jumps where
+T a = b and f'' is unbounded; such a point keeps a first-order bound: the
+slope of P[SIR >= T] in ln T, the mean of d = T a f_q(T a - b) (d = 0
+where T a <= b), times the mean relative spread of the tail.  For the
+radar rate f = ln(1 + E/I), E the echo, whose f'' = 1/I^2 - 1/(I + E)^2
+falls in I, so its sup sits at D.  Each bound takes the upper 95% limit of
+its per-trial mean, mean + 1.96 standard errors; it depends on no threshold
+grid.
 
 K is chosen per run: a pilot of _PILOT_TRIALS trials at K = _PILOT_K
 predicts the worst bias bound over the 95% half-width the full trial count
-will give, the spread's power law u_K^((1-beta)/2) scales the prediction to
-other K, and K is the smallest count predicted to reach _BIAS_TO_CI, half
-the CI/10 rule (_BIAS_RULE) the tests hold every estimate to.  A run whose
-own ratio breaks the rule is repeated at the K its own statistics call
-for.  K never drops below max(16, 2(m+1)) and never exceeds _MAX_K; past
-that cap, reached only with path loss near beta = 2 and many trials, the
-rule is reported (`McResult.bias_to_ci`), not met.
+will give, the bound's power law u_K^(1-beta) (u_K^((1-beta)/2) for the
+first-order bound) scales the prediction to other K, and K is the smallest
+count predicted to reach _BIAS_TO_CI, half the CI/10 rule (_BIAS_RULE) the
+tests hold every estimate to.  A run whose own ratio breaks the rule is
+repeated at the K its own statistics call for.  K never drops below
+max(16, 2(m+1)) and never exceeds _MAX_K; past that cap, reached only with
+path loss near beta = 2 and many trials, the rule is reported
+(`McResult.bias_to_ci`), not met.
 
 Sweeps: `mc_coverage_sweep` and `mc_radar_rate_sweep` run every point of a
 sweep on one draw set (common random numbers).  The window is ordered to
@@ -90,7 +104,7 @@ _BATCH_SIZE = 8192
 _BLOCK = 32                     # columns per block of the far stations
 _PILOT_STREAM = 1 << 40
 _PILOT_TRIALS = 2048
-_PILOT_K = 64
+_PILOT_K = 32
 _BIAS_TO_CI = 0.05
 _BIAS_RULE = 0.1
 _MAX_K = 1 << 15
@@ -174,32 +188,33 @@ def _run_batches(batch, cfg, k):
     return [[sum(stat) for stat in zip(*point)] for point in zip(*parts)]
 
 
-def _simulate(batch, summary, points, cfg, m):
+def _simulate(batch, summary, points, cfg, m, decays):
     """Choose K, run the batches, and return per point (estimate, CI, bias,
     McResult).
 
     `batch(rng, rows, k)` returns, per point, the stats of `rows` trials
     at window K; `summary(stats, n)` turns one point's stats of n trials
     into (estimate, CI, bias bound), with the CI taken at the run's full
-    trial count.  The tail's spread, and with it the bias bound, scales as
-    u_K^((1-beta)/2), so a point at path-loss exponent beta whose run at K0
-    has bias/CI ratio r calls for K = K0 (r/_BIAS_TO_CI)^(2/(beta-1)); the
-    run takes the largest K its points call for.  The pilot gives the first
-    K; a run in which a point's own ratio still exceeds _BIAS_RULE (the
-    pilot cannot see how small a half-width will be where it drew no miss)
-    is repeated at the K its own statistics call for.  Each McResult holds
-    the accepted run's K and the point's largest bias bound and ratio.  K
-    stays above the m stations drawn in order.
+    trial count.  A point's bias bound scales as u_K^(-decay), its entry of
+    `decays`: beta - 1 for the second-order bound, (beta - 1)/2 for the
+    first-order one.  So a point whose run at K0 has bias/CI ratio r calls
+    for K = K0 (r/_BIAS_TO_CI)^(1/decay); the run takes the largest K its
+    points call for.  The pilot gives the first K; a run in which a point's
+    own ratio still exceeds _BIAS_RULE (the pilot cannot see how small a
+    half-width will be where it drew no miss) is repeated at the K its own
+    statistics call for.  Each McResult holds the accepted run's K and the
+    point's largest bias bound and ratio.  K stays above the m stations
+    drawn in order.
     """
     floor = max(16, 2 * (m + 1))
 
     def assess(stats, n, k_run):
         runs, k = [], floor
-        for params, point_stats in zip(points, stats):
+        for decay, point_stats in zip(decays, stats):
             estimate, ci, bias = summary(point_stats, n)
             ratio = float(np.max(bias / np.maximum(ci, 1e-300)))
-            k = max(k, math.ceil(min(k_run * (ratio / _BIAS_TO_CI)
-                                     ** (2.0 / (params.beta - 1.0)), _MAX_K)))
+            k = max(k, math.ceil(min(k_run * (ratio / _BIAS_TO_CI) ** (1.0 / decay),
+                                     _MAX_K)))
             runs.append((estimate, ci, bias, ratio))
         return runs, k
 
@@ -304,74 +319,126 @@ def mc_coverage_sweep(points, thresholds, cfg):
     thresholds = _threshold_grid(thresholds)
 
     def summary(stats, n):
-        hits, d_sum, d_sq, rel_spread = stats
+        hits, b_sum, b_sq, scale = stats
         values = hits / float(n)
         # add-one smoothing keeps the half-width positive at p-hat in {0, 1}
         smooth = (hits + 1.0) / (n + 2.0)
         ci = 1.96 * np.sqrt(smooth * (1.0 - smooth) / cfg.trials)
-        # first-order truncation bias per point: the slope in ln T (upper
-        # 95% limit) times the relative interference perturbation the tail
-        # leaves
-        slope = d_sum / n
-        se = np.sqrt(np.maximum(d_sq / n - slope * slope, 0.0) / n)
-        return values, ci, (slope + 1.96 * se) * (rel_spread / n)
+        return values, ci, _upper_mean(b_sum, b_sq, n) * (scale / n)
 
     batch, m = _coverage_batch(points, thresholds)
-    runs = _simulate(batch, summary, points, cfg, m)
+    runs = _simulate(batch, summary, points, cfg, m,
+                     [(p.beta - 1.0) / (2.0 if _first_order(p) else 1.0)
+                      for p in points])
     return [CoverageCurve(
         thresholds=thresholds, values=values, method="monte-carlo",
         uncertainty=ci, quad_error=np.zeros_like(thresholds), bias_bounds=bias,
         mc_result=result) for values, ci, bias, result in runs]
 
 
+def _first_order(params):
+    """Whether a coverage point keeps the first-order bias bound: at q = 1
+    and L >= 2 the conditional coverage Q(1, T a - b) has a kink at
+    T a = b, where its second derivative is unbounded."""
+    return params.q_shape == 1 and params.L > 1
+
+
+def _density_slope_sup(x, q):
+    """sup over y >= x of |f_q'(y)|, f_q the Gamma(q) density (0 below 0),
+    per element of x, which is overwritten; q >= 1 is a whole number, and
+    q = 1, whose density jumps at 0, needs x > 0.
+
+    f_q' = y^(q-2) e^(-y) (q-1-y)/Gamma(q) rises up to its first extremum
+    lo = (q-1) - sqrt(q-1) and then |f_q'| has one more peak, at
+    hi = (q-1) + sqrt(q-1), before it falls to 0.  So the sup is |f_q'| at
+    max(x, lo), or |f_q'(hi)| where that is larger and hi >= x.  At q = 1,
+    |f_1'| = e^(-y) only falls.
+    """
+    if q == 1:
+        np.negative(x, out=x)
+        return np.exp(x, out=x)
+    root = math.sqrt(q - 1.0)
+    lo, hi = q - 1.0 - root, q - 1.0 + root
+    y = np.maximum(x, lo, out=x)
+    if q == 2:      # y^0 = 1, also at y = 0
+        out = np.negative(y)
+    else:
+        out = np.log(y)
+        out *= q - 2.0
+        out -= y
+    out -= math.lgamma(q)
+    np.exp(out, out=out)
+    out *= np.abs(y - (q - 1.0))
+    peak = math.exp((q - 2.0) * math.log(hi) - hi - math.lgamma(q)) * root
+    return np.maximum(out, peak, out=out, where=y < hi)
+
+
+def _upper_mean(total, total_sq, n):
+    """The upper 95% limit of a mean from its sum and squared sum over n
+    trials: mean + 1.96 standard errors."""
+    mean = total / n
+    return mean + 1.96 * np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+
+
 def _coverage_batch(points, thresholds):
     """The batch of a coverage sweep, and its largest cluster size m.
 
     batch(rng, rows, k) returns per point the hit counts per threshold, the
-    sum and squared sum per threshold of the conditional density
-    d = T a f_q(T a - b) (module docstring), and the summed relative spread
-    of the tail interference.
+    sum and squared sum per threshold of a per-trial statistic B, and the
+    summed per-trial scale the bias bound multiplies B's upper mean by.
+    With x = T a - b (module docstring) at the drawn interference alone,
+    x_D, B is the second-order bound (T pt/(pc w_1))^2 sup_{x >= x_D}
+    |f_q'(x)| Var/2 and the scale 1; at a first-order point (`_first_order`)
+    B is the conditional density d = T a f_q(T a - b) and the scale the
+    tail's relative spread.
     """
     m, l_min, shapes, betas = _sweep_shape(points, lambda p: p.L)
 
-    def point_stats(params, g, g_near, w, interf_base, tail_sd):
+    def point_stats(params, g, g_near, w, far, tail, var):
         L, q = params.L, params.q_shape
         desired = params.pc * np.einsum("ij,ij->i", g[:, :L], w[:, :L])
-        interf = interf_base + np.einsum("ij,ij->i", g_near[:, L - l_min:],
-                                         w[:, L:])
-        interf *= params.pt
-        rel_spread = float((params.pt * tail_sd / interf).sum())
+        drawn = far + np.einsum("ij,ij->i", g_near[:, L - l_min:], w[:, L:])
+        drawn *= params.pt
+        interf = drawn + params.pt * tail
         # the nearest gain g_1 covers T iff g_1 >= T a - b
-        a = interf / (params.pc * w[:, 0])
+        to_x = 1.0 / (params.pc * w[:, 0])
         b = np.einsum("ij,ij->i", g[:, 1:L], w[:, 1:L]) / w[:, 0]
         sir = desired
         sir /= interf
-        log_a, log_norm = np.log(a), math.lgamma(q)
         hits = np.empty(len(thresholds), dtype=np.int64)
-        d_sum, d_sq = np.empty(len(thresholds)), np.empty(len(thresholds))
+        b_sum, b_sq = np.empty(len(thresholds)), np.empty(len(thresholds))
+        if _first_order(params):
+            a = interf * to_x
+            log_a = np.log(a)
+            for j, t in enumerate(thresholds):
+                hits[j] = np.count_nonzero(sir >= t)
+                x = t * a - b
+                live = x > 0.0
+                d = np.exp(log_a[live] + (math.log(t) - x[live]))
+                b_sum[j], b_sq[j] = d.sum(), d @ d
+            return hits, b_sum, b_sq, float((params.pt * np.sqrt(var) / interf).sum())
+        a_d = drawn * to_x
+        # Var(T | u_K)/2 in x units per unit threshold squared
+        half_var = (0.5 * params.pt ** 2) * var * to_x * to_x
         for j, t in enumerate(thresholds):
             hits[j] = np.count_nonzero(sir >= t)
-            x = t * a - b
-            live = x > 0.0
-            x = x[live]
-            log_d = log_a[live] + (math.log(t) - log_norm) - x
-            if q > 1:
-                log_d += (q - 1) * np.log(x)
-            d = np.exp(log_d)
-            d_sum[j], d_sq[j] = d.sum(), (d * d).sum()
-        return hits, d_sum, d_sq, rel_spread
+            x = t * a_d
+            if L > 1:
+                x -= b
+            sup = _density_slope_sup(x, q)
+            sup *= half_var
+            b_sum[j], b_sq[j] = t * t * sup.sum(), t ** 4 * (sup @ sup)
+        return hits, b_sum, b_sq, float(len(sir))
 
     def batch(rng, rows, k):
         near, u_k = _draw_window(rng, rows, k, m)
         g_des = {q: rng.gamma(float(q), 1.0, (rows, m)) for q in shapes}
         # exp(1) gains of the near stations past the smallest L
         g_near = rng.standard_exponential((rows, m - l_min))
-        per_beta = {}
-        for beta, interf_base in _far_sums(rng, near, u_k, k, betas).items():
-            interf_base += _tail_mean(u_k, beta / 2.0)
-            # exp(1) gains have second moment 2
-            per_beta[beta] = (near ** (-beta / 2.0), interf_base,
-                              np.sqrt(2.0 * _tail_mean(u_k, beta)))
+        # exp(1) gains have second moment 2
+        per_beta = {beta: (near ** (-beta / 2.0), far, _tail_mean(u_k, beta / 2.0),
+                           2.0 * _tail_mean(u_k, beta))
+                    for beta, far in _far_sums(rng, near, u_k, k, betas).items()}
         return [point_stats(p, g_des[p.q_shape], g_near, *per_beta[p.beta])
                 for p in points]
 
@@ -412,45 +479,59 @@ def mc_radar_rate_sweep(points, cfg):
     itself) interfere at their true 2-D distance from that receiver with
     exp(1) gains, those beyond them through their exact conditional mean at
     the receiver.  Returns one RateEstimate per point, whose `mc_result`
-    carries trial bookkeeping and the truncation-bias estimate.
+    carries trial bookkeeping and the truncation-bias bound.
     """
     def summary(stats, n):
-        total, total_sq, sens_sum = stats
+        total, total_sq, b_sum, b_sq = stats
         mean = total / n
         var = max(total_sq / n - mean * mean, 0.0)
-        return mean, 1.96 * math.sqrt(var / cfg.trials), sens_sum / n
+        return (mean, 1.96 * math.sqrt(var / cfg.trials),
+                float(_upper_mean(b_sum, b_sq, n)))
 
     batch, m = _rate_batch(points)
-    runs = _simulate(batch, summary, points, cfg, m)
+    runs = _simulate(batch, summary, points, cfg, m, [p.beta - 1.0 for p in points])
     return [RateEstimate(value=max(mean, 0.0), method="monte-carlo",
                          uncertainty=ci, mc_result=result)
             for mean, ci, _, result in runs]
+
+
+def _log_curvature_sup(drawn, echo):
+    """sup over I >= D of the second derivative of ln(1 + E/I) in I, per
+    trial: 1/D^2 - 1/(D + E)^2 at the drawn interference D, for it falls in
+    I; written as E (2D + E)/(D (D + E))^2, which does not cancel at E << D."""
+    out = drawn + echo
+    out *= drawn
+    np.square(out, out=out)
+    np.divide(echo, out, out=out)
+    out *= 2.0 * drawn + echo
+    return out
 
 
 def _rate_batch(points):
     """The batch of a radar-rate sweep, and its largest cluster size m.
 
     batch(rng, rows, k) returns per point the sum and squared sum of
-    ln(1 + SIR) and the summed sensitivity of that log to the tail
-    interference times the tail's spread.
+    ln(1 + SIR) and of the per-trial second-order bias bound
+    (1/D^2 - 1/(D + E)^2) Var/2: ln(1 + E/I) is convex in the interference
+    I, and its second derivative is largest at the smallest I the tail
+    allows, the drawn interference D (E the echo).
     """
     m, n_min, shapes, betas = _sweep_shape(points, lambda p: p.N)
     echo_scales = [p.sigma2 * p.mr * p.ps / p.pt * (math.pi * p.lam) ** (p.beta / 2.0)
                    for p in points]
 
-    def point_stats(params, echo_scale, f, f_near, w, interf_base, w_near,
-                    spread):
+    def point_stats(params, echo_scale, f, f_near, w, far, tail, w_near, var):
         N = params.N
         echo = np.einsum("ij,ij->i", f[:, :N], w[:, :N])
         echo *= echo_scale * w[:, 0]
-        interf = interf_base + np.einsum("ij,ij->i", f_near[:, N - n_min:],
-                                         w_near[:, N - n_min:])
-        sir = echo
-        sir /= interf
-        vals = np.log1p(sir)
-        sens = sir / (interf * (1.0 + sir))
-        return (float(vals.sum()), float((vals * vals).sum()),
-                float((spread * sens).sum()))
+        drawn = far + np.einsum("ij,ij->i", f_near[:, N - n_min:],
+                                w_near[:, N - n_min:])
+        vals = np.log1p(echo / (drawn + tail))
+        bias = _log_curvature_sup(drawn, echo)
+        bias *= var
+        bias *= 0.5
+        return (float(vals.sum()), float(vals @ vals), float(bias.sum()),
+                float(bias @ bias))
 
     def batch(rng, rows, k):
         near, u_k = _draw_window(rng, rows, k, m)
@@ -460,13 +541,12 @@ def _rate_batch(points):
         # smallest N
         f_near = rng.standard_exponential((rows, m - n_min))
         d2_near = _receiver_d2(rng, u_1, near[:, n_min:])
-        per_beta = {}
-        for beta, interf_base in _far_sums(rng, near, u_k, k, betas, u_1).items():
-            interf_base += _tail_mean(u_k, beta / 2.0, u_1[:, 0])
-            # exp(1) gains have second moment 2
-            per_beta[beta] = (near ** (-beta / 2.0), interf_base,
-                              d2_near ** (-beta / 2.0),
-                              np.sqrt(2.0 * _tail_mean(u_k, beta, u_1[:, 0])))
+        # exp(1) gains have second moment 2
+        per_beta = {beta: (near ** (-beta / 2.0), far,
+                           _tail_mean(u_k, beta / 2.0, u_1[:, 0]),
+                           d2_near ** (-beta / 2.0),
+                           2.0 * _tail_mean(u_k, beta, u_1[:, 0]))
+                    for beta, far in _far_sums(rng, near, u_k, k, betas, u_1).items()}
         return [point_stats(p, scale, f_des[p.q_shape], f_near, *per_beta[p.beta])
                 for p, scale in zip(points, echo_scales)]
 

@@ -26,8 +26,7 @@ from functools import cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import (betainc, erfcx, gammainccinv, gammaincinv,
-                           roots_legendre)
+from scipy.special import betainc, erfcx, gammainccinv, gammaincinv
 
 from . import coverage
 from .specfun import check_bound, gk_rule, gk_sum, in_chunks, panel_edges
@@ -206,17 +205,71 @@ def interference_laplace_factor(z, params):
     return float(value[0])
 
 
-# nodes of the fixed Gauss-Legendre rule for the exclusion-disk integral
-_HOLE_NODES = 96
+# the positive nodes and their weights of the 96-point Gauss-Legendre rule
+# on [-1, 1], the bits of scipy.special.roots_legendre(96) (which loads
+# scipy.linalg), for the exclusion-disk integral; the rule is symmetric
+_HOLE_HALF = (
+    ("0x1.0aad9db41ed22p-6", "0x1.0aa79616b36f6p-5"),
+    ("0x1.8fe03fd8f166cp-5", "0x1.0a5f3e4f01659p-5"),
+    ("0x1.4cfe9a44433dep-4", "0x1.09cea25ffee30p-5"),
+    ("0x1.d1b2bd5ea8deep-4", "0x1.08f5e9851bf0bp-5"),
+    ("0x1.2af4445425b87p-3", "0x1.07d54e8a324a4p-5"),
+    ("0x1.6cbe0eea4ecf1p-3", "0x1.066d1fbb91d63p-5"),
+    ("0x1.ae24e54c8365bp-3", "0x1.04bdbed0c2ae3p-5"),
+    ("0x1.ef17092e0b4abp-3", "0x1.02c7a0d202757p-5"),
+    ("0x1.17c16df589d1cp-2", "0x1.008b4df88432ap-5"),
+    ("0x1.37ab71a834a7fp-2", "0x1.fc12c312f6982p-6"),
+    ("0x1.5740e72ca83cap-2", "0x1.f6851357f7649p-6"),
+    ("0x1.76793cf117fdfp-2", "0x1.f06f0e737512ep-6"),
+    ("0x1.954bfaa76531ap-2", "0x1.e9d25b1578b53p-6"),
+    ("0x1.b3b0c39160c9ap-2", "0x1.e2b0c477fd75fp-6"),
+    ("0x1.d19f58c592f54p-2", "0x1.db0c39e25a800p-6"),
+    ("0x1.ef0f9b6beae32p-2", "0x1.d2e6ce22e4bbap-6"),
+    ("0x1.05fcc778dda8cp-1", "0x1.ca42b6feed50bp-6"),
+    ("0x1.142aad9a3576ap-1", "0x1.c1224c9943c5cp-6"),
+    ("0x1.220da75121028p-1", "0x1.b78808cf6574ep-6"),
+    ("0x1.2fa1f02860e0bp-1", "0x1.ad76868d864b1p-6"),
+    ("0x1.3ce3d903f9f6ep-1", "0x1.a2f08119a2179p-6"),
+    ("0x1.49cfc92112ad0p-1", "0x1.97f8d355c6cdcp-6"),
+    ("0x1.56623f0fc0010p-1", "0x1.8c9276f9cbc21p-6"),
+    ("0x1.6297d1a67ebb0p-1", "0x1.80c083c4ab897p-6"),
+    ("0x1.6e6d30ef16b46p-1", "0x1.74862ea5b8b58p-6"),
+    ("0x1.79df270ca7f30p-1", "0x1.67e6c8dde7b4fp-6"),
+    ("0x1.84ea991aa3314p-1", "0x1.5ae5bf196aac4p-6"),
+    ("0x1.8f8c8804715d4p-1", "0x1.4d869881dde58p-6"),
+    ("0x1.99c211558f960p-1", "0x1.3fccf5c945f24p-6"),
+    ("0x1.a3887001e73f4p-1", "0x1.31bc902e22a85p-6"),
+    ("0x1.acdcfd262be7cp-1", "0x1.23593878dc81ap-6"),
+    ("0x1.b5bd30c00af2ep-1", "0x1.14a6d5f2d424fp-6"),
+    ("0x1.be26a25dfb412p-1", "0x1.05a965575fb47p-6"),
+    ("0x1.c61709c67d7d8p-1", "0x1.ecc9ef7e07c25p-7"),
+    ("0x1.cd8c3f96a03d6p-1", "0x1.cdbb630a7cb8cp-7"),
+    ("0x1.d4843dd79deb4p-1", "0x1.ae2f92527e501p-7"),
+    ("0x1.dafd208b6da2ap-1", "0x1.8e2f0c53ffc87p-7"),
+    ("0x1.e0f5263024178p-1", "0x1.6dc27fbc991a8p-7"),
+    ("0x1.e66ab03a073fap-1", "0x1.4cf2b89333e10p-7"),
+    ("0x1.eb5c438440c02p-1", "0x1.2bc89dde79095p-7"),
+    ("0x1.efc888b82da16p-1", "0x1.0a4d2f4ea77c2p-7"),
+    ("0x1.f3ae4cab74f04p-1", "0x1.d11305f70bebep-8"),
+    ("0x1.f70c80b584621p-1", "0x1.8d0d86cd514f7p-8"),
+    ("0x1.f9e23afe86f4dp-1", "0x1.489c5ccbe0a2cp-8"),
+    ("0x1.fc2eb6cf783d8p-1", "0x1.03d22f3a11fb1p-8"),
+    ("0x1.fdf155061469fp-1", "0x1.7d83f3ee4f7cdp-9"),
+    ("0x1.ff299d8fa5cb6p-1", "0x1.e60133d38b42ep-10"),
+    ("0x1.ffd74d7aaa774p-1", "0x1.a1bf9ee7f5802p-11"),
+)
+_HOLE_NODES = 2 * len(_HOLE_HALF)
 
 
 @cache
 def _hole_rule():
     """The exclusion-disk rule after the substitution t = 2 - v^2, which
     removes the arccos endpoint singularity: its nodes t and its weights
-    times the kernel.  Built on first use, because `roots_legendre` loads
-    scipy.linalg, which most processes never need."""
-    v, w = roots_legendre(_HOLE_NODES)
+    times the kernel."""
+    v_pos, w_pos = np.array([[float.fromhex(h) for h in pair]
+                             for pair in _HOLE_HALF]).T
+    v = np.concatenate((-v_pos[::-1], v_pos))
+    w = np.concatenate((w_pos[::-1], w_pos))
     hv = (v + 1.0) * (math.sqrt(2.0) / 2.0)
     hw = w * (math.sqrt(2.0) / 2.0)
     ht = 2.0 - hv * hv

@@ -24,13 +24,14 @@ def test_every_exported_name_resolves():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg (50-80 ms, 7.5 MB) loads with the hole rule, on the first
-    # single-station rate; importing the package or its CLI must not load it
+    # scipy.linalg costs 50-80 ms and 6-7.5 MB; neither importing the package
+    # or its CLI nor a single-station rate (its hole rule) may load it
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, isacnet, isacnet.cli; "
+            "isacnet.radar_rate_single(isacnet.SystemParams()); "
             "print(isacnet.__file__); print('scipy.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
