@@ -22,25 +22,26 @@ evaluated by scipy.special.hyp2f1.
 Bias bound: given u_K and the drawn stations, the tail T has mean mu and
 a variance Var(T | u_K) that is twice that mean taken at 2b in place of b
 (exp(1) gains have second moment 2), and an estimate f(mu) of E f(T) is
-off by at most
-(1/2) sup|f''| Var, the sup over every value T can take: the first-order
-term averages out, as E[T - mu | u_K, drawn] = 0.  Since a hit count has
-the bias of its conditional expectation given the drawn stations, the
-bound covers the estimates the simulator reports.  The interference only
-grows from its drawn part D (the tail adds to it), so the sup runs over
-I >= D.  For coverage, with the nearest station's Gamma(q) gain integrated
-out (q = mt - 1), P[SIR >= T | rest] = Q(q, T a - b), where
-a = interference/(pc w_1) and b = sum_{i>=2} g_i w_i / w_1 (w_i the path
-gains); so f'' is (T pt/(pc w_1))^2 times -f_q', f_q the Gamma(q) density,
-and |f_q'| has a closed-form sup over x >= x_D, the x at the drawn
-interference (`_density_slope_sup`).  At q = 1 and L >= 2, f_q jumps where
-T a = b and f'' is unbounded; such a point keeps a first-order bound: the
-slope of P[SIR >= T] in ln T, the mean of d = T a f_q(T a - b) (d = 0
-where T a <= b), times the mean relative spread of the tail.  For the
-radar rate f = ln(1 + E/I), E the echo, whose f'' = 1/I^2 - 1/(I + E)^2
-falls in I, so its sup sits at D.  Each bound takes the upper 95% limit of
-its per-trial mean, mean + 1.96 standard errors; it depends on no threshold
-grid.
+off by at most (1/2) sup|f''| Var, the sup over every value T can take:
+the first-order term averages out, as E[T - mu | u_K, drawn] = 0.  Since a
+hit count has the bias of its conditional expectation given the drawn
+stations, the bound covers the estimates the simulator reports.  The
+interference only grows from its drawn part D (the tail adds to it), so
+the sup runs over I >= D.  For coverage, with the nearest station's
+Gamma(q) gain integrated out (q = mt - 1), P[SIR >= T | rest] =
+Q(q, T a - b), where a = interference/(pc w_1) and
+b = sum_{i>=2} g_i w_i / w_1 (w_i the path gains); so f'' is
+(T pt/(pc w_1))^2 times -f_q', f_q the Gamma(q) density, and |f_q'| has a
+closed-form sup over x >= x_D, the x at the drawn interference
+(`_density_slope_sup`), read per trial and threshold from a step table
+per q that bounds it from above (`_density_slope_table`).  At q = 1 and
+L >= 2, f_q jumps where T a = b and f'' is unbounded; such a point keeps a
+first-order bound: the slope of P[SIR >= T] in ln T, the mean of
+d = T a f_q(T a - b) (d = 0 where T a <= b), times the mean relative
+spread of the tail.  For the radar rate f = ln(1 + E/I), E the echo, whose
+f'' = 1/I^2 - 1/(I + E)^2 falls in I, so its sup sits at D.  Each bound
+takes the upper 95% limit of its per-trial mean, mean + 1.96 standard
+errors; it depends on no threshold grid.
 
 K is chosen per run: a pilot of _PILOT_TRIALS trials at K = _PILOT_K
 predicts the worst bias bound over the 95% half-width the full trial count
@@ -87,6 +88,7 @@ bitwise identical for any number of workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -108,6 +110,7 @@ _PILOT_K = 32
 _BIAS_TO_CI = 0.05
 _BIAS_RULE = 0.1
 _MAX_K = 1 << 15
+_SLOPE_STEP = 1.0 / 32          # x step of the coverage bound's sup table
 
 
 @dataclass(frozen=True)
@@ -373,6 +376,22 @@ def _density_slope_sup(x, q):
     return np.maximum(out, peak, out=out, where=y < hi)
 
 
+@functools.lru_cache(maxsize=None)
+def _density_slope_table(q):
+    """`_density_slope_sup` at x = 0, h, 2h, ... (h = _SLOPE_STEP), out to
+    where it has fallen to about e^-40 of its peak.  The sup falls in x, so
+    the entry at step floor(x/h) bounds it from above; x < 0 reads step 0
+    (for q >= 2 the sup is flat below the first extremum, which lies at
+    x >= 0; q = 1 is read only at x > 0), and x past the end the last step.
+    Past the second peak |f_q'| falls no faster than e^-y, so there an entry
+    exceeds the sup it stands for by at most a factor e^h.  A table read
+    takes the place of a log and an exp per trial and threshold."""
+    steps = math.ceil((q + 8.0 * math.sqrt(q) + 40.0) / _SLOPE_STEP)
+    table = _density_slope_sup(np.arange(steps + 1) * _SLOPE_STEP, q)
+    table.flags.writeable = False
+    return table
+
+
 def _upper_mean(total, total_sq, n):
     """The upper 95% limit of a mean from its sum and squared sum over n
     trials: mean + 1.96 standard errors."""
@@ -388,9 +407,9 @@ def _coverage_batch(points, thresholds):
     summed per-trial scale the bias bound multiplies B's upper mean by.
     With x = T a - b (module docstring) at the drawn interference alone,
     x_D, B is the second-order bound (T pt/(pc w_1))^2 sup_{x >= x_D}
-    |f_q'(x)| Var/2 and the scale 1; at a first-order point (`_first_order`)
-    B is the conditional density d = T a f_q(T a - b) and the scale the
-    tail's relative spread.
+    |f_q'(x)| Var/2, the sup read from `_density_slope_table`, and the
+    scale 1; at a first-order point (`_first_order`) B is the conditional
+    density d = T a f_q(T a - b) and the scale the tail's relative spread.
     """
     m, l_min, shapes, betas = _sweep_shape(points, lambda p: p.L)
 
@@ -417,15 +436,20 @@ def _coverage_batch(points, thresholds):
                 d = np.exp(log_a[live] + (math.log(t) - x[live]))
                 b_sum[j], b_sq[j] = d.sum(), d @ d
             return hits, b_sum, b_sq, float((params.pt * np.sqrt(var) / interf).sum())
-        a_d = drawn * to_x
+        # x in steps of the sup table, per unit threshold (h = 2^-5, exact)
+        a_d = drawn * (to_x / _SLOPE_STEP)
+        b /= _SLOPE_STEP
+        table = _density_slope_table(q)
         # Var(T | u_K)/2 in x units per unit threshold squared
         half_var = (0.5 * params.pt ** 2) * var * to_x * to_x
+        x = np.empty(len(sir))
         for j, t in enumerate(thresholds):
             hits[j] = np.count_nonzero(sir >= t)
-            x = t * a_d
+            np.multiply(a_d, t, out=x)
             if L > 1:
                 x -= b
-            sup = _density_slope_sup(x, q)
+            # the cast truncates toward 0, so x < 0 reads step 0 or clips to it
+            sup = table.take(x.astype(np.intp), mode="clip")
             sup *= half_var
             b_sum[j], b_sq[j] = t * t * sup.sum(), t ** 4 * (sup @ sup)
         return hits, b_sum, b_sq, float(len(sir))

@@ -11,8 +11,9 @@ from scipy.special import gammaincc
 from isacnet import SystemParams, montecarlo
 from isacnet.coverage import coverage_closed_form, coverage_curve
 from isacnet.montecarlo import (McConfig, _BATCH_SIZE, _BLOCK, _MAX_K,
-                                _PILOT_STREAM, _batch_rng, _coverage_batch,
-                                _density_slope_sup, _draw_window, _far_blocks,
+                                _PILOT_STREAM, _SLOPE_STEP, _batch_rng,
+                                _coverage_batch, _density_slope_sup,
+                                _density_slope_table, _draw_window, _far_blocks,
                                 _log_curvature_sup, _rate_batch, _receiver_d2,
                                 _run_batches, _tail_mean, _upper_mean,
                                 mc_coverage, mc_coverage_sweep, mc_radar_rate,
@@ -146,7 +147,6 @@ class TestAgainstExactLaws:
         assert np.all(curve.bias_bounds <= 0.1 * curve.uncertainty)
 
 
-
 class TestSecondOrderBound:
     """The closed forms behind the second-order truncation-bias bound."""
 
@@ -164,6 +164,22 @@ class TestSecondOrderBound:
         got = _density_slope_sup(x0.copy(), q)
         assert got == pytest.approx(ref, rel=1e-6, abs=1e-250)
 
+    @pytest.mark.parametrize("q", (1, 2, 3, 9, 63))
+    def test_density_slope_table_bounds_the_sup(self, q):
+        # read as the coverage batch reads it: x < 0 and x past the end clip
+        # to the first and last steps; past the second peak the excess is
+        # below a factor e^h
+        table = _density_slope_table(q)
+        end = (len(table) - 1) * _SLOPE_STEP
+        x = np.random.default_rng(q).uniform(1e-9 if q == 1 else -3.0, end + 5.0,
+                                             100_000)
+        got = table.take((x / _SLOPE_STEP).astype(np.intp), mode="clip")
+        sup = _density_slope_sup(x.copy(), q)
+        assert np.all(got >= sup)
+        tail = (x > q - 1.0 + math.sqrt(q - 1.0)) & (x < end)
+        assert np.all(got[tail] <= math.exp(_SLOPE_STEP) * sup[tail])
+        assert table[-1] < 1e-15 * table[0]
+
     def test_log_curvature_sup_against_a_finite_difference(self):
         # the second derivative of ln(1 + E/I) at I = D, over E/D from
         # 1e-15 to 1e15, and its fall in I
@@ -180,17 +196,18 @@ class TestSecondOrderBound:
         assert np.all(_log_curvature_sup(1.5 * drawn, echo) < got)
 
 
-def nested_estimates(params, metric, k_short, rows, seed, chunk=25_000):
-    """Per trial, the conditional estimate truncated at K' = k_short and at
-    K = 4K' on one draw.
+def windowed_estimates(params, metric, counts, rows, seed, thresholds=T_GRID,
+                       chunk=25_000):
+    """Per trial, the conditional estimate truncated at the end of each of
+    nested windows, on one draw independent of the simulator's.
 
-    Nested windows: u_K' = u_m + Gamma(K' - m), then
-    u_K = u_K' + Gamma(K - K'), with the stations of each segment uniform
-    inside it and the segment's end itself; by the strong Markov property
-    this is the simulator's window law at K' and at K alike.  Coverage
-    integrates out the nearest gain, Q(q, T a - b) on T_GRID; the rate is
-    ln(1 + E/I) at a receiver on the nearest station.  Returns the per-trial
-    differences (truncated at K' minus at K), thresholds first for coverage.
+    Nested windows: the first ends at u_m + Gamma(counts[0]), each next one
+    at the previous end plus Gamma(counts[i]), with the stations of each
+    segment uniform inside it and the segment's end itself; by the strong
+    Markov property this is the simulator's window law at every end.
+    Coverage integrates out the nearest gain, Q(q, T a - b) on `thresholds`;
+    the rate is ln(1 + E/I) at a receiver on the nearest station.  Returns
+    one array per window, thresholds first for coverage.
     """
     rng = np.random.default_rng(seed)
     b, q = params.beta / 2.0, params.q_shape
@@ -200,7 +217,7 @@ def nested_estimates(params, metric, k_short, rows, seed, chunk=25_000):
         n = min(chunk, rows - start)
         near = np.cumsum(rng.standard_exponential((n, m)), axis=1)
         lo, segments = near[:, -1], []
-        for count in (k_short - m, 3 * k_short):
+        for count in counts:
             hi = lo + rng.standard_gamma(count, n)
             seg = lo[:, None] + rng.random((n, count)) * (hi - lo)[:, None]
             seg[:, -1] = hi
@@ -216,20 +233,43 @@ def nested_estimates(params, metric, k_short, rows, seed, chunk=25_000):
                 seg = np.maximum(u_1[:, None] + seg
                                  - 2.0 * np.sqrt(u_1[:, None] * seg) * cos, 1e-30)
             sums.append((rng.standard_exponential(seg.shape) * seg ** -b).sum(1))
-        drawn = (sums[0], sums[0] + sums[1])
+        drawn = np.cumsum(sums, axis=0)
         tails = [_tail_mean(seg[:, -1], b, u_1) for seg in segments]
         if metric == "coverage":
             to_x = params.pt / (params.pc * w[:, 0])
             base = (gains[:, 1:] * w[:, 1:]).sum(1) / w[:, 0]
-            est = [gammaincc(q, np.maximum(T_GRID[:, None] * (d + t) * to_x - base,
-                                           0.0)) for d, t in zip(drawn, tails)]
+            est = [gammaincc(q, np.maximum(thresholds[:, None] * (d + t) * to_x
+                                           - base, 0.0))
+                   for d, t in zip(drawn, tails)]
         else:
             scale = (params.sigma2 * params.mr * params.ps / params.pt
                      * (math.pi * params.lam) ** b)
             echo = scale * w[:, 0] * (gains[:, :params.N] * w[:, :params.N]).sum(1)
             est = [np.log1p(echo / (d + t)) for d, t in zip(drawn, tails)]
-        parts.append(est[0] - est[1])
-    return np.concatenate(parts, axis=-1)
+        parts.append(est)
+    return [np.concatenate(window, axis=-1) for window in zip(*parts)]
+
+
+class TestFirstOrderStatistic:
+    """The statistic of the first-order bound, kept where Q(1, T a - b) has a
+    kink (q = 1, L >= 2): its mean is the slope of coverage in ln T."""
+
+    def test_against_a_central_difference(self, paper_params):
+        # the slope from a central difference in ln T of the conditional
+        # coverage, on an independent draw at the same window
+        params = paper_params.with_(L=2, mt=2, beta=4.0)
+        n, k, h = 100_000, 100, 0.01
+        batch, _ = _coverage_batch([params], T_GRID)
+        ((_, d_sum, d_sq, _),) = _run_batches(batch, McConfig(trials=n, seed=11),
+                                              k)
+        slope = d_sum / n
+        (cond,) = windowed_estimates(
+            params, "coverage", (k - params.L,), n, seed=12,
+            thresholds=np.concatenate((T_GRID * math.exp(-h), T_GRID * math.exp(h))))
+        diff = (cond[:len(T_GRID)] - cond[len(T_GRID):]) / (2.0 * h)
+        se = np.hypot(np.sqrt((d_sq / n - slope * slope) / n),
+                      diff.std(axis=-1) / math.sqrt(n))
+        assert np.all(np.abs(slope - diff.mean(axis=-1)) <= 3.0 * se)
 
 
 class TestNestedWindows:
@@ -252,8 +292,10 @@ class TestNestedWindows:
                                                 point):
         params = paper_params.with_(beta=beta, **point)
         k_short = self.K_SHORT[metric]
-        diff = nested_estimates(params, metric, k_short, self.ROWS,
-                                seed=int(10 * beta))
+        m = params.L if metric == "coverage" else params.N
+        short, long = windowed_estimates(params, metric, (k_short - m, 3 * k_short),
+                                         self.ROWS, seed=int(10 * beta))
+        diff = short - long
         paired = np.abs(diff.mean(axis=-1)) + 1.96 * diff.std(axis=-1) / math.sqrt(
             self.ROWS)
         cfg = McConfig(trials=self.ROWS, seed=int(10 * beta) + 1)
