@@ -12,10 +12,11 @@ nearest-station distance), whose neglect underestimates the rate.
 
 Both rates are fixed composite Gauss-Kronrod 7-15 rules in log variables,
 evaluated as array expressions over all outer nodes (in slices of bounded
-size): ln z outside, ln s for the distance laws of the cluster edge and of
-the single station, and `coverage._ratio_rule` for the distance ratio.
-Each rule's range follows from its integrand's tail decay rates and
-transition points; the embedded 7-point Gauss sums bound its error.
+size): ln z outside, ln s for the distance law of the cluster edge,
+`coverage._ratio_rule` for the distance ratio, and ln(omega s) for the
+single station, on one lattice that every outer node shares.  Each rule's
+range follows from its integrand's tail decay rates and transition points;
+the embedded 7-point Gauss sums bound its error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc, erfcx, gammainccinv, gammaincinv
 
 from . import coverage
-from .specfun import check_bound, gk_rule, gk_sum, in_chunks, panel_edges
+from .specfun import (_TAIL_EDGES, check_bound, gk_rule, gk_sum, in_chunks,
+                      panel_edges)
 
 __all__ = [
     "RateEstimate",
@@ -40,14 +42,16 @@ __all__ = [
 ]
 
 # Budget of the fixed rules.  Outer rules run in u = ln z with core panels
-# _Z_STEP decay lengths wide; the inner rules have fixed panel counts.
-# Cores reach coverage._MARGIN decay lengths beyond the transitions they
-# cover.  np.exp overflows past u = 709.78, so the outer rules stop at
-# |u| = _U_MAX and bound the tails they cut off (`_outer_rate`).
+# _Z_STEP decay lengths wide; the inner rules have fixed panel counts or,
+# on the single-station lattice, a fixed panel width.  Cores reach
+# coverage._MARGIN decay lengths beyond the transitions they cover.
+# np.exp overflows past u = 709.78, so the outer rules stop at |u| = _U_MAX
+# and bound the tails they cut off (`_outer_rate`).
 _Z_STEP = 2.0
 _U_MAX = 700.0
 _S_PANELS = 16          # ln s, Gamma(N) cluster-edge law
-_HOLE_S_PANELS = 12     # ln s, single-station law with the exclusion disk
+_HOLE_V_STEP = 1.0      # panel width in ln(omega s), single station with the disk
+_HOLE_LEFT = 40.0       # decay lengths its core reaches below the hole's bend
 _GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the ln s rule
 _DEPTH = 36.0           # e-folds below its scale at which a core may stop
 
@@ -293,7 +297,7 @@ def hole_exclusion_integral(c, beta):
     c = 1e-12 it reads +25% at beta=4 and -72% at beta=2.5 (-0.33% at
     beta=8), against 1.9e-3 relative at c = 1e-6 and beta=2.5.  Inside
     `radar_rate_single` such c carry little weight, so there the rule moves
-    the rate by at most 0.012 of that rate's own bound
+    the rate by at most 4e-4 of that rate's own bound
     (`tests/test_radar.py::TestHoleRuleInTheBound`); a direct caller gets no
     such guarantee, nor a check that c >= 0.
     """
@@ -362,25 +366,63 @@ def radar_rate(params):
                         quad_error=err)
 
 
-def _hole_transform(omega, params, k):
+def _hole_window(ln_omega, k):
+    """Ends in v = ln(omega s) of the core of the hole rule at ln omega.
+
+    It starts coverage._MARGIN + _HOLE_LEFT decay lengths below both the
+    hole's bend at v = 0 and the law's scale s = 1 (v = ln omega), and ends
+    where exp(-s) or exp(-k omega s^2) has fallen by e^-_DEPTH; both ends
+    grow with ln omega.
+    """
+    lo = np.minimum(ln_omega, 0.0) - coverage._MARGIN - _HOLE_LEFT
+    hi = ln_omega + np.minimum(math.log(_DEPTH),
+                               0.5 * (math.log(_DEPTH / k) - ln_omega))
+    return lo, hi
+
+
+def _hole_transform(ln_omega_ends, beta, k):
     """Single-station interference transform with the exclusion disk.
 
-    omega = (z pt)^(2/beta) / (pi lam) is a 1-D array.  Over s = pi lam
-    r1^2 the no-hole exponent is -s - k omega s^2 and the hole adds
-    (s/pi) * hole(c), c = (omega s)^(beta/2).  The rule runs in ln s; its
-    core starts below the hole's bend at s = 1/omega and ends where
-    exp(-s) or exp(-k omega s^2) has fallen by e^-_DEPTH.
-    Returns (values, error bounds).
+    omega = (z pt)^(2/beta) / (pi lam).  Over s = pi lam r1^2 the no-hole
+    exponent is -s - k omega s^2 and the hole adds (s/pi) * hole(c),
+    c = (omega s)^(beta/2).  In y = omega s the exponent is -(y/omega) g(y)
+    with g(y) = 1 + k y - hole(y^(beta/2))/pi, so in v = ln y the transform
+    is int exp(x - e^(x + ln g(v))) dv with x = v - ln omega, and the hole
+    enters only through ln g(v), which no omega changes.
+
+    Builds one lattice of GK15 panels _HOLE_V_STEP wide in v over the cores
+    (`_hole_window`) of every ln omega in [ln_omega_ends], evaluates ln g
+    on it once, and returns (transform, cost).  transform(ln_omega), for a
+    1-D ascending array, integrates every ln omega over the panels that
+    cover the cores of the whole array and returns (values, error bounds);
+    as g >= 0 the integrand is at most e^x, so the bound adds
+    e^(v_cut - ln omega) for the tail cut below the first panel.  cost is
+    the lattice nodes one core spans.
     """
-    beta = params.beta
-    ln_hi = np.log(np.minimum(_DEPTH, np.sqrt(_DEPTH / (k * omega))))
-    ln_lo = np.minimum(0.0, -np.log(omega)) - coverage._MARGIN
-    sig, wk, wg = gk_rule(panel_edges(ln_lo, ln_hi, _HOLE_S_PANELS, 1.0))
-    s = np.exp(sig)
-    om = omega[:, None, None]
-    c = (om * s) ** (beta / 2.0)
-    expo = -s - k * om * s * s + s / math.pi * hole_exclusion_integral(c, beta)
-    return gk_sum(np.exp(expo) * s, wk, wg)
+    (v_lo, first_hi), (last_lo, v_hi) = (_hole_window(e, k)
+                                         for e in ln_omega_ends)
+    edges = v_lo + _HOLE_V_STEP * np.arange(
+        math.ceil((v_hi - v_lo) / _HOLE_V_STEP) + 1)
+    v, wk, wg = gk_rule(edges)
+    with np.errstate(over="ignore"):        # c = inf is hole(c) = pi
+        c = np.exp(0.5 * beta * v.ravel())
+    hole, = in_chunks(lambda c: (hole_exclusion_integral(c, beta),), c,
+                      _HOLE_NODES)
+    ln_g = np.log1p(k * np.exp(v) - hole.reshape(v.shape) / math.pi)
+
+    def transform(ln_omega):
+        lo, hi = _hole_window(ln_omega, k)
+        first = max(int((lo.min() - v_lo) // _HOLE_V_STEP), 0)
+        last = math.ceil((hi.max() - v_lo) / _HOLE_V_STEP)
+        x = v[first:last] - ln_omega[:, None, None]
+        with np.errstate(over="ignore"):    # e^(x + ln g) = inf adds 0
+            f = np.exp(x - np.exp(x + ln_g[first:last]))
+        value, err = gk_sum(f, wk[first:last], wg[first:last])
+        return value, err + np.exp(edges[first] - ln_omega)
+
+    # the widest core is at one end: it narrows with ln omega below 0
+    widest = max(first_hi - v_lo, v_hi - last_lo)
+    return transform, 15 * (math.ceil(widest / _HOLE_V_STEP) + 1)
 
 
 def radar_rate_single(params, include_hole=True):
@@ -391,7 +433,9 @@ def radar_rate_single(params, include_hole=True):
     correction is dropped, which overestimates interference and lowers the
     rate (the shortfall grows with the normalized deployment density).
     The no-hole transform is closed form (a scaled complementary error
-    function); with the hole it is a fixed rule in ln s.  The outer rule
+    function); with the hole it is a fixed rule in v = ln(omega s), where
+    the exclusion-disk integral depends on v alone, so it runs once per rate
+    on a lattice every outer node shares (`_hole_transform`).  The outer rule
     runs in u = ln z: the echo factor bends at z = 1/(sigma2 mr ps) and
     decays like z below it; the interference transform bends at omega = 1
     and decays like omega^(-1/2) = z^(-1/beta) above it.  Raises
@@ -411,18 +455,26 @@ def radar_rate_single(params, include_hole=True):
     lo = min(u_echo, u_hole) - coverage._MARGIN
     hi = max(u_echo, u_hole) + coverage._MARGIN
 
+    rate_hi = 1.0 / params.beta
+    ln_omega_1 = tb * math.log(params.pt) - math.log(math.pi * params.lam)
+    cost = 1
+    if include_hole:
+        # ln omega at the outermost nodes `_outer_rate` will place
+        u_ends = np.clip((lo - _TAIL_EDGES[-1], hi + _TAIL_EDGES[-1] / rate_hi),
+                         -_U_MAX, _U_MAX)
+        transform, cost = _hole_transform(tb * u_ends + ln_omega_1,
+                                          params.beta, k)
+
     def integrand(z):
         echo = -np.expm1(-params.q_shape * np.log1p(z * c_echo))
-        omega = (z * params.pt) ** tb / (math.pi * params.lam)
         if include_hole:
-            t, t_err = _hole_transform(omega, params, k)
+            t, t_err = transform(tb * np.log(z) + ln_omega_1)
         else:   # closed form: int_0^inf exp(-s - k omega s^2) ds
+            omega = (z * params.pt) ** tb / (math.pi * params.lam)
             r = 0.5 / np.sqrt(k * omega)
             t, t_err = math.sqrt(math.pi) * r * erfcx(r), 0.0
         return echo * t, echo * t_err
 
-    # per z: the hole rule (core, one tail) times the disk rule, or one pass
-    cost = (_HOLE_S_PANELS + 6) * 15 * _HOLE_NODES if include_hole else 1
     value, err = _outer_rate(lo, hi, math.ceil((hi - lo) / _Z_STEP), 1.0,
-                             1.0 / params.beta, integrand, cost, method)
+                             rate_hi, integrand, cost, method)
     return RateEstimate(value=value, method=method, quad_error=err)

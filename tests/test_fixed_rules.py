@@ -164,7 +164,7 @@ def sampled_coverage(params, thresholds, samples=1_000_000, seed=0,
 # ---------------------------------------------------------- wider-range rule
 
 WIDE = {(radar, "_Z_STEP"): 1.0,
-        (radar, "_S_PANELS"): 32, (radar, "_HOLE_S_PANELS"): 24,
+        (radar, "_S_PANELS"): 32, (radar, "_HOLE_V_STEP"): 0.5,
         (radar, "_DEPTH"): 45.0,
         # the core margin and the distance-ratio rule the radar rates share
         # with coverage
@@ -337,13 +337,15 @@ def test_peak_traced_allocation(f, params):
                  lambda: radar_rate(SystemParams(N=3)),
                  id="isacnet.coverage-_RHO_PANELS-radar_rate"),
     (radar, "_S_PANELS", lambda: radar_rate(SystemParams(N=3))),
-    (radar, "_HOLE_S_PANELS", lambda: radar_rate_single(SystemParams())),
+    (radar, "_HOLE_V_STEP", lambda: radar_rate_single(SystemParams())),
     (radar, "_Z_STEP", lambda: radar_rate_single(SystemParams(), False)),
     (coverage, "_RHO_PANELS",
      lambda: coverage_curve(SystemParams(L=2), [0.1, 1.0, 10.0])),
 ])
 def test_starved_rule_raises(monkeypatch, module, name, call):
-    monkeypatch.setattr(module, name, 40.0 if name == "_Z_STEP" else 1)
+    # step constants starve when wide, panel counts when 1
+    monkeypatch.setattr(module, name,
+                        {"_Z_STEP": 40.0, "_HOLE_V_STEP": 6.0}.get(name, 1))
     with pytest.raises(ConvergenceError):
         call()
 

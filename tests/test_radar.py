@@ -1,10 +1,11 @@
 """Analytic radar rate: transform kernels, marginalized factors, rates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.special import roots_legendre
 
 from isacnet import radar
@@ -355,6 +356,59 @@ class TestHoleRuleInTheBound:
         monkeypatch.setattr(radar, "hole_exclusion_integral", HOLE_ORACLE)
         accurate = radar_rate_single(params).value
         assert abs(est.value - accurate) <= 0.1 * est.quad_error
+
+
+class TestHoleLattice:
+    """The single-station hole transform in v = ln(omega s) on its shared
+    lattice, against the s-form integral it substitutes."""
+
+    @pytest.mark.parametrize("beta", (2.5, 4.0, 8.0))
+    @pytest.mark.parametrize("omega", (1e-8, 1e-3, 1.0, 1e3, 1e8))
+    def test_against_quad_over_s(self, monkeypatch, beta, omega):
+        monkeypatch.setattr(radar, "hole_exclusion_integral", HOLE_ORACLE)
+        tb = 2.0 / beta
+        k = tb * special.beta(tb, 1.0 - tb)
+
+        def f(s):
+            c = (omega * s) ** (beta / 2.0)
+            return math.exp(-s - k * omega * s * s
+                            + s / math.pi * HOLE_ORACLE(np.array([c]), beta)[0])
+
+        # the mass lies below the scale of exp(-s) or of exp(-k omega s^2)
+        scale = min(1.0, 1.0 / math.sqrt(k * omega))
+        ref = sum(integrate.quad(f, a * scale, b * scale, limit=200,
+                                 epsabs=0.0, epsrel=1e-12)[0]
+                  for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0)))
+        ln_omega = math.log(omega)
+        transform, _ = radar._hole_transform((ln_omega, ln_omega), beta, k)
+        value, err = transform(np.array([ln_omega]))
+        assert value[0] == pytest.approx(ref, rel=1e-9)
+        assert abs(value[0] - ref) <= err[0]
+
+    def test_disk_integral_runs_on_the_lattice_only(self, paper_params,
+                                                    monkeypatch):
+        # once per rate on the shared lattice, not once per outer node
+        points = []
+
+        def counted(c, beta):
+            points.append(np.size(c))
+            return hole_exclusion_integral(c, beta)
+
+        monkeypatch.setattr(radar, "hole_exclusion_integral", counted)
+        radar_rate_single(paper_params, include_hole=True)
+        assert 0 < sum(points) <= 5000
+
+    @pytest.mark.parametrize("beta,lam", [(4.0, 1e-4), (20.0, 1e-9),
+                                          (2.05, 1e3)])
+    def test_peak_traced_allocation(self, paper_params, beta, lam):
+        params = paper_params.with_(beta=beta, lam=lam)
+        tracemalloc.start()
+        try:
+            radar_rate_single(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestRateEstimate:
