@@ -13,9 +13,9 @@ s = s_1 (1, x_2, ..., x_L) the integral over the nearest distance s_1 is
 exact and only the distance ratios remain.  At L = 1 there are none and
 the coverage is a finite sum.  At L >= 2 the ratios are integrated by a
 fixed composite Gauss-Kronrod rule over the law of x_L - 1 in ln(x_L - 1)
-(`_ratio_rule`, which the cooperative radar rate shares) times one GK15
-rule per intermediate station, evaluated as array passes per threshold;
-the embedded 7-point Gauss sums give the error bound each value reports.
+(`_ratio_rule`) times one GK15 rule per intermediate station, evaluated
+as array passes per threshold; the embedded 7-point Gauss sums give the
+error bound each value reports.
 
 Every value, closed form included, is one alternating binomial sum over
 the mt - 1 antenna terms (`_antenna_sum`).  It cancels more digits the
@@ -44,9 +44,10 @@ __all__ = [
     "coverage_curve",
 ]
 
-# Budget of the ratio-law rule (shared with the cooperative radar rate): core
-# panels in ln rho, how far (in decay lengths) the core reaches beyond the
-# bend it covers; and GK15 panels per intermediate-station direction theta.
+# Budget of the ratio-law rule: core panels in ln rho, how far (in decay
+# lengths) the core reaches beyond the bend it covers (the radar rates'
+# outer cores reach as far); and GK15 panels per intermediate-station
+# direction theta.
 _RHO_PANELS = 24
 _MARGIN = 4.0
 _THETA_PANELS = 1

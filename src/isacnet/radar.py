@@ -12,11 +12,13 @@ nearest-station distance), whose neglect underestimates the rate.
 
 Both rates are fixed composite Gauss-Kronrod 7-15 rules in log variables,
 evaluated as array expressions over all outer nodes (in slices of bounded
-size): ln z outside, ln s for the distance law of the cluster edge,
-`coverage._ratio_rule` for the distance ratio, and ln(omega s) for the
-single station, on one lattice that every outer node shares.  Each rule's
-range follows from its integrand's tail decay rates and transition points;
-the embedded 7-point Gauss sums bound its error.
+size), with ln z outside.  Each inner transform runs in a variable where
+its kernel no longer depends on the outer node: tau = ln(c0 z r_far^-beta)
+for the echo and t = ln(z eta^beta) for the interference of a cluster, and
+ln(omega s) for the single station.  So each kernel runs once per rate, on
+a lattice of panels that every outer node shares.  Each rule's range
+follows from its integrand's tail decay rates and transition points; the
+embedded 7-point Gauss sums bound its error.
 """
 
 from __future__ import annotations
@@ -42,17 +44,18 @@ __all__ = [
 ]
 
 # Budget of the fixed rules.  Outer rules run in u = ln z with core panels
-# _Z_STEP decay lengths wide; the inner rules have fixed panel counts or,
-# on the single-station lattice, a fixed panel width.  Cores reach
+# _Z_STEP decay lengths wide; the inner rules run on lattices of panels of
+# fixed width that every outer node of a rate shares.  Cores reach
 # coverage._MARGIN decay lengths beyond the transitions they cover.
 # np.exp overflows past u = 709.78, so the outer rules stop at |u| = _U_MAX
 # and bound the tails they cut off (`_outer_rate`).
 _Z_STEP = 2.0
 _U_MAX = 700.0
-_S_PANELS = 16          # ln s, Gamma(N) cluster-edge law
+_ECHO_STEP = 2.0        # panel width in tau = ln(c0 z r_far^-beta), echo
+_RATIO_STEP = 2.0       # panel width in t = ln(z eta^beta), interference
 _HOLE_V_STEP = 1.0      # panel width in ln(omega s), single station with the disk
 _HOLE_LEFT = 40.0       # decay lengths its core reaches below the hole's bend
-_GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the ln s rule
+_GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the echo window
 _DEPTH = 36.0           # e-folds below its scale at which a core may stop
 
 
@@ -123,52 +126,109 @@ def _beta_ratio(num, den, a, b):
     return beta_fn(a, b) * np.where(low, part, 1.0 - part)
 
 
-def _edge_rule(n):
-    """GK15 rule in ln s over the central 1 - 2 * _GAMMA_TAIL of Gamma(n)."""
-    return gk_rule(np.linspace(math.log(gammaincinv(n, _GAMMA_TAIL)),
-                               math.log(gammainccinv(n, _GAMMA_TAIL)),
-                               _S_PANELS + 1))
+def _echo_transform(u_ends, params, complement):
+    """Echo-power transform over the Gamma(N) cluster-edge law.
 
+    Over s = pi lam r_far^2 ~ Gamma(N) the exponent is s phi(tau), with
+    phi(tau) = (2/beta) `echo_laplace_exponent` at c0 z = e^tau and
+    r_far = 1, and tau = ln z + C - (beta/2) sigma, sigma = ln s,
+    C = ln c0 + (beta/2) ln(pi lam): z and s enter phi only through tau.
+    In tau the transform at ln z is the integral of (2/beta) core(e^sigma
+    phi(tau)) e^(N sigma - e^sigma) / Gamma(N), sigma = (2/beta)(ln z + C
+    - tau), over the window that maps the central 1 - 2 * _GAMMA_TAIL of
+    the law in sigma.
 
-def _echo_transform(z, params, complement):
-    """Echo-power transform over the Gamma(N) cluster-edge law, vectorized.
-
-    z is a 1-D array of positive arguments.  The rule runs in ln s over
-    the central 1 - 2 * _GAMMA_TAIL of the law s = pi lam r_far^2 ~
-    Gamma(N).  Returns (values, error bounds).
+    Builds one lattice of GK15 panels in tau over the windows of every
+    ln z in [u_ends], evaluates phi on it once, and returns (transform,
+    cost).  transform(ln_z), for a 1-D array, integrates each ln z over the
+    panels that cover its window and returns (values, error bounds); cost
+    is the lattice nodes one window spans.  Panels are _ECHO_STEP wide, or
+    _ECHO_STEP / 2 units of sigma where that is narrower.
     """
     n = params.N
-    lam = params.lam
-    sig, wk, wg = _edge_rule(n)
-    s = np.exp(sig)
-    weight = np.exp(n * sig - s - math.lgamma(n))   # density times ds/dsig
-    r_far = np.sqrt(s / (math.pi * lam))
-    w = (2.0 * math.pi * lam / params.beta
-         * echo_laplace_exponent(z[:, None, None], r_far, params))
-    core = -np.expm1(-w) if complement else np.exp(-w)
-    return gk_sum(core * weight, wk, wg)
+    tb = 2.0 / params.beta
+    width = _ECHO_STEP * min(params.beta / 4.0, 1.0)
+    sig_lo = math.log(gammaincinv(n, _GAMMA_TAIL))
+    sig_hi = math.log(gammainccinv(n, _GAMMA_TAIL))
+    shift = (math.log(params.sigma2 * params.mr * params.ps)
+             + math.log(math.pi * params.lam) / tb)
+    panels = math.ceil((sig_hi - sig_lo) / tb / width) + 1
+    # the window of ln z starts (ln z - u_ends[0]) above the lattice's
+    edges = (u_ends[0] + shift - sig_hi / tb) + width * np.arange(
+        math.ceil((u_ends[1] - u_ends[0]) / width) + panels + 1)
+    tau = gk_rule(edges)[0]
+    _, wk, wg = gk_rule(edges[:2])      # every panel has the same weights
+    # phi reads c0 only through c0 z; from tau = _U_MAX on, where e^tau
+    # nears overflow, exp(-e^sigma phi) is 0 at every sigma of the window
+    unit = params.with_(sigma2=1.0, mr=1, ps=1.0, pc=0.0)
+    phi = tb * echo_laplace_exponent(np.exp(np.minimum(tau, _U_MAX)), 1.0,
+                                     unit)
+    log_norm = math.log(tb) - math.lgamma(n)
+
+    def transform(ln_z):
+        first = np.floor((ln_z - u_ends[0]) / width).astype(int)
+        idx = first[:, None] + np.arange(panels)
+        sig = tb * (ln_z[:, None, None] + shift - tau[idx])
+        s = np.exp(sig)
+        w = s * phi[idx]
+        core = -np.expm1(-w) if complement else np.exp(-w)
+        return gk_sum(core * np.exp(n * sig - s + log_norm), wk, wg)
+
+    return transform, 15 * panels
 
 
-def _interference_factor(z, params):
-    """Interference transform over the distance-ratio law, vectorized.
+def _interference_factor(u_ends, params):
+    """Interference transform over the distance-ratio law.
 
-    z is a 1-D array of positive arguments.  The rule is
-    `coverage._ratio_rule` in ln rho, rho = eta^-2 - 1.  Its core reaches
-    beyond where the integrand bends: zeta = z eta^beta = 1, and h4 = 1/2
-    on the small-zeta branch, where h4 ~ z eta^(beta-2)/(beta-2); it stops
-    where the law has fallen by e^-_DEPTH below the scale z^(-2/beta).
-    Returns (values, error bounds).
+    With x = -2 ln eta = ln(1 + rho) the kernel is h4 = e^x psi(t), with
+    psi(t) `interference_laplace_kernel` at z = e^t and eta = 1, and
+    t = ln z - (beta/2) x: z and eta enter psi only through t.  In t the
+    factor at ln z is the integral below t = ln z of (2/beta) law(x) /
+    (1 + 2 e^x psi(t)), law(x) = (N-1) (1 - e^-x)^(N-2) e^-x the law of x,
+    which is regular at x = 0.
+
+    Builds one lattice of GK15 panels in t below every ln z in [u_ends],
+    evaluates psi on it once, and returns (transform, cost).
+    transform(ln_z), for a 1-D array, integrates each ln z over the lattice
+    panels below it down past x = x_cut = _DEPTH + ln(N-1), and over one
+    GK15 panel of its own from the last lattice edge up to ln z, where psi
+    is evaluated per ln z; it returns (values, error bounds).  The
+    integrand is at most the law, so the bound adds the law's mass beyond
+    x_cut.  cost is the nodes one ln z spans.  Panels are _RATIO_STEP
+    wide, or _RATIO_STEP / 2 units of x where that is narrower.
     """
-    beta = params.beta
-    tb = 2.0 / beta
-    lz = np.log(z)
-    bend_h4 = 2.0 * (lz - math.log((beta - 2.0) / 2.0)) / (beta - 2.0)
-    bend = np.minimum(np.maximum(tb * lz, bend_h4),
-                      _DEPTH - coverage._MARGIN + np.maximum(tb * lz, 0.0))
-    u, wk, wg = coverage._ratio_rule(params.N, bend)
-    eta = np.exp(-0.5 * np.log1p(np.exp(u)))
-    h4 = interference_laplace_kernel(z[:, None, None], eta, params)
-    return gk_sum(1.0 / (1.0 + 2.0 * h4), wk, wg)
+    n = params.N
+    tb = 2.0 / params.beta
+    width = _RATIO_STEP * min(params.beta / 4.0, 1.0)
+    x_cut = _DEPTH + math.log(n - 1)
+    panels = math.ceil(x_cut / tb / width)
+    t_lo = u_ends[0] - (panels + 1) * width
+    edges = t_lo + width * np.arange(
+        math.ceil((u_ends[1] - t_lo) / width) + 1)
+    t = gk_rule(edges)[0]
+    _, wk, wg = gk_rule(tb * edges[:2])     # in x, for every panel
+    psi = interference_laplace_kernel(np.exp(t), 1.0, params)
+    cut_mass = -math.expm1((n - 1) * math.log1p(-math.exp(-x_cut)))
+
+    def integrand(x, psi):
+        ex = np.exp(-x)
+        return ((n - 1) * (-np.expm1(-x)) ** (n - 2) * ex
+                / (1.0 + 2.0 * psi / ex))
+
+    def transform(ln_z):
+        last = np.floor((ln_z - t_lo) / width).astype(int)
+        idx = last[:, None] + np.arange(-panels, 0)
+        lz = ln_z[:, None, None]
+        value, err = gk_sum(integrand(tb * (lz - t[idx]), psi[idx]),
+                            wk, wg)
+        x, ek, eg = gk_rule(np.stack(
+            (np.zeros_like(ln_z), tb * (ln_z - edges[last])), axis=-1))
+        end_psi = interference_laplace_kernel(np.exp(lz - x / tb), 1.0,
+                                              params)
+        end_value, end_err = gk_sum(integrand(x, end_psi), ek, eg)
+        return value + end_value, err + end_err + cut_mass
+
+    return transform, 15 * (panels + 1)
 
 
 def echo_power_laplace(z, params, complement=False):
@@ -176,16 +236,19 @@ def echo_power_laplace(z, params, complement=False):
 
     Returns E[exp(-z X)] for the echo power X of an N-station cluster; with
     complement=True returns E[1 - exp(-z X)] evaluated without cancellation.
-    At z = 0 the transform is exactly 1.  The in-disk treatment of the
-    cluster keeps a nonzero large-z limit of 2^-N (the weight of an empty
-    equivalent disk), so the transform decreases toward that floor rather
-    than to 0.  Scalar form of the fixed rule `radar_rate` uses.
+    At z = 0, and at ps = 0 (no echo), the transform is exactly 1.  The
+    in-disk treatment of the cluster keeps a nonzero large-z limit of 2^-N
+    (the weight of an empty equivalent disk), so the transform decreases
+    toward that floor rather than to 0.  Evaluated on the lattice
+    `radar_rate` builds, for this one z.
     """
     if z < 0:
         raise ValueError("z must be nonnegative")
-    if z == 0:
+    if z == 0 or params.ps == 0.0:
         return 0.0 if complement else 1.0
-    value, bound = _echo_transform(np.array([float(z)]), params, complement)
+    ln_z = math.log(z)
+    transform, _ = _echo_transform((ln_z, ln_z), params, complement)
+    value, bound = transform(np.array([ln_z]))
     check_bound(value, bound, "echo_power_laplace")
     return float(value[0])
 
@@ -194,8 +257,8 @@ def interference_laplace_factor(z, params):
     """Interference Laplace transform marginalized over the distance-ratio law.
 
     Only defined for clusters of two or more stations; the single-station
-    case is handled exactly by `radar_rate_single`.  Scalar form of the
-    fixed rule `radar_rate` uses.
+    case is handled exactly by `radar_rate_single`.  Evaluated on the
+    lattice `radar_rate` builds, for this one z.
     """
     if params.N < 2:
         raise ValueError("distance-ratio law degenerates for N=1; "
@@ -204,7 +267,9 @@ def interference_laplace_factor(z, params):
         raise ValueError("z must be nonnegative")
     if z == 0:
         return 1.0
-    value, bound = _interference_factor(np.array([float(z)]), params)
+    ln_z = math.log(z)
+    transform, _ = _interference_factor((ln_z, ln_z), params)
+    value, bound = transform(np.array([ln_z]))
     check_bound(value, bound, "interference_laplace_factor")
     return float(value[0])
 
@@ -336,7 +401,9 @@ def radar_rate(params):
     transform) times the interference factor.  The echo factor bends where
     c0 z (pi lam)^(beta/2) = 1 and the interference factor near z = 1;
     beyond both, the integrand decays like z^(+-2/beta), so the rule's
-    tails are sized by that rate.  The echo/interference independence
+    tails are sized by that rate.  Both inner transforms run on lattices
+    built once per rate (`_echo_transform`, `_interference_factor`).  The
+    echo/interference independence
     baked into the factorization underestimates the rate in regimes
     dominated by rare near-target deployments; the Monte Carlo estimator
     is the reference.
@@ -352,16 +419,21 @@ def radar_rate(params):
     lo = min(u_echo, 0.0) - coverage._MARGIN / tb
     hi = max(u_echo, 0.0) + coverage._MARGIN / tb
 
-    def integrand(z):
-        comp, comp_err = _echo_transform(z, params, complement=True)
-        factor, factor_err = _interference_factor(z, params)
-        return comp * factor, comp_err * factor + comp * factor_err
+    # ln z at the outermost nodes `_outer_rate` will place
+    u_ends = np.clip((lo - _TAIL_EDGES[-1] / tb, hi + _TAIL_EDGES[-1] / tb),
+                     -_U_MAX, _U_MAX)
+    echo, echo_cost = _echo_transform(u_ends, params, complement=True)
+    factor, factor_cost = _interference_factor(u_ends, params)
 
-    # per z: the nodes of both inner rules
-    cost = (_edge_rule(params.N)[0].size
-            + coverage._ratio_rule(params.N, 0.0)[0].size)
+    def integrand(z):
+        ln_z = np.log(z)
+        comp, comp_err = echo(ln_z)
+        f, f_err = factor(ln_z)
+        return comp * f, comp_err * f + comp * f_err
+
     value, err = _outer_rate(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP),
-                             tb, tb, integrand, cost, "radar_rate")
+                             tb, tb, integrand, echo_cost + factor_cost,
+                             "radar_rate")
     return RateEstimate(value=value, method="cooperative-integral",
                         quad_error=err)
 

@@ -164,11 +164,10 @@ def sampled_coverage(params, thresholds, samples=1_000_000, seed=0,
 # ---------------------------------------------------------- wider-range rule
 
 WIDE = {(radar, "_Z_STEP"): 1.0,
-        (radar, "_S_PANELS"): 32, (radar, "_HOLE_V_STEP"): 0.5,
-        (radar, "_DEPTH"): 45.0,
-        # the core margin and the distance-ratio rule the radar rates share
-        # with coverage
-        (coverage, "_RHO_PANELS"): 48, (coverage, "_MARGIN"): 8.0}
+        (radar, "_ECHO_STEP"): 1.0, (radar, "_RATIO_STEP"): 1.0,
+        (radar, "_HOLE_V_STEP"): 0.5, (radar, "_DEPTH"): 45.0,
+        # the core margin, which the radar rates share with coverage
+        (coverage, "_MARGIN"): 8.0}
 
 
 def wide_rule(monkeypatch, f, *args):
@@ -239,6 +238,15 @@ def test_beta_six_cooperative_rate_converges():
     # eta integrand at eta = z^(-1/6) and raised ConvergenceError here
     est = radar_rate(SystemParams(beta=6.0, N=3))
     assert est.value == pytest.approx(0.0413015, rel=1e-5)
+
+
+@pytest.mark.parametrize("beta,lam", [(12.0, 0.1), (20.0, 1e-4)])
+def test_steep_two_station_rate_converges(monkeypatch, beta, lam):
+    # the inner rules in ln s and ln rho, once per outer node, raised here
+    params = SystemParams(beta=beta, lam=lam, N=2)
+    est = radar_rate(params)
+    ref = wide_rule(monkeypatch, radar_rate, params)
+    assert abs(est.value - ref.value) <= est.quad_error + ref.quad_error
 
 
 @pytest.mark.parametrize("z", (1e-6, 1.0, 1e6, 1e18))
@@ -333,10 +341,8 @@ def test_peak_traced_allocation(f, params):
 
 
 @pytest.mark.parametrize("module,name,call", [
-    pytest.param(coverage, "_RHO_PANELS",
-                 lambda: radar_rate(SystemParams(N=3)),
-                 id="isacnet.coverage-_RHO_PANELS-radar_rate"),
-    (radar, "_S_PANELS", lambda: radar_rate(SystemParams(N=3))),
+    (radar, "_ECHO_STEP", lambda: radar_rate(SystemParams(N=3))),
+    (radar, "_RATIO_STEP", lambda: radar_rate(SystemParams(N=3))),
     (radar, "_HOLE_V_STEP", lambda: radar_rate_single(SystemParams())),
     (radar, "_Z_STEP", lambda: radar_rate_single(SystemParams(), False)),
     (coverage, "_RHO_PANELS",
@@ -345,7 +351,8 @@ def test_peak_traced_allocation(f, params):
 def test_starved_rule_raises(monkeypatch, module, name, call):
     # step constants starve when wide, panel counts when 1
     monkeypatch.setattr(module, name,
-                        {"_Z_STEP": 40.0, "_HOLE_V_STEP": 6.0}.get(name, 1))
+                        {"_Z_STEP": 40.0, "_HOLE_V_STEP": 6.0,
+                         "_ECHO_STEP": 20.0, "_RATIO_STEP": 40.0}.get(name, 1))
     with pytest.raises(ConvergenceError):
         call()
 

@@ -127,6 +127,11 @@ class TestEchoPowerLaplace:
     def test_unity_at_origin(self, paper_params):
         assert echo_power_laplace(0.0, paper_params.with_(N=3)) == 1.0
 
+    def test_unity_without_sensing_power(self, paper_params):
+        params = paper_params.with_(N=3, ps=0.0, pc=1.0)
+        assert echo_power_laplace(5.0, params) == 1.0
+        assert echo_power_laplace(5.0, params, complement=True) == 0.0
+
     def test_decreasing(self, paper_params):
         params = paper_params.with_(N=3)
         z = [1e3, 1e4, 1e5, 1e6, 1e7]
@@ -405,6 +410,90 @@ class TestHoleLattice:
         tracemalloc.start()
         try:
             radar_rate_single(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+
+class TestCooperativeLattice:
+    """The cooperative rate's echo transform in tau and interference factor
+    in t, each on its shared lattice, against quad in the variables they
+    substitute: ln s and ln eta."""
+
+    @pytest.mark.parametrize("complement", (True, False))
+    @pytest.mark.parametrize("n", (2, 5))
+    @pytest.mark.parametrize("beta", (2.5, 4.0, 12.0))
+    @pytest.mark.parametrize("z", (1e-6, 1.0, 1e6, 1e18))
+    def test_echo_against_quad_over_ln_s(self, paper_params, z, beta, n,
+                                         complement):
+        params = paper_params.with_(beta=beta, N=n)
+        lam = params.lam
+
+        def f(sig):
+            s = math.exp(sig)
+            w = 2.0 * math.pi * lam / beta * echo_laplace_exponent(
+                z, math.sqrt(s / (math.pi * lam)), params)
+            core = -math.expm1(-w) if complement else math.exp(-w)
+            return core * math.exp(n * sig - s - math.lgamma(n))
+
+        # Gamma(n) has no mass in double precision outside e^-80 < s < e^8
+        edges = np.arange(-80.0, 9.0, 2.0)
+        ref = sum(integrate.quad(f, a, b, limit=200, epsabs=0.0,
+                                 epsrel=1e-13)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
+        ln_z = math.log(z)
+        transform, _ = radar._echo_transform((ln_z, ln_z), params, complement)
+        value, err = transform(np.array([ln_z]))
+        assert value[0] == pytest.approx(ref, rel=1e-9)
+        assert abs(value[0] - ref) <= err[0]
+
+    @pytest.mark.parametrize("n", (2, 5))
+    @pytest.mark.parametrize("beta", (2.5, 4.0, 12.0))
+    @pytest.mark.parametrize("z", (1e-6, 1.0, 1e6, 1e18))
+    def test_interference_against_quad_over_ln_eta(self, paper_params, z,
+                                                   beta, n):
+        params = paper_params.with_(beta=beta, N=n)
+
+        def f(y):
+            eta = math.exp(y)
+            h4 = interference_laplace_kernel(z, eta, params)
+            return (2.0 * (n - 1) * eta * eta * (1.0 - eta * eta) ** (n - 2)
+                    / (1.0 + 2.0 * h4))
+
+        # the integrand bends where z eta^beta = 1 and where h4 = 1/2
+        bends = [-math.log(z) / beta,
+                 (math.log((beta - 2.0) / 2.0) - math.log(z)) / (beta - 2.0)]
+        ref, _ = integrate.quad(f, -60.0, 0.0,
+                                points=[y for y in bends if -60.0 < y < 0.0],
+                                limit=1000, epsabs=0.0, epsrel=1e-13)
+        ln_z = math.log(z)
+        transform, _ = radar._interference_factor((ln_z, ln_z), params)
+        value, err = transform(np.array([ln_z]))
+        assert value[0] == pytest.approx(ref, rel=1e-9)
+        assert abs(value[0] - ref) <= err[0]
+
+    def test_beta_kernels_run_on_the_lattices(self, paper_params,
+                                              monkeypatch):
+        # once per lattice node and 15 times per outer node, not once per
+        # pair of outer and inner node
+        points = []
+
+        def counted(a, b, x):
+            points.append(np.size(x))
+            return special.betainc(a, b, x)
+
+        monkeypatch.setattr(radar, "betainc", counted)
+        radar_rate(paper_params.with_(N=3))
+        assert 0 < sum(points) <= 15_000
+
+    @pytest.mark.parametrize("beta,lam,n", [(4.0, 1e-4, 3), (20.0, 0.1, 4),
+                                            (2.05, 1e-6, 6)])
+    def test_peak_traced_allocation(self, paper_params, beta, lam, n):
+        params = paper_params.with_(beta=beta, lam=lam, N=n)
+        tracemalloc.start()
+        try:
+            radar_rate(params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
