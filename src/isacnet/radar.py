@@ -153,7 +153,8 @@ def _echo_transform(u_ends, params, complement):
     shift = (math.log(params.sigma2 * params.mr * params.ps)
              + math.log(math.pi * params.lam) / tb)
     panels = math.ceil((sig_hi - sig_lo) / tb / width) + 1
-    # the window of ln z starts (ln z - u_ends[0]) above the lattice's
+    # the lattice starts at the window of u_ends[0]; that of ln z lies
+    # ln z - u_ends[0] higher
     edges = (u_ends[0] + shift - sig_hi / tb) + width * np.arange(
         math.ceil((u_ends[1] - u_ends[0]) / width) + panels + 1)
     tau = gk_rule(edges)[0]
@@ -403,10 +404,9 @@ def radar_rate(params):
     beyond both, the integrand decays like z^(+-2/beta), so the rule's
     tails are sized by that rate.  Both inner transforms run on lattices
     built once per rate (`_echo_transform`, `_interference_factor`).  The
-    echo/interference independence
-    baked into the factorization underestimates the rate in regimes
-    dominated by rare near-target deployments; the Monte Carlo estimator
-    is the reference.
+    echo/interference independence baked into the factorization
+    underestimates the rate in regimes dominated by rare near-target
+    deployments; the Monte Carlo estimator is the reference.
     """
     if params.N == 1:
         return radar_rate_single(params)

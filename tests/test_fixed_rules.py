@@ -242,7 +242,7 @@ def test_beta_six_cooperative_rate_converges():
 
 @pytest.mark.parametrize("beta,lam", [(12.0, 0.1), (20.0, 1e-4)])
 def test_steep_two_station_rate_converges(monkeypatch, beta, lam):
-    # the inner rules in ln s and ln rho, once per outer node, raised here
+    # both lattices keep their share of the bound small at steep path loss
     params = SystemParams(beta=beta, lam=lam, N=2)
     est = radar_rate(params)
     ref = wide_rule(monkeypatch, radar_rate, params)
