@@ -11,11 +11,16 @@ at all.
 The exponent is homogeneous of degree one in the s_i, so with
 s = s_1 (1, x_2, ..., x_L) the integral over the nearest distance s_1 is
 exact and only the distance ratios remain.  At L = 1 there are none and
-the coverage is a finite sum.  At L >= 2 the ratios are integrated by a
-fixed composite Gauss-Kronrod rule over the law of x_L - 1 in ln(x_L - 1)
-(`_ratio_rule`) times one GK15 rule per intermediate station, evaluated
-as array passes per threshold; the embedded 7-point Gauss sums give the
-error bound each value reports.
+the coverage is a finite sum.  At L >= 2 each antenna term reads the
+ratios only through one scalar, Z = p_L / S with p_j = x_j^(-beta/2) and
+S = 1 + sum_(j>=2) p_j.  Z's law depends on beta and L alone: it has a
+closed form at L = 2, and at L = 3 a closed form times one 1-D integral
+that a lattice shared by every node of a call evaluates (`_z_rule`).  So
+L = 2 and 3 are a fixed composite Gauss-Kronrod rule over that law, one
+array pass per curve.  L >= 4 keeps the older rule: a composite rule over
+the law of x_L - 1 in ln(x_L - 1) (`_ratio_rule`) times one GK15 rule per
+intermediate station (`_theta_rule`), evaluated per threshold.  The
+embedded 7-point Gauss sums give the error bound each value reports.
 
 Every value, closed form included, is one alternating binomial sum over
 the mt - 1 antenna terms (`_antenna_sum`).  It cancels more digits the
@@ -44,10 +49,10 @@ __all__ = [
     "coverage_curve",
 ]
 
-# Budget of the ratio-law rule: core panels in ln rho, how far (in decay
-# lengths) the core reaches beyond the bend it covers (the radar rates'
-# outer cores reach as far); and GK15 panels per intermediate-station
-# direction theta.
+# Budget of the cluster rules: core panels of the rule over the law of Z
+# (L <= 3) or of rho (L >= 4), how far (in decay lengths) a core reaches
+# beyond the bend it covers (the radar rates' outer cores reach as far);
+# and GK15 panels per intermediate-station direction theta (L >= 4).
 _RHO_PANELS = 24
 _MARGIN = 4.0
 _THETA_PANELS = 1
@@ -198,7 +203,7 @@ def _ratio_rule(m, bend):
 
 
 def _theta_integrals(u, a_terms, params, rule):
-    """K15 and G7 averages over theta of the L >= 2 integrand given rho.
+    """K15 and G7 averages over theta of the L >= 3 integrand given rho.
 
     With c = ln x_L = ln(1 + rho) the intermediate stations have density
     prod_j (x_j c / rho) in theta, and the integrand is F = sum_n c_n
@@ -221,8 +226,6 @@ def _theta_integrals(u, a_terms, params, rule):
     edge = 1.0 + (L - 1) * pow_last
     f_edge, edge_round = _antenna_sum(_h_core(edge, pow_last, a_terms, beta),
                                       cond_last / edge[..., None], x_last, L)
-    if L == 2:      # no intermediate stations: theta's one node is the edge
-        return f_edge[:, 0], f_edge[:, 0], edge_round[:, 0]
     pow_sum = 1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T
     f, f_round = _antenna_sum(_h_core(pow_sum, pow_last, a_terms, beta),
                               cond_last / pow_sum[..., None], x_last, L)
@@ -232,21 +235,16 @@ def _theta_integrals(u, a_terms, params, rule):
             (f_round * density) @ w_k)
 
 
-def _cluster_curve(params, a):
-    """L >= 2, each threshold on its own fixed rule in ln rho and theta.
+def _tensor_curve(params, a):
+    """L >= 3, each threshold on its own fixed rule in ln rho and theta.
 
-    Write s = s_1 (1, x_2, ..., x_L).  The exponent is homogeneous of
-    degree one in s, so the s_1 integral is exact: the coverage is
-    sum_n c_n (L-1)! int (x_L + G_n(x))^-L dx over 1 < x_2 < ... < x_L,
-    with G_n the exponent at s = (1, x_2, ..., x_L).  The x_j (j < L) enter
-    only through their power sum, so they may be unordered (a factor
+    In `_cluster_curve`'s ratio integral the x_j (j < L) enter only
+    through their power sum, so they may be unordered (a factor
     1/(L-2)!); with x_L = 1 + rho and x_j = x_L^theta_j the coverage is the
     average of `_theta_integrals` over the law of rho (`_ratio_rule`).  The
-    integrand bends where a x_L^(-beta/2) crosses 1, so the rule's range
-    depends on the threshold alone and a curve equals single-threshold
-    calls.  The bound is the ln rho K15 - G7 bound plus |K15 - G7| in
-    theta plus the rounding bound of the binomial sum.  Returns (values,
-    bounds).
+    integrand bends where a x_L^(-beta/2) crosses 1.  The bound is the
+    ln rho K15 - G7 bound plus |K15 - G7| in theta plus the rounding bound
+    of the binomial sum.  The library sends only L >= 4 here.
     """
     rule = _theta_rule(params.L - 2)
     cost = len(rule[2]) * params.q_shape      # temporaries per rho node
@@ -259,6 +257,110 @@ def _cluster_curve(params, a):
         values[i], bounds[i] = gk_sum(y_k.reshape(u[i].shape), wk[i], wg[i])
         bounds[i] += abs(np.sum((y_k - y_g).reshape(u[i].shape) * wk[i]))
         bounds[i] += np.sum(y_round.reshape(u[i].shape) * wk[i])
+    return values, bounds
+
+
+def _r_panels(lo, width, beta):
+    """K15 value and |K15 - G7| bound of R's integrand, ((1 +
+    e^(-beta t/2))^(4/beta) - 1) e^t, on each panel [lo, lo + width] of
+    1-D arrays (`_power_sum_integral`).  The nodes run along the first
+    axis: there is a panel per node of Z's rule, and numpy broadcasts a
+    short last axis several times slower.
+    """
+    x, wk, wg = (r.ravel() for r in gk_rule(np.array([0.0, 1.0])))
+    t = lo + width * x[:, None]
+    g = np.expm1(4.0 / beta * np.log1p(np.exp(-0.5 * beta * t))) * np.exp(t)
+    k15 = width * (wk @ g)
+    return k15, np.abs(k15 - width * (wg @ g))
+
+
+def _power_sum_integral(ln_x, beta):
+    """J(X) = int_1^X (1 + x^(-beta/2))^(4/beta) dx at ln X = ln_x > 0, and
+    its bound.
+
+    J = (X - 1) + R(ln X), where R(T) = int_0^T ((1 + e^(-beta t/2))^(4/beta)
+    - 1) e^t dt needs no Beta function.  R runs on one lattice of GK15
+    panels in t that every point shares: cumulative K15 sums give R at
+    each whole panel's end, and one GK15 panel from the last such end up
+    to ln X adds the rest.  The bound adds |K15 - G7| over the panels used.
+    R's integrand is singular 2 pi / beta off the real axis, so panels are
+    min(1, 4/beta) wide: unit panels left a K15 - G7 bound of 1.6e-7 on R
+    at beta = 20, these 1e-14.
+    """
+    step = min(1.0, 4.0 / beta)
+    flat = np.ravel(ln_x)
+    i = np.floor(flat / step)
+    r, r_err = (np.concatenate([[0.0], np.cumsum(v)]) for v in
+                _r_panels(step * np.arange(np.max(i)), step, beta))
+    part, part_err = _r_panels(step * i, flat - step * i, beta)
+    i = i.astype(int)
+    return (np.reshape(np.expm1(flat) + (r[i] + part), np.shape(ln_x)),
+            np.reshape(r_err[i] + part_err, np.shape(ln_x)))
+
+
+def _z_rule(L, beta, ln_a):
+    """Composite GK15 rule over the law of Z = p_L / S at L = 2 or 3.
+
+    It runs in y = ln(1/(L Z) - 1), so Z = 1/(L (1 + e^y)) falls from 1/L
+    to 0 as y rises.  Z's law comes from the ratio measure (L-1)! x_L^-L dx
+    on 1 < x_2 < ... < x_L.  With p = 1/(1 + 2 e^y) at L = 2 and
+    X = (1 + 3 e^y)^(2/beta) at L = 3, the density of y is
+
+        L = 2:  (2/beta) p^(2/beta) (1 - p),
+        L = 3:  Z (1 - 3Z) (4/beta) Z^(4/beta - 1) (1 - Z)^(-1 - 4/beta) J(X)
+
+    (`_power_sum_integral`).  It decays at rate L - 1 below and 2/beta
+    above.  The core runs from -_MARGIN to _MARGIN decay lengths (beta/2
+    each) beyond max(ln_a, 0), where a Z crosses 1 for the largest term a;
+    ln_a broadcasts, one core per element.  At steep path loss the tail
+    reaches y ~ 700, so Z and the density are formed in logs.  Returns Z,
+    the K15 and G7 weights times the density, and the K15 weights times
+    the density's bound (J's, carried through; 0 at L = 2).
+    """
+    tb = 2.0 / beta
+    y, wk, wg = gk_rule(panel_edges(-_MARGIN, _MARGIN / tb + np.maximum(ln_a, 0.0),
+                                    _RHO_PANELS, L - 1.0, tb))
+    ln_z = -math.log(L) - np.logaddexp(0.0, y)
+    if L == 2:
+        density = np.exp(math.log(tb) - tb * np.logaddexp(0.0, y + math.log(2.0))
+                         - np.logaddexp(0.0, -y - math.log(2.0)))
+        return np.exp(ln_z), wk * density, wg * density, np.zeros_like(wk)
+    j, j_err = _power_sum_integral(tb * np.logaddexp(0.0, y + math.log(3.0)), beta)
+    density = np.exp(math.log(2.0 * tb) + 2.0 * tb * ln_z - np.logaddexp(0.0, -y)
+                     - (1.0 + 2.0 * tb) * np.log1p(-np.exp(ln_z)) + np.log(j))
+    return np.exp(ln_z), wk * density, wg * density, wk * density * (j_err / j)
+
+
+def _cluster_curve(params, a):
+    """L >= 2, each threshold on its own fixed rule.  Returns (values, bounds).
+
+    Write s = s_1 (1, x_2, ..., x_L).  The exponent is homogeneous of
+    degree one in s, so the s_1 integral is exact: the coverage is
+    sum_n c_n (L-1)! int (x_L + G_n(x))^-L dx over 1 < x_2 < ... < x_L,
+    with G_n the exponent at s = (1, x_2, ..., x_L).  The ratio G_n / x_L
+    is K(a_n Z), K(zeta) = (2/beta) zeta^(2/beta) B(zeta/(1 + zeta);
+    1 - 2/beta, 2/beta), which is `_h_core` at unit aggregates.  So at
+    L <= 3 the coverage is the average of sum_n c_n (1 + K(a_n Z))^-L over
+    the law of Z (`_z_rule`); L >= 4 goes to `_tensor_curve`.  The
+    integrand bends where the largest a_n Z crosses 1, so each rule's
+    range depends on its threshold alone and a curve equals
+    single-threshold calls.  The bound is the outer K15 - G7 bound, plus
+    the density's bound times |integrand|, plus the rounding bound of the
+    binomial sum (`_amplify` with r = K(a_n Z) and cond = (2/beta) a_n Z).
+    """
+    L, beta = params.L, params.beta
+    if L > 3:
+        return _tensor_curve(params, a)
+    z, wk, wg, w_err = _z_rule(L, beta, np.log(a[:, -1]))
+
+    def terms(i):
+        za = z[i, ..., None] * a[i, None, None, :]
+        return _antenna_sum(_h_core(1.0, 1.0, za, beta), 2.0 / beta * za,
+                            1.0, L)
+
+    h, h_round = in_chunks(terms, np.arange(len(a)), z[0].size * params.q_shape)
+    values, bounds = gk_sum(h, wk, wg)
+    bounds += (np.abs(h) * w_err + h_round * wk).sum(axis=(-2, -1))
     return values, bounds
 
 

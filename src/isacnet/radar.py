@@ -431,7 +431,10 @@ def radar_rate(params):
         f, f_err = factor(ln_z)
         return comp * f, comp_err * f + comp * f_err
 
-    value, err = _outer_rate(lo, hi, math.ceil(tb * (hi - lo) / _Z_STEP),
+    # at most 4 _Z_STEP wide in ln z: the integrand's bends do not widen
+    # with beta, and at N = 2 wider panels miss the tolerance from beta = 15
+    step = _Z_STEP * min(1.0, 8.0 / params.beta)
+    value, err = _outer_rate(lo, hi, math.ceil(tb * (hi - lo) / step),
                              tb, tb, integrand, echo_cost + factor_cost,
                              "radar_rate")
     return RateEstimate(value=value, method="cooperative-integral",

@@ -25,20 +25,24 @@ def test_every_exported_name_resolves():
 
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg costs 50-80 ms and 6-7.5 MB; neither importing the package
-    # or its CLI nor a single-station rate (its hole rule) may load it
+    # or its CLI nor a single-station rate (its hole rule) may load it, and
+    # neither these nor an L=3 coverage curve (its law of Z) scipy.integrate
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, isacnet, isacnet.cli; "
             "isacnet.radar_rate_single(isacnet.SystemParams()); "
-            "print(isacnet.__file__); print('scipy.linalg' in sys.modules)")
+            "isacnet.coverage_curve(isacnet.SystemParams(L=3), [0.1, 10.0]); "
+            "print(isacnet.__file__); print('scipy.linalg' in sys.modules); "
+            "print('scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    path, loaded = proc.stdout.split()
+    path, linalg, integrate = proc.stdout.split()
     assert Path(path).resolve().is_relative_to(src)
-    assert loaded == "False"
+    assert linalg == "False"
+    assert integrate == "False"
 
 
 def test_traced_functions_resolve():

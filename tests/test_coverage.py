@@ -8,9 +8,10 @@ from scipy import integrate
 
 from isacnet import (ConvergenceError, McConfig, SystemParams, coverage,
                      mc_coverage)
-from isacnet.coverage import (CoverageCurve, _h_core, _ratio_rule,
-                              coverage_closed_form, coverage_curve,
+from isacnet.coverage import (CoverageCurve, _h_core, _power_sum_integral,
+                              _z_rule, coverage_closed_form, coverage_curve,
                               coverage_integral)
+from isacnet.specfun import gk_sum
 
 
 def exponent(distances, n, threshold, params):
@@ -221,9 +222,10 @@ class TestRoundingBound:
 
 
 class TestCoverageCurve:
-    def test_single_edge_pass_at_two_stations(self, monkeypatch):
-        # L = 2 has no intermediate station: one Beta point per rho node
-        # and antenna term
+    @pytest.mark.parametrize("L", (2, 3))
+    def test_one_beta_point_per_node_and_term(self, monkeypatch, L):
+        # L = 2 and 3 read the ratios through Z alone: one Beta point per
+        # node of Z's rule and antenna term, none for Z's law itself
         points = []
         original = coverage.beta_incomplete
 
@@ -232,11 +234,11 @@ class TestCoverageCurve:
             return original(x, a, b)
 
         monkeypatch.setattr(coverage, "beta_incomplete", counted)
-        params = SystemParams(L=2, mt=10)
+        params = SystemParams(L=L, mt=10)
         t = 10 ** (np.arange(-10.0, 21.0, 2.0) / 10.0)
         coverage_curve(params, t)
-        rho_nodes = _ratio_rule(2, 0.0)[0].size
-        assert sum(points) == len(t) * rho_nodes * params.q_shape
+        nodes = _z_rule(L, params.beta, 0.0)[0].size
+        assert sum(points) == len(t) * nodes * params.q_shape
 
     def test_closed_form_curve(self, paper_params):
         t = 10 ** (np.arange(-10.0, 21.0, 2.0) / 10.0)
@@ -289,3 +291,48 @@ class TestSystemParams:
 
     def test_pt(self, paper_params):
         assert paper_params.pt == 1.0
+
+
+BETAS = (2.05, 4.0, 20.0)
+
+
+class TestLawOfZ:
+    """The law of Z = p_L / S that L = 2 and 3 coverage averages over."""
+
+    @pytest.mark.parametrize("L", (2, 3))
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("ln_a", (0.0, 30.0))
+    def test_density_integrates_to_one(self, L, beta, ln_a):
+        z, wk, wg, w_err = _z_rule(L, beta, ln_a)
+        assert np.all((z > 0.0) & (z <= 1.0 / L))
+        total, bound = gk_sum(np.ones_like(z), wk, wg)
+        bound += w_err.sum()
+        assert abs(total - 1.0) <= bound
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_power_sum_integral_against_quad(self, beta):
+        x = np.array([1.5, 10.0, 1e6, 1e30])
+        j, err = _power_sum_integral(np.log(x), beta)
+        for xi, ji, ei in zip(x, j, err):
+            # int_1^X (1 + x^(-beta/2))^(4/beta) dx in t = ln x
+            ref, _ = integrate.quad(
+                lambda t: (1.0 + math.exp(-0.5 * beta * t)) ** (4.0 / beta)
+                * math.exp(t), 0.0, math.log(xi), limit=400, epsabs=0.0,
+                epsrel=1e-13)
+            assert ji == pytest.approx(ref, rel=1e-12)
+            assert 0.0 <= ei <= 1e-12 * ji
+
+    @pytest.mark.parametrize("L", (2, 3))
+    @pytest.mark.parametrize("beta", (2.5, 8.0))
+    def test_mean_against_the_ratio_measure(self, L, beta):
+        # E[Z] straight from (L-1)! x_L^-L dx on 1 < x_2 < ... < x_L
+        p = lambda x: x ** (-0.5 * beta)
+        if L == 2:
+            ref, _ = integrate.quad(lambda x: x ** -2 * p(x) / (1.0 + p(x)),
+                                    1.0, np.inf, epsabs=0.0, epsrel=1e-12)
+        else:
+            ref, _ = integrate.dblquad(
+                lambda x3, x2: 2.0 * x3 ** -3 * p(x3) / (1.0 + p(x2) + p(x3)),
+                1.0, np.inf, lambda x2: x2, np.inf, epsabs=0.0, epsrel=1e-12)
+        z, wk, wg, _ = _z_rule(L, beta, 0.0)
+        assert gk_sum(z, wk, wg)[0] == pytest.approx(ref, rel=1e-12)

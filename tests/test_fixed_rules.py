@@ -240,9 +240,12 @@ def test_beta_six_cooperative_rate_converges():
     assert est.value == pytest.approx(0.0413015, rel=1e-5)
 
 
-@pytest.mark.parametrize("beta,lam", [(12.0, 0.1), (20.0, 1e-4)])
+@pytest.mark.parametrize("beta,lam", [(12.0, 0.1), (20.0, 1e-4), (20.0, 3.0),
+                                      (20.0, 0.1), (15.0, 0.1), (18.0, 0.03)])
 def test_steep_two_station_rate_converges(monkeypatch, beta, lam):
-    # both lattices keep their share of the bound small at steep path loss
+    # both lattices keep their share of the bound small at steep path loss,
+    # and the outer panels narrow past beta = 8 (the last four raised with
+    # panels _Z_STEP decay lengths wide)
     params = SystemParams(beta=beta, lam=lam, N=2)
     est = radar_rate(params)
     ref = wide_rule(monkeypatch, radar_rate, params)
@@ -364,14 +367,42 @@ def test_starved_rho_rule_raises_for_clusters(monkeypatch, L):
         coverage_curve(SystemParams(L=L), [0.1, 10.0])
 
 
+def tensor_rule(params, t):
+    """Coverage values and bounds of the rho/theta tensor rule, which the
+    library runs at L >= 4, at any L >= 3."""
+    return coverage._tensor_curve(params, _threshold_terms(params, t))
+
+
+@pytest.mark.parametrize("beta", (2.05, 4.0, 20.0))
+@pytest.mark.parametrize("mt", (2, 10, 32))
+def test_three_station_law_matches_tensor_rule(beta, mt):
+    params = SystemParams(L=3, beta=beta, mt=mt)
+    t = 10.0 ** (np.array([-10.0, 10.0, 40.0]) / 10.0)
+    # the law of Z, before its bound is checked
+    values, bounds = coverage._cluster_curve(params, _threshold_terms(params, t))
+    ref, ref_bounds = tensor_rule(params, t)
+    assert np.all(np.abs(values - ref) <= bounds + ref_bounds)
+
+
 def test_theta_rule_bound_is_checked(monkeypatch):
     # steep path loss and a very high threshold put structure into the
-    # theta direction that one GK15 panel resolves only to ~2.4e-6
+    # theta directions that one GK15 panel each resolves only to ~5.6e-6
     # relative by its K15 - G7 bound; two panels meet the tolerance
-    params = SystemParams(L=3, beta=20.0, mt=2)
+    params = SystemParams(L=4, beta=20.0, mt=2)
     t = [10.0 ** 12.0]
     with pytest.raises(ConvergenceError):
         coverage_curve(params, t)
     monkeypatch.setattr(coverage, "_THETA_PANELS", 2)
     curve = coverage_curve(params, t)
     assert 0.0 < curve.quad_error[0] <= PHYSICAL_QUAD.rel_tol * curve.values[0]
+
+
+def test_steep_three_station_coverage_converges(monkeypatch):
+    # one theta panel raised here; the law of Z has no theta direction
+    params = SystemParams(L=3, beta=20.0, mt=2)
+    t = [10.0 ** 12.0]
+    curve = coverage_curve(params, t)
+    assert 0.0 < curve.quad_error[0] <= PHYSICAL_QUAD.rel_tol * curve.values[0]
+    monkeypatch.setattr(coverage, "_THETA_PANELS", 2)
+    ref, ref_bound = tensor_rule(params, np.array(t))
+    assert abs(curve.values[0] - ref[0]) <= curve.quad_error[0] + ref_bound[0]
