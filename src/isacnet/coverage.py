@@ -13,14 +13,15 @@ s = s_1 (1, x_2, ..., x_L) the integral over the nearest distance s_1 is
 exact and only the distance ratios remain.  At L = 1 there are none and
 the coverage is a finite sum.  At L >= 2 each antenna term reads the
 ratios only through one scalar, Z = p_L / S with p_j = x_j^(-beta/2) and
-S = 1 + sum_(j>=2) p_j.  Z's law depends on beta and L alone: it has a
-closed form at L = 2, and at L = 3 a closed form times one 1-D integral
-that a lattice shared by every node of a call evaluates (`_z_rule`).  So
-L = 2 and 3 are a fixed composite Gauss-Kronrod rule over that law, one
-array pass per curve.  L >= 4 keeps the older rule: a composite rule over
-the law of x_L - 1 in ln(x_L - 1) (`_ratio_rule`) times one GK15 rule per
-intermediate station (`_theta_rule`), evaluated per threshold.  The
-embedded 7-point Gauss sums give the error bound each value reports.
+S = 1 + sum_(j>=2) p_j.  Given s_L the other arrivals are i.i.d. uniform
+on (0, s_L), so Z = 1/(1 + W) for W a sum of L - 1 i.i.d. Pareto
+variables, P(Y > y) = y^(-2/beta) on y >= 1.  Z's law depends on beta and
+L alone: it has a closed form at L = 2, a closed form times one 1-D
+integral at L = 3, and at L >= 4 a Laplace inversion; each is evaluated
+on a lattice shared by every node of a call (`_z_rule`).  So every L >= 2
+is one fixed composite Gauss-Kronrod rule over that law, one array pass
+per curve, and its embedded 7-point Gauss sums give the error bound each
+value reports.
 
 Every value, closed form included, is one alternating binomial sum over
 the mt - 1 antenna terms (`_antenna_sum`).  It cancels more digits the
@@ -34,10 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import factorial
+from scipy.special import gamma, hyp1f1
 
 from .specfun import (ConvergenceError, beta_incomplete, check_bound, gk_rule,
                       gk_sum, in_chunks, panel_edges)
@@ -49,13 +49,18 @@ __all__ = [
     "coverage_curve",
 ]
 
-# Budget of the cluster rules: core panels of the rule over the law of Z
-# (L <= 3) or of rho (L >= 4), how far (in decay lengths) a core reaches
-# beyond the bend it covers (the radar rates' outer cores reach as far);
-# and GK15 panels per intermediate-station direction theta (L >= 4).
+# Budget of the cluster rules: core panels of the rule over the law of Z,
+# and how far (in decay lengths) a core reaches beyond the bend it covers
+# (the radar rates' outer cores reach as far).
 _RHO_PANELS = 24
 _MARGIN = 4.0
-_THETA_PANELS = 1
+# The lattice of the Laplace inversion behind Z's law at L >= 4: panels
+# _SIGMA_STEP wide in sigma = ln u below a top edge at u = 64, where its
+# integrand has fallen below e^-64, and by how much (e^-36) the integrand
+# has fallen where each node's window of panels starts.
+_SIGMA_STEP = 1.0
+_SIGMA_TOP = math.log(64.0)
+_SIGMA_DEPTH = 36.0
 
 _EPS = np.finfo(float).eps
 
@@ -107,9 +112,9 @@ def _signed_binomials(q):
 
 
 def _amplify(r, cond, L):
-    """Rounding error of each term c_n (1 + r_n)^-L, r_n = G_n / x_L, in
-    units of eps |term|; cond is r_n times G_n's Beta-argument condition
-    number (below).
+    """Rounding error of each term c_n (1 + r_n)^-L, r_n = G_n / x_L (x_L = 1
+    at L = 1), in units of eps |term|; cond is r_n times G_n's
+    Beta-argument condition number (below).
 
     An error model: G_n carries three eps, for the five roundings of
     a_n = alpha n t pt / (q pc), which G passes on at most one for one,
@@ -123,13 +128,12 @@ def _amplify(r, cond, L):
     return 1.0 + L * (3.0 * r + cond) / (1.0 + r)
 
 
-def _antenna_sum(g, cond, x_L, L):
-    """The binomial sum over the last axis of the exponents g = G_n and its
-    rounding bound: sum_n c_n (1 + G_n / x_L)^-L, with cond as `_amplify`
-    reads it.  Returns (sum, bound), each of shape g.shape[:-1].
+def _antenna_sum(r, cond, L):
+    """The binomial sum over the last axis of the ratios r = G_n / x_L and
+    its rounding bound: sum_n c_n (1 + r_n)^-L, with cond as `_amplify`
+    reads it.  Returns (sum, bound), each of shape r.shape[:-1].
     """
-    signed = _signed_binomials(g.shape[-1])
-    r = g / x_L
+    signed = _signed_binomials(r.shape[-1])
     damp = (1.0 + r) ** -L
     return ((signed * damp).sum(axis=-1),
             _EPS * ((damp * _amplify(r, cond, L)) @ np.abs(signed)))
@@ -143,8 +147,8 @@ def _h_core(pow_sum, pow_last, a, beta):
     `a` the threshold-dependent scale of each binomial term.  Broadcasts
     (m,) aggregates against (q,) terms.  It matches
     `radar.interference_laplace_kernel` minus the complement branch for
-    zeta = a pow_last / pow_sum > 1: here zeta <= a stays moderate, and the
-    branch slowed 16-threshold L = 5 curves from about 4 s to 6-7 s.
+    zeta = a pow_last / pow_sum > 1: here zeta <= a stays moderate, and
+    sending coverage through that branch was timed slower at L = 3-5.
     """
     tb = 2.0 / beta
     pow_sum = np.asarray(pow_sum, dtype=float)[..., None]
@@ -167,97 +171,6 @@ def _threshold_terms(params, thresholds):
     q = params.q_shape
     t = np.asarray(thresholds, dtype=float)[:, None]
     return params.alpha() * np.arange(1, q + 1) * t * params.pt / (q * params.pc)
-
-
-def _theta_rule(m):
-    """The m-fold tensor GK15 rule in theta on (0, 1), one term per multiset.
-
-    The integrand it serves is symmetric in the theta_j, so the tensor
-    nodes that are permutations of one multiset of node indices share one
-    evaluation, weighted by the multinomial count.  Returns the nodes (n,),
-    each multiset's node counts (K, n) and its K15 and G7 tensor weights
-    (K,); at m = 0 the one empty multiset has weight 1.
-    """
-    theta, wk, wg = (r.ravel() for r in
-                     gk_rule(panel_edges(0.0, 1.0, _THETA_PANELS)))
-    idx = np.array(list(combinations_with_replacement(range(len(theta)), m)),
-                   dtype=int)
-    counts = (idx[..., None] == np.arange(len(theta))).sum(axis=1)
-    multi = math.factorial(m) / factorial(counts).prod(axis=1)
-    return (theta, counts, multi * wk[idx].prod(axis=1),
-            multi * wg[idx].prod(axis=1))
-
-
-def _ratio_rule(m, bend):
-    """Composite GK15 rule in u = ln rho over the law of rho = s_m / s_1 - 1.
-
-    The law, (m-1) rho^(m-1) (1+rho)^-m du, decays at rates m-1 and 1 at
-    the two ends.  The core runs from -_MARGIN to _MARGIN beyond max(bend,
-    0), where the caller's integrand last bends; `bend` broadcasts, one
-    core per element.  Returns u and the K15 and G7 weights times the law.
-    """
-    u, wk, wg = gk_rule(panel_edges(-_MARGIN, _MARGIN + np.maximum(bend, 0.0),
-                                    _RHO_PANELS, m - 1.0, 1.0))
-    density = (m - 1) * np.exp((m - 1) * u - m * np.log1p(np.exp(u)))
-    return u, wk * density, wg * density
-
-
-def _theta_integrals(u, a_terms, params, rule):
-    """K15 and G7 averages over theta of the L >= 3 integrand given rho.
-
-    With c = ln x_L = ln(1 + rho) the intermediate stations have density
-    prod_j (x_j c / rho) in theta, and the integrand is F = sum_n c_n
-    (1 + G_n / x_L)^-L.  Only F - F(theta = 1) goes through the theta rule:
-    it vanishes where the density's factor exp(c theta_j) is hard to
-    resolve.  Returns the two (rho,) arrays and the rounding bound of the
-    K15 average (the rounding of F(theta = 1) cancels to first order).
-    """
-    L, beta = params.L, params.beta
-    theta, counts, w_k, w_g = rule
-    rho = np.exp(u)[:, None]
-    c = np.log1p(rho)
-    pow_last = np.exp(-0.5 * beta * c)
-    x_last = (1.0 + rho)[..., None]
-    # r_n times G_n's condition number (`_amplify`) is
-    # (2/beta) a_n pow_last^(1 - 2/beta) / (pow_sum x_L)
-    cond_last = (2.0 / beta * a_terms
-                 * pow_last[..., None] ** (1.0 - 2.0 / beta) / x_last)
-
-    edge = 1.0 + (L - 1) * pow_last
-    f_edge, edge_round = _antenna_sum(_h_core(edge, pow_last, a_terms, beta),
-                                      cond_last / edge[..., None], x_last, L)
-    pow_sum = 1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T
-    f, f_round = _antenna_sum(_h_core(pow_sum, pow_last, a_terms, beta),
-                              cond_last / pow_sum[..., None], x_last, L)
-    density = np.exp(c * (counts @ theta) + (L - 2) * np.log(c / rho))
-    y = (f - f_edge) * density
-    return (y @ w_k + f_edge[:, 0], y @ w_g + f_edge[:, 0],
-            (f_round * density) @ w_k)
-
-
-def _tensor_curve(params, a):
-    """L >= 3, each threshold on its own fixed rule in ln rho and theta.
-
-    In `_cluster_curve`'s ratio integral the x_j (j < L) enter only
-    through their power sum, so they may be unordered (a factor
-    1/(L-2)!); with x_L = 1 + rho and x_j = x_L^theta_j the coverage is the
-    average of `_theta_integrals` over the law of rho (`_ratio_rule`).  The
-    integrand bends where a x_L^(-beta/2) crosses 1.  The bound is the
-    ln rho K15 - G7 bound plus |K15 - G7| in theta plus the rounding bound
-    of the binomial sum.  The library sends only L >= 4 here.
-    """
-    rule = _theta_rule(params.L - 2)
-    cost = len(rule[2]) * params.q_shape      # temporaries per rho node
-    u, wk, wg = _ratio_rule(params.L, 2.0 / params.beta * np.log(a[:, -1]))
-    values, bounds = np.empty(len(a)), np.empty(len(a))
-    for i, a_terms in enumerate(a):
-        y_k, y_g, y_round = in_chunks(
-            lambda uc: _theta_integrals(uc, a_terms, params, rule),
-            u[i].ravel(), cost)
-        values[i], bounds[i] = gk_sum(y_k.reshape(u[i].shape), wk[i], wg[i])
-        bounds[i] += abs(np.sum((y_k - y_g).reshape(u[i].shape) * wk[i]))
-        bounds[i] += np.sum(y_round.reshape(u[i].shape) * wk[i])
-    return values, bounds
 
 
 def _r_panels(lo, width, beta):
@@ -298,24 +211,74 @@ def _power_sum_integral(ln_x, beta):
             np.reshape(r_err[i] + part_err, np.shape(ln_x)))
 
 
-def _z_rule(L, beta, ln_a):
-    """Composite GK15 rule over the law of Z = p_L / S at L = 2 or 3.
+def _pareto_sum_density(ln_v, m, beta):
+    """Density of ln(W - m), W a sum of m i.i.d. Pareto variables, and its
+    bound, at an array ln_v = ln(W - m) of any shape.
 
-    It runs in y = ln(1/(L Z) - 1), so Z = 1/(L (1 + e^y)) falls from 1/L
-    to 0 as y rises.  Z's law comes from the ratio measure (L-1)! x_L^-L dx
-    on 1 < x_2 < ... < x_L.  With p = 1/(1 + 2 e^y) at L = 2 and
-    X = (1 + 3 e^y)^(2/beta) at L = 3, the density of y is
+    With c = 2/beta, P(Y > y) = y^-c on y >= 1 and E e^(-sY) =
+    c s^c Gamma(-c, s).  Across its branch cut that transform is
+    c Gamma(-c) u^c e^(-i pi c) + 1F1(-c; 1 - c; u) at s = u e^(-i pi), and
+    with psi(u) = e^-u times it, inverting W's transform gives
+
+        (v/pi) int_0^inf e^(-u v) Im[psi(u)^m] u dsigma,  v = W - m,
+
+    in sigma = ln u.  Im[psi^m] falls like e^-u above u ~ 1 and like
+    u^c below, so the integrand peaks near u ~ 1/W and decays at rate
+    1 + c in sigma below it.  The rule is one lattice of GK15 panels
+    _SIGMA_STEP wide with its top edge at u = 64, on which psi runs once
+    per node; each point integrates the same number of panels from
+    _SIGMA_DEPTH / (1 + c) below -ln W, so its value depends on ln_v alone.
+    The bound is `gk_sum`'s.  Where v is small the integral cancels to
+    O(v^m), and gk_sum's floor covers the rounding.
+    """
+    c = 2.0 / beta
+    depth = _SIGMA_DEPTH / (1.0 + c)
+    # panels from a window's start to where e^(-u (1 + v)) < e^-64, since
+    # W / (1 + v) <= m
+    count = math.ceil((_SIGMA_TOP + math.log(m) + depth) / _SIGMA_STEP) + 1
+    flat = np.ravel(ln_v)
+    start = np.minimum(np.floor((-np.logaddexp(math.log(m), flat) - depth
+                                 - _SIGMA_TOP) / _SIGMA_STEP), -count)
+    t, wk, wg = gk_rule(np.array([0.0, _SIGMA_STEP]))
+    sigma = _SIGMA_TOP + _SIGMA_STEP * np.arange(start.min(), 0.0)[:, None] + t
+    u = np.exp(sigma)
+    psi = (c * gamma(-c) * np.exp(c * sigma - u - 1j * math.pi * c)
+           + np.exp(-u) * hyp1f1(-c, 1.0 - c, u))
+    g = (psi ** m).imag / math.pi
+    # u v on a window, relative to its lower edge
+    rel = np.exp(_SIGMA_STEP * np.arange(count)[:, None] + t)
+    first = (start - start.min()).astype(int)
+    scale = np.exp(flat + _SIGMA_TOP + _SIGMA_STEP * start)
+
+    def window(i):
+        x = scale[i, None, None] * rel
+        return gk_sum(x * np.exp(-x) * g[first[i, None] + np.arange(count)],
+                      wk, wg)
+
+    density, bound = in_chunks(window, np.arange(flat.size), rel.size)
+    return density.reshape(np.shape(ln_v)), bound.reshape(np.shape(ln_v))
+
+
+def _z_rule(L, beta, ln_a):
+    """Composite GK15 rule over the law of Z = p_L / S = 1/(1 + W).
+
+    It runs in y = ln(1/(L Z) - 1) = ln((W - m)/L), m = L - 1, so Z =
+    1/(L (1 + e^y)) falls from 1/L to 0 as y rises.  W is a sum of m
+    i.i.d. Pareto variables, P(Y > y) = y^(-2/beta) on y >= 1.  With
+    p = 1/(1 + 2 e^y) at L = 2 and X = (1 + 3 e^y)^(2/beta) at L = 3, the
+    density of y is
 
         L = 2:  (2/beta) p^(2/beta) (1 - p),
         L = 3:  Z (1 - 3Z) (4/beta) Z^(4/beta - 1) (1 - Z)^(-1 - 4/beta) J(X)
 
-    (`_power_sum_integral`).  It decays at rate L - 1 below and 2/beta
+    (`_power_sum_integral`), and at L >= 4 a Laplace inversion
+    (`_pareto_sum_density`).  It decays at rate L - 1 below and 2/beta
     above.  The core runs from -_MARGIN to _MARGIN decay lengths (beta/2
     each) beyond max(ln_a, 0), where a Z crosses 1 for the largest term a;
     ln_a broadcasts, one core per element.  At steep path loss the tail
     reaches y ~ 700, so Z and the density are formed in logs.  Returns Z,
     the K15 and G7 weights times the density, and the K15 weights times
-    the density's bound (J's, carried through; 0 at L = 2).
+    the density's bound (0 at L = 2).
     """
     tb = 2.0 / beta
     y, wk, wg = gk_rule(panel_edges(-_MARGIN, _MARGIN / tb + np.maximum(ln_a, 0.0),
@@ -325,10 +288,16 @@ def _z_rule(L, beta, ln_a):
         density = np.exp(math.log(tb) - tb * np.logaddexp(0.0, y + math.log(2.0))
                          - np.logaddexp(0.0, -y - math.log(2.0)))
         return np.exp(ln_z), wk * density, wg * density, np.zeros_like(wk)
-    j, j_err = _power_sum_integral(tb * np.logaddexp(0.0, y + math.log(3.0)), beta)
-    density = np.exp(math.log(2.0 * tb) + 2.0 * tb * ln_z - np.logaddexp(0.0, -y)
-                     - (1.0 + 2.0 * tb) * np.log1p(-np.exp(ln_z)) + np.log(j))
-    return np.exp(ln_z), wk * density, wg * density, wk * density * (j_err / j)
+    if L == 3:
+        j, j_err = _power_sum_integral(tb * np.logaddexp(0.0, y + math.log(3.0)),
+                                       beta)
+        density = np.exp(math.log(2.0 * tb) + 2.0 * tb * ln_z
+                         - np.logaddexp(0.0, -y)
+                         - (1.0 + 2.0 * tb) * np.log1p(-np.exp(ln_z)) + np.log(j))
+        return (np.exp(ln_z), wk * density, wg * density,
+                wk * density * (j_err / j))
+    density, bound = _pareto_sum_density(math.log(L) + y, L - 1, beta)
+    return np.exp(ln_z), wk * density, wg * density, wk * bound
 
 
 def _cluster_curve(params, a):
@@ -339,24 +308,20 @@ def _cluster_curve(params, a):
     sum_n c_n (L-1)! int (x_L + G_n(x))^-L dx over 1 < x_2 < ... < x_L,
     with G_n the exponent at s = (1, x_2, ..., x_L).  The ratio G_n / x_L
     is K(a_n Z), K(zeta) = (2/beta) zeta^(2/beta) B(zeta/(1 + zeta);
-    1 - 2/beta, 2/beta), which is `_h_core` at unit aggregates.  So at
-    L <= 3 the coverage is the average of sum_n c_n (1 + K(a_n Z))^-L over
-    the law of Z (`_z_rule`); L >= 4 goes to `_tensor_curve`.  The
-    integrand bends where the largest a_n Z crosses 1, so each rule's
-    range depends on its threshold alone and a curve equals
+    1 - 2/beta, 2/beta), which is `_h_core` at unit aggregates.  So the
+    coverage is the average of sum_n c_n (1 + K(a_n Z))^-L over the law of
+    Z (`_z_rule`).  The integrand bends where the largest a_n Z crosses 1,
+    so each rule's range depends on its threshold alone and a curve equals
     single-threshold calls.  The bound is the outer K15 - G7 bound, plus
     the density's bound times |integrand|, plus the rounding bound of the
     binomial sum (`_amplify` with r = K(a_n Z) and cond = (2/beta) a_n Z).
     """
     L, beta = params.L, params.beta
-    if L > 3:
-        return _tensor_curve(params, a)
     z, wk, wg, w_err = _z_rule(L, beta, np.log(a[:, -1]))
 
     def terms(i):
         za = z[i, ..., None] * a[i, None, None, :]
-        return _antenna_sum(_h_core(1.0, 1.0, za, beta), 2.0 / beta * za,
-                            1.0, L)
+        return _antenna_sum(_h_core(1.0, 1.0, za, beta), 2.0 / beta * za, L)
 
     h, h_round = in_chunks(terms, np.arange(len(a)), z[0].size * params.q_shape)
     values, bounds = gk_sum(h, wk, wg)
@@ -383,13 +348,13 @@ def _curve(params, thresholds, method):
             raise ValueError("closed form requires beta = 4")
         # the beta = 4 exponent in arcsine form, independent of _h_core
         g = np.sqrt(a) * (math.pi / 2.0 - np.arcsin(np.sqrt(1.0 / (1.0 + a))))
-        values, bound = _antenna_sum(g, 0.5 * a, 1.0, 1)
+        values, bound = _antenna_sum(g, 0.5 * a, 1)
     elif method != "integral":
         raise ValueError("method must be 'integral' or 'closed-form'")
     elif params.L == 1:
         # s_1 ~ Exp(1) alone: E[exp(-s_1 G_n)] = 1 / (1 + G_n)
         values, bound = _antenna_sum(_h_core(1.0, 1.0, a, params.beta),
-                                     2.0 / params.beta * a, 1.0, 1)
+                                     2.0 / params.beta * a, 1)
     else:
         values, bound = _cluster_curve(params, a)
     what = f"L={params.L} {method} coverage"

@@ -8,10 +8,11 @@ from scipy import integrate
 
 from isacnet import (ConvergenceError, McConfig, SystemParams, coverage,
                      mc_coverage)
-from isacnet.coverage import (CoverageCurve, _h_core, _power_sum_integral,
-                              _z_rule, coverage_closed_form, coverage_curve,
+from isacnet.coverage import (CoverageCurve, _h_core, _pareto_sum_density,
+                              _power_sum_integral, _z_rule,
+                              coverage_closed_form, coverage_curve,
                               coverage_integral)
-from isacnet.specfun import gk_sum
+from isacnet.specfun import gk_rule, gk_sum, panel_edges
 
 
 def exponent(distances, n, threshold, params):
@@ -222,10 +223,10 @@ class TestRoundingBound:
 
 
 class TestCoverageCurve:
-    @pytest.mark.parametrize("L", (2, 3))
+    @pytest.mark.parametrize("L", (2, 3, 4, 5))
     def test_one_beta_point_per_node_and_term(self, monkeypatch, L):
-        # L = 2 and 3 read the ratios through Z alone: one Beta point per
-        # node of Z's rule and antenna term, none for Z's law itself
+        # every L reads the ratios through Z alone: one Beta point per node
+        # of Z's rule and antenna term, none for Z's law itself
         points = []
         original = coverage.beta_incomplete
 
@@ -296,10 +297,20 @@ class TestSystemParams:
 BETAS = (2.05, 4.0, 20.0)
 
 
-class TestLawOfZ:
-    """The law of Z = p_L / S that L = 2 and 3 coverage averages over."""
+def z_rule_nodes(L, beta, ln_a):
+    """The nodes y of `_z_rule`, and the density there."""
+    tb = 2.0 / beta
+    y, wk, _ = gk_rule(panel_edges(-coverage._MARGIN,
+                                   coverage._MARGIN / tb + ln_a,
+                                   coverage._RHO_PANELS, L - 1.0, tb))
+    return y, _z_rule(L, beta, ln_a)[1] / wk
 
-    @pytest.mark.parametrize("L", (2, 3))
+
+class TestLawOfZ:
+    """The law of Z = p_L / S = 1/(1 + W) that coverage at every L >= 2
+    averages over; W is a sum of L - 1 i.i.d. Pareto variables."""
+
+    @pytest.mark.parametrize("L", (2, 3, 4, 5, 8))
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("ln_a", (0.0, 30.0))
     def test_density_integrates_to_one(self, L, beta, ln_a):
@@ -336,3 +347,29 @@ class TestLawOfZ:
                 1.0, np.inf, lambda x2: x2, np.inf, epsabs=0.0, epsrel=1e-12)
         z, wk, wg, _ = _z_rule(L, beta, 0.0)
         assert gk_sum(z, wk, wg)[0] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", (2.05, 2.5, 4.0, 8.0, 20.0))
+    @pytest.mark.parametrize("ln_a", (0.0, 30.0))
+    def test_inversion_matches_the_closed_forms(self, beta, ln_a):
+        # one Pareto term has no cancellation; for two, where W nears 2 the
+        # inversion cancels to O((W - 2)^2) and its bound covers the rest
+        y, ref = z_rule_nodes(2, beta, ln_a)
+        density, _ = _pareto_sum_density(math.log(2.0) + y, 1, beta)
+        assert np.all(np.abs(density - ref) <= 1e-12 * ref)
+        y, ref = z_rule_nodes(3, beta, ln_a)
+        density, bound = _pareto_sum_density(math.log(3.0) + y, 2, beta)
+        assert np.all(np.abs(density - ref) <= 1e-12 * ref + bound)
+        assert np.all(np.abs(density - ref)[y > -4.0] <= 1e-12 * ref[y > -4.0])
+
+    @pytest.mark.parametrize("L", (4, 6, 8))
+    @pytest.mark.parametrize("beta", (2.5, 8.0))
+    def test_mean_against_a_pareto_sum_sampler(self, L, beta):
+        # Z = 1/(1 + Y_1 + ... + Y_(L-1)), Y_j = U_j^(-beta/2)
+        rng = np.random.Generator(np.random.Philox(key=L))
+        draws = np.concatenate([
+            1.0 / (1.0 + ((1.0 - rng.random((250_000, L - 1)))
+                          ** (-0.5 * beta)).sum(axis=1))
+            for _ in range(8)])
+        ci = 1.96 * draws.std(ddof=1) / math.sqrt(draws.size)
+        z, wk, wg, _ = _z_rule(L, beta, 0.0)
+        assert abs(gk_sum(z, wk, wg)[0] - draws.mean()) <= 3.0 * ci

@@ -4,7 +4,7 @@ Each either returns finite values in range with a finite error bound, or
 raises ConvergenceError with a finite bound; none returns NaN or clamps
 silently.  The edges: path-loss exponents just above 2 and up to 20, up to
 64 transmit antennas, sensing shares 0 and 1, densities from 1e-9 to 1e3
-stations per square meter, and clusters of up to 3 (coverage) or 4 (radar)
+stations per square meter, and clusters of up to 8 (coverage) or 4 (radar)
 stations.
 """
 
@@ -49,7 +49,7 @@ def finite_or_clean_failure(estimate):
 
 
 @EDGES
-@given(beta=betas, mt=antennas, lam=lams, L=st.integers(1, 3),
+@given(beta=betas, mt=antennas, lam=lams, L=st.integers(1, 8),
        ps=st.one_of(st.just(0.0), interior_ps))
 def test_coverage_at_the_edges(beta, mt, lam, L, ps):
     params = SystemParams(beta=beta, mt=mt, lam=lam, L=L, ps=ps, pc=1.0 - ps)

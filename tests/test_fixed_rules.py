@@ -6,11 +6,14 @@ inner integral.  It shares the closed kernels with the library, so these
 tests check the integration alone; the kernels have their own quadrature
 oracles in test_radar.py and test_coverage.py.  Coverage at L >= 3 is
 checked against a large fixed-seed draw of the ordered-distance law, which
-shares nothing with the rule's reduction to distance ratios.
+shares nothing with the rule's reduction to distance ratios, and against a
+tensor rule over the distance ratios themselves, which shares nothing with
+the law of Z.
 """
 
 import math
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from isacnet.radar import (echo_laplace_exponent, hole_exclusion_integral,
                            interference_laplace_kernel, radar_rate,
                            radar_rate_single)
 from isacnet.specfun import (PHYSICAL_QUAD, ConvergenceError, QuadratureSpec,
-                             beta_incomplete, integrate_finite,
-                             integrate_semi_infinite)
+                             beta_incomplete, gk_rule, gk_sum, in_chunks,
+                             integrate_finite, integrate_semi_infinite,
+                             panel_edges)
 
 # the tighter spec the oracle gives the integrals nested inside its
 # PHYSICAL_QUAD outer integrals
@@ -161,6 +165,83 @@ def sampled_coverage(params, thresholds, samples=1_000_000, seed=0,
             1.96 * vals.std(axis=1, ddof=1) / math.sqrt(samples))
 
 
+def tensor_theta_rule(m, panels):
+    """The m-fold tensor GK15 rule in theta on (0, 1), one term per multiset.
+
+    The integrand it serves is symmetric in the theta_j, so the tensor
+    nodes that are permutations of one multiset of node indices share one
+    evaluation, weighted by the multinomial count.  Returns the nodes (n,),
+    each multiset's node counts (K, n) and its K15 and G7 tensor weights
+    (K,); at m = 0 the one empty multiset has weight 1.
+    """
+    theta, wk, wg = (r.ravel() for r in gk_rule(panel_edges(0.0, 1.0, panels)))
+    idx = np.array(list(combinations_with_replacement(range(len(theta)), m)),
+                   dtype=int)
+    counts = (idx[..., None] == np.arange(len(theta))).sum(axis=1)
+    multi = math.factorial(m) / special.factorial(counts).prod(axis=1)
+    return (theta, counts, multi * wk[idx].prod(axis=1),
+            multi * wg[idx].prod(axis=1))
+
+
+def tensor_theta_integrals(u, a_terms, params, rule):
+    """K15 and G7 averages over theta of the integrand given rho = e^u.
+
+    With c = ln x_L = ln(1 + rho) the intermediate stations have density
+    prod_j (x_j c / rho) in theta, and the integrand is F = sum_n c_n
+    (1 + G_n / x_L)^-L.  Only F - F(theta = 1) goes through the theta rule.
+    Returns the two (rho,) arrays and the rounding bound of the K15 average.
+    """
+    L, beta = params.L, params.beta
+    theta, counts, w_k, w_g = rule
+    rho = np.exp(u)[:, None]
+    c = np.log1p(rho)
+    pow_last = np.exp(-0.5 * beta * c)
+    x_last = (1.0 + rho)[..., None]
+    cond_last = (2.0 / beta * a_terms
+                 * pow_last[..., None] ** (1.0 - 2.0 / beta) / x_last)
+    edge = 1.0 + (L - 1) * pow_last
+    f_edge, _ = coverage._antenna_sum(
+        _h_core(edge, pow_last, a_terms, beta) / x_last,
+        cond_last / edge[..., None], L)
+    pow_sum = 1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T
+    f, f_round = coverage._antenna_sum(
+        _h_core(pow_sum, pow_last, a_terms, beta) / x_last,
+        cond_last / pow_sum[..., None], L)
+    density = np.exp(c * (counts @ theta) + (L - 2) * np.log(c / rho))
+    y = (f - f_edge) * density
+    return (y @ w_k + f_edge[:, 0], y @ w_g + f_edge[:, 0],
+            (f_round * density) @ w_k)
+
+
+def tensor_rule(params, t, theta_panels=1):
+    """Coverage values and bounds of a tensor rule over the distance ratios,
+    at any L >= 3.
+
+    With x_L = 1 + rho and x_j = x_L^theta_j (j < L, unordered), the
+    coverage is the average of `tensor_theta_integrals` over the law of
+    rho, (L-1) rho^(L-1) (1+rho)^-L d ln rho, on a composite GK15 rule in
+    ln rho.  The bound is the ln rho K15 - G7 bound plus |K15 - G7| in
+    theta plus the rounding bound of the binomial sum.  Its cost grows as
+    the multiset count C(14 theta_panels + L - 2, L - 2).
+    """
+    L = params.L
+    a = _threshold_terms(params, t)
+    rule = tensor_theta_rule(L - 2, theta_panels)
+    bend = np.maximum(2.0 / params.beta * np.log(a[:, -1]), 0.0)
+    u, wk, wg = gk_rule(panel_edges(-4.0, 4.0 + bend, 24, L - 1.0, 1.0))
+    density = (L - 1) * np.exp((L - 1) * u - L * np.log1p(np.exp(u)))
+    wk, wg = wk * density, wg * density
+    values, bounds = np.empty(len(a)), np.empty(len(a))
+    for i, a_terms in enumerate(a):
+        y_k, y_g, y_round = in_chunks(
+            lambda uc: tensor_theta_integrals(uc, a_terms, params, rule),
+            u[i].ravel(), len(rule[2]) * params.q_shape)
+        values[i], bounds[i] = gk_sum(y_k.reshape(u[i].shape), wk[i], wg[i])
+        bounds[i] += abs(np.sum((y_k - y_g).reshape(u[i].shape) * wk[i]))
+        bounds[i] += np.sum(y_round.reshape(u[i].shape) * wk[i])
+    return values, bounds
+
+
 # ---------------------------------------------------------- wider-range rule
 
 WIDE = {(radar, "_Z_STEP"): 1.0,
@@ -289,14 +370,15 @@ def test_analytic_coverage_rows_carry_the_rule_bound(tmp_path):
 
 
 def test_sampled_curve_equals_single_threshold_calls():
-    params = SystemParams(L=3, beta=3.5)
     t = 10.0 ** (np.array([-10.0, 0.0, 10.0, 20.0]) / 10.0)
-    curve = coverage_curve(params, t)
-    single = [coverage.coverage_integral(params, x) for x in t]
-    assert curve.values.tolist() == single
-    assert np.all(curve.uncertainty == 0.0)
-    assert np.all(curve.quad_error > 0.0)
-    assert np.all(curve.quad_error <= PHYSICAL_QUAD.rel_tol * curve.values)
+    for L in (3, 4):
+        params = SystemParams(L=L, beta=3.5)
+        curve = coverage_curve(params, t)
+        single = [coverage.coverage_integral(params, x) for x in t]
+        assert curve.values.tolist() == single
+        assert np.all(curve.uncertainty == 0.0)
+        assert np.all(curve.quad_error > 0.0)
+        assert np.all(curve.quad_error <= PHYSICAL_QUAD.rel_tol * curve.values)
 
 
 @pytest.mark.parametrize("L", (3, 4, 5))
@@ -350,12 +432,15 @@ def test_peak_traced_allocation(f, params):
     (radar, "_Z_STEP", lambda: radar_rate_single(SystemParams(), False)),
     (coverage, "_RHO_PANELS",
      lambda: coverage_curve(SystemParams(L=2), [0.1, 1.0, 10.0])),
+    (coverage, "_SIGMA_STEP",
+     lambda: coverage_curve(SystemParams(L=4), [0.1, 1.0, 10.0])),
 ])
 def test_starved_rule_raises(monkeypatch, module, name, call):
     # step constants starve when wide, panel counts when 1
     monkeypatch.setattr(module, name,
                         {"_Z_STEP": 40.0, "_HOLE_V_STEP": 6.0,
-                         "_ECHO_STEP": 20.0, "_RATIO_STEP": 40.0}.get(name, 1))
+                         "_ECHO_STEP": 20.0, "_RATIO_STEP": 40.0,
+                         "_SIGMA_STEP": 4.0}.get(name, 1))
     with pytest.raises(ConvergenceError):
         call()
 
@@ -367,16 +452,8 @@ def test_starved_rho_rule_raises_for_clusters(monkeypatch, L):
         coverage_curve(SystemParams(L=L), [0.1, 10.0])
 
 
-def tensor_rule(params, t):
-    """Coverage values and bounds of the rho/theta tensor rule, which the
-    library runs at L >= 4, at any L >= 3."""
-    return coverage._tensor_curve(params, _threshold_terms(params, t))
-
-
-@pytest.mark.parametrize("beta", (2.05, 4.0, 20.0))
-@pytest.mark.parametrize("mt", (2, 10, 32))
-def test_three_station_law_matches_tensor_rule(beta, mt):
-    params = SystemParams(L=3, beta=beta, mt=mt)
+def assert_law_matches_tensor_rule(L, beta, mt):
+    params = SystemParams(L=L, beta=beta, mt=mt)
     t = 10.0 ** (np.array([-10.0, 10.0, 40.0]) / 10.0)
     # the law of Z, before its bound is checked
     values, bounds = coverage._cluster_curve(params, _threshold_terms(params, t))
@@ -384,25 +461,29 @@ def test_three_station_law_matches_tensor_rule(beta, mt):
     assert np.all(np.abs(values - ref) <= bounds + ref_bounds)
 
 
-def test_theta_rule_bound_is_checked(monkeypatch):
-    # steep path loss and a very high threshold put structure into the
-    # theta directions that one GK15 panel each resolves only to ~5.6e-6
-    # relative by its K15 - G7 bound; two panels meet the tolerance
-    params = SystemParams(L=4, beta=20.0, mt=2)
-    t = [10.0 ** 12.0]
-    with pytest.raises(ConvergenceError):
-        coverage_curve(params, t)
-    monkeypatch.setattr(coverage, "_THETA_PANELS", 2)
-    curve = coverage_curve(params, t)
-    assert 0.0 < curve.quad_error[0] <= PHYSICAL_QUAD.rel_tol * curve.values[0]
+@pytest.mark.parametrize("beta", (2.05, 4.0, 20.0))
+@pytest.mark.parametrize("mt", (2, 10, 32))
+def test_three_station_law_matches_tensor_rule(beta, mt):
+    assert_law_matches_tensor_rule(3, beta, mt)
 
 
-def test_steep_three_station_coverage_converges(monkeypatch):
-    # one theta panel raised here; the law of Z has no theta direction
-    params = SystemParams(L=3, beta=20.0, mt=2)
-    t = [10.0 ** 12.0]
+# the tensor rule's cost grows with L, so L = 5 runs two antenna counts
+@pytest.mark.parametrize("L,beta,mt", [(4, b, mt) for b in (2.05, 4.0, 20.0)
+                                       for mt in (2, 10, 32)]
+                         + [(5, b, mt) for b in (2.05, 4.0, 20.0)
+                            for mt in (2, 10)])
+def test_pareto_sum_law_matches_tensor_rule(L, beta, mt):
+    assert_law_matches_tensor_rule(L, beta, mt)
+
+
+@pytest.mark.parametrize("L", (3, 4))
+def test_steep_three_station_coverage_converges(L):
+    # steep path loss and a very high threshold: one GK15 panel per theta
+    # direction of the tensor rule resolves these only to ~1e-6 relative,
+    # and the law of Z has no theta direction
+    params = SystemParams(L=L, beta=20.0, mt=2)
+    t = np.array([10.0 ** 12.0])
     curve = coverage_curve(params, t)
     assert 0.0 < curve.quad_error[0] <= PHYSICAL_QUAD.rel_tol * curve.values[0]
-    monkeypatch.setattr(coverage, "_THETA_PANELS", 2)
-    ref, ref_bound = tensor_rule(params, np.array(t))
+    ref, ref_bound = tensor_rule(params, t, theta_panels=2)
     assert abs(curve.values[0] - ref[0]) <= curve.quad_error[0] + ref_bound[0]
