@@ -11,24 +11,26 @@ at all.
 The exponent is homogeneous of degree one in the s_i, so with
 s = s_1 (1, x_2, ..., x_L) the integral over the nearest distance s_1 is
 exact and only the distance ratios remain.  At L = 1 there are none and
-the coverage is a finite sum.  At L >= 2 each antenna term reads the
-ratios only through one scalar, Z = p_L / S with p_j = x_j^(-beta/2) and
-S = 1 + sum_(j>=2) p_j.  Given s_L the other arrivals are i.i.d. uniform
-on (0, s_L), so Z = 1/(1 + W) for W a sum of L - 1 i.i.d. Pareto
-variables, P(Y > y) = y^(-2/beta) on y >= 1.  Z's law depends on beta and
-L alone: it has a closed form at L = 2, a closed form times one 1-D
-integral at L = 3, and at L >= 4 a Laplace inversion; each is evaluated
-on a lattice shared by every node of a call (`_z_rule`).  So every L >= 2
-is one fixed composite Gauss-Kronrod rule over that law, one array pass
-per curve, and its embedded 7-point Gauss sums give the error bound each
-value reports.
+the coverage is a finite sum.  Each antenna term reads its exponent
+ratio G_n / x_L as K(a_n Z), twice `radar.interference_laplace_kernel`,
+the radar rates' own kernel (`_exponent_ratios`); Z = 1 at L = 1.  At
+L >= 2 it reads the ratios only through that one scalar, Z = p_L / S
+with p_j = x_j^(-beta/2) and S = 1 + sum_(j>=2) p_j.  Given s_L the
+other arrivals are i.i.d. uniform on (0, s_L), so Z = 1/(1 + W) for W a
+sum of L - 1 i.i.d. Pareto variables, P(Y > y) = y^(-2/beta) on y >= 1.
+Z's law depends on beta and L alone: it has a closed form at L = 2, a
+closed form times one 1-D integral at L = 3, and at L >= 4 a Laplace
+inversion; each is evaluated on a lattice shared by every node of a call
+(`_z_rule`).  So every L >= 2 is one fixed composite Gauss-Kronrod rule
+over that law, one array pass per curve, and its embedded 7-point Gauss
+sums give the error bound each value reports.
 
 Every value, closed form included, is one alternating binomial sum over
 the mt - 1 antenna terms (`_antenna_sum`).  It cancels more digits the
 more antennas there are, so every value also reports a bound on its
 rounding error; a bound that misses PHYSICAL_QUAD (at beta = 4 from
-mt = 34 at L = 1 and -10 dB), or a value farther outside [0, 1] than its
-bound, raises ConvergenceError.
+mt = 33 at L = 1, 2 and 3 and -10 dB), or a value farther outside [0, 1]
+than its bound, raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, hyp1f1
 
-from .specfun import (ConvergenceError, beta_incomplete, check_bound, gk_rule,
-                      gk_sum, in_chunks, panel_edges)
+from .radar import interference_laplace_kernel
+from .specfun import (_MARGIN, ConvergenceError, check_bound, gk_rule, gk_sum,
+                      in_chunks, panel_edges)
 
 __all__ = [
     "CoverageCurve",
@@ -50,10 +53,8 @@ __all__ = [
 ]
 
 # Budget of the cluster rules: core panels of the rule over the law of Z,
-# and how far (in decay lengths) a core reaches beyond the bend it covers
-# (the radar rates' outer cores reach as far).
+# whose cores reach _MARGIN decay lengths beyond the bend they cover.
 _RHO_PANELS = 24
-_MARGIN = 4.0
 # The lattice of the Laplace inversion behind Z's law at L >= 4: panels
 # _SIGMA_STEP wide in sigma = ln u below a top edge at u = 64, where its
 # integrand has fallen below e^-64, and by how much (e^-36) the integrand
@@ -113,17 +114,16 @@ def _signed_binomials(q):
 
 def _amplify(r, cond, L):
     """Rounding error of each term c_n (1 + r_n)^-L, r_n = G_n / x_L (x_L = 1
-    at L = 1), in units of eps |term|; cond is r_n times G_n's
-    Beta-argument condition number (below).
+    at L = 1), in units of eps |term|; cond is r_n times the factor by
+    which G_n amplifies the one rounding of its Beta argument (below).
 
     An error model: G_n carries three eps, for the five roundings of
     a_n = alpha n t pt / (q pc), which G passes on at most one for one,
-    and its own; plus one for the rounding of its Beta argument x, which
-    B(x; 1 - 2/beta, 2/beta) amplifies by x B'(x) / B.  A term passes
-    L r_n / (1 + r_n) of G_n's relative error on, and it and the sum add
-    one eps more.  At L = 1, against the sum at 50-digit mpmath from exact
-    a_n, eps sum_n |term| times this was 3.2x the error or more over beta
-    in {2.5, 4, 6}, mt 4-40 and -10..40 dB.
+    and its own; plus cond for its Beta argument (`_exponent_ratios`).  A
+    term passes L r_n / (1 + r_n) of G_n's relative error on, and it and
+    the sum add one eps more.  At L = 1, against the sum at 50-digit
+    mpmath from exact a_n, eps sum_n |term| times this was 1.97x the
+    error or more over beta in {2.5, 4, 6}, mt 4-40 and -10..40 dB.
     """
     return 1.0 + L * (3.0 * r + cond) / (1.0 + r)
 
@@ -139,25 +139,19 @@ def _antenna_sum(r, cond, L):
             _EPS * ((damp * _amplify(r, cond, L)) @ np.abs(signed)))
 
 
-def _h_core(pow_sum, pow_last, a, beta):
-    """Interference Laplace exponent given power-law distance aggregates.
+def _exponent_ratios(zeta, params):
+    """The ratios r = G_n / x_L = K(zeta) at zeta = a_n Z, and the cond
+    `_amplify` reads for them.
 
-    pow_sum is sum_i d_i^(-beta) over the cluster in whatever length unit
-    the caller works in, pow_last the same power of the cluster edge, and
-    `a` the threshold-dependent scale of each binomial term.  Broadcasts
-    (m,) aggregates against (q,) terms.  It matches
-    `radar.interference_laplace_kernel` minus the complement branch for
-    zeta = a pow_last / pow_sum > 1: here zeta <= a stays moderate, and
-    sending coverage through that branch was timed slower at L = 3-5.
+    K is twice `radar.interference_laplace_kernel` at eta = 1.  Its Beta
+    function rounds x = zeta/(1 + zeta) up to zeta* = (1 - 2/beta)/(2/beta)
+    and the exact complement 1 - x beyond (`specfun.beta_incomplete`);
+    that one rounding moves K by (2/beta) zeta eps up to zeta* and by
+    (2/beta) eps beyond, which is cond.
     """
-    tb = 2.0 / beta
-    pow_sum = np.asarray(pow_sum, dtype=float)[..., None]
-    pow_last = np.asarray(pow_last, dtype=float)[..., None]
-    a = np.asarray(a, dtype=float)
-    edge = a * pow_last
-    x = edge / (pow_sum + edge)       # complement of the edge Beta argument
-    db = beta_incomplete(x, 1.0 - tb, tb)
-    return tb * (a / pow_sum) ** tb * db
+    tb = 2.0 / params.beta
+    cond = np.where(zeta * tb > 1.0 - tb, tb, tb * zeta)
+    return 2.0 * interference_laplace_kernel(zeta, 1.0, params), cond
 
 
 def _require_comm_power(params):
@@ -308,20 +302,20 @@ def _cluster_curve(params, a):
     sum_n c_n (L-1)! int (x_L + G_n(x))^-L dx over 1 < x_2 < ... < x_L,
     with G_n the exponent at s = (1, x_2, ..., x_L).  The ratio G_n / x_L
     is K(a_n Z), K(zeta) = (2/beta) zeta^(2/beta) B(zeta/(1 + zeta);
-    1 - 2/beta, 2/beta), which is `_h_core` at unit aggregates.  So the
-    coverage is the average of sum_n c_n (1 + K(a_n Z))^-L over the law of
-    Z (`_z_rule`).  The integrand bends where the largest a_n Z crosses 1,
-    so each rule's range depends on its threshold alone and a curve equals
+    1 - 2/beta, 2/beta) (`_exponent_ratios`).  So the coverage is the
+    average of sum_n c_n (1 + K(a_n Z))^-L over the law of Z (`_z_rule`).
+    The integrand bends where the largest a_n Z crosses 1, so each rule's
+    range depends on its threshold alone and a curve equals
     single-threshold calls.  The bound is the outer K15 - G7 bound, plus
     the density's bound times |integrand|, plus the rounding bound of the
-    binomial sum (`_amplify` with r = K(a_n Z) and cond = (2/beta) a_n Z).
+    binomial sum (`_amplify`).
     """
     L, beta = params.L, params.beta
     z, wk, wg, w_err = _z_rule(L, beta, np.log(a[:, -1]))
 
     def terms(i):
         za = z[i, ..., None] * a[i, None, None, :]
-        return _antenna_sum(_h_core(1.0, 1.0, za, beta), 2.0 / beta * za, L)
+        return _antenna_sum(*_exponent_ratios(za, params), L)
 
     h, h_round = in_chunks(terms, np.arange(len(a)), z[0].size * params.q_shape)
     values, bounds = gk_sum(h, wk, wg)
@@ -346,15 +340,15 @@ def _curve(params, thresholds, method):
             raise ValueError("closed form requires a single-station cluster (L=1)")
         if not math.isclose(params.beta, 4.0):
             raise ValueError("closed form requires beta = 4")
-        # the beta = 4 exponent in arcsine form, independent of _h_core
+        # the beta = 4 exponent in arcsine form, independent of the Beta
+        # kernel; cond is the x form's (2/beta) a_n
         g = np.sqrt(a) * (math.pi / 2.0 - np.arcsin(np.sqrt(1.0 / (1.0 + a))))
         values, bound = _antenna_sum(g, 0.5 * a, 1)
     elif method != "integral":
         raise ValueError("method must be 'integral' or 'closed-form'")
     elif params.L == 1:
         # s_1 ~ Exp(1) alone: E[exp(-s_1 G_n)] = 1 / (1 + G_n)
-        values, bound = _antenna_sum(_h_core(1.0, 1.0, a, params.beta),
-                                     2.0 / params.beta * a, 1)
+        values, bound = _antenna_sum(*_exponent_ratios(a, params), 1)
     else:
         values, bound = _cluster_curve(params, a)
     what = f"L={params.L} {method} coverage"
@@ -374,8 +368,8 @@ def coverage_closed_form(params, threshold):
 
     Density-free by construction: the deployment intensity cancels when the
     interference exponent is averaged over the serving-distance law.  Its
-    exponent is the arcsine form, not `_h_core`, so it checks the integral
-    path.  Raises ConvergenceError as `coverage_curve` does.
+    exponent is the arcsine form, not the Beta kernel, so it checks the
+    integral path.  Raises ConvergenceError as `coverage_curve` does.
     """
     values, _ = _curve(params, _threshold_grid([threshold]), "closed-form")
     return float(values[0])

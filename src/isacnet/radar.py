@@ -4,7 +4,8 @@ The rate E[ln(1 + SIR)] is written as an outer integral over the Laplace
 transforms of the echo power and of the interference power.  For clusters
 of two or more stations both transforms are the closed kernels below
 (`echo_laplace_exponent`, `interference_laplace_kernel`: one incomplete
-Beta term each) marginalized over the cluster distance laws, multiplied as
+Beta term each, `specfun.beta_incomplete`; coverage reads the second one
+too) marginalized over the cluster distance laws, multiplied as
 if echo and interference were independent.  For a single sensing station
 the transform pair is exact and includes the interference-free disk around
 the target (the station-free region implied by conditioning on the
@@ -29,11 +30,10 @@ from functools import cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import betainc, erfcx, gammainccinv, gammaincinv
+from scipy.special import erfcx, gammainccinv, gammaincinv
 
-from . import coverage
-from .specfun import (_TAIL_EDGES, check_bound, gk_rule, gk_sum, in_chunks,
-                      panel_edges)
+from .specfun import (_MARGIN, _TAIL_EDGES, beta_incomplete, check_bound,
+                      gk_rule, gk_sum, in_chunks, panel_edges)
 
 __all__ = [
     "RateEstimate",
@@ -46,7 +46,7 @@ __all__ = [
 # Budget of the fixed rules.  Outer rules run in u = ln z with core panels
 # _Z_STEP decay lengths wide; the inner rules run on lattices of panels of
 # fixed width that every outer node of a rate shares.  Cores reach
-# coverage._MARGIN decay lengths beyond the transitions they cover.
+# _MARGIN decay lengths beyond the transitions they cover.
 # np.exp overflows past u = 709.78, so the outer rules stop at |u| = _U_MAX
 # and bound the tails they cut off (`_outer_rate`).
 _Z_STEP = 2.0
@@ -99,7 +99,7 @@ def echo_laplace_exponent(z, r_far, params):
     with np.errstate(over="ignore"):        # x = inf is u = 0
         x = c0z * r_far ** -params.beta     # u = 1 / (1 + x)
     return (r_far ** 2 * -np.expm1(-q * np.log1p(x))
-            + q * c0z ** tb * _beta_ratio(1.0, x, q + tb, 1.0 - tb)) / tb
+            + q * c0z ** tb * beta_incomplete(1.0, x, q + tb, 1.0 - tb)) / tb
 
 
 def interference_laplace_kernel(z, eta, params):
@@ -108,22 +108,13 @@ def interference_laplace_kernel(z, eta, params):
     eta is the nearest-to-farthest cluster distance ratio; the conditional
     interference transform is exp(-2 pi lam r1^2 * H4) with H4 returned
     here.  Zero at z = 0, increasing in z and in eta.  Broadcasts over
-    z >= 0 and 0 < eta <= 1, unchecked.
+    z >= 0 and 0 < eta <= 1, unchecked.  Twice its value at eta = 1 is
+    K(z) = (2/beta) z^(2/beta) B(z/(1 + z); 1 - 2/beta, 2/beta), the
+    exponent ratio every coverage term reads (`coverage`).
     """
     tb = 2.0 / params.beta
     zeta = z * eta ** params.beta
-    return z ** tb / params.beta * _beta_ratio(zeta, 1.0, 1.0 - tb, tb)
-
-
-def _beta_ratio(num, den, a, b):
-    """B(x; a, b) at x = num / (num + den).  Near x = 1, x keeps few digits
-    of 1 - x, on which B depends like (1 - x)^b, so there B(x; a, b) =
-    B(a, b) (1 - I(1 - x; b, a)) with 1 - x = den / (num + den) exact and
-    I the regularized Beta.  a and b are scalars."""
-    low = num <= den
-    part = betainc(np.where(low, a, b), np.where(low, b, a),
-                   np.where(low, num, den) / (num + den))
-    return beta_fn(a, b) * np.where(low, part, 1.0 - part)
+    return z ** tb / params.beta * beta_incomplete(zeta, 1.0, 1.0 - tb, tb)
 
 
 def _echo_transform(u_ends, params, complement):
@@ -416,8 +407,8 @@ def radar_rate(params):
     tb = 2.0 / params.beta
     c0 = params.sigma2 * params.mr * params.ps
     u_echo = -math.log(c0) - math.log(math.pi * params.lam) / tb
-    lo = min(u_echo, 0.0) - coverage._MARGIN / tb
-    hi = max(u_echo, 0.0) + coverage._MARGIN / tb
+    lo = min(u_echo, 0.0) - _MARGIN / tb
+    hi = max(u_echo, 0.0) + _MARGIN / tb
 
     # ln z at the outermost nodes `_outer_rate` will place
     u_ends = np.clip((lo - _TAIL_EDGES[-1] / tb, hi + _TAIL_EDGES[-1] / tb),
@@ -444,12 +435,12 @@ def radar_rate(params):
 def _hole_window(ln_omega, k):
     """Ends in v = ln(omega s) of the core of the hole rule at ln omega.
 
-    It starts coverage._MARGIN + _HOLE_LEFT decay lengths below both the
+    It starts _MARGIN + _HOLE_LEFT decay lengths below both the
     hole's bend at v = 0 and the law's scale s = 1 (v = ln omega), and ends
     where exp(-s) or exp(-k omega s^2) has fallen by e^-_DEPTH; both ends
     grow with ln omega.
     """
-    lo = np.minimum(ln_omega, 0.0) - coverage._MARGIN - _HOLE_LEFT
+    lo = np.minimum(ln_omega, 0.0) - _MARGIN - _HOLE_LEFT
     hi = ln_omega + np.minimum(math.log(_DEPTH),
                                0.5 * (math.log(_DEPTH / k) - ln_omega))
     return lo, hi
@@ -527,8 +518,8 @@ def radar_rate_single(params, include_hole=True):
     c_echo = params.sigma2 * params.mr * params.ps
     u_echo = -math.log(c_echo)
     u_hole = math.log(math.pi * params.lam) / tb - math.log(params.pt)
-    lo = min(u_echo, u_hole) - coverage._MARGIN
-    hi = max(u_echo, u_hole) + coverage._MARGIN
+    lo = min(u_echo, u_hole) - _MARGIN
+    hi = max(u_echo, u_hole) + _MARGIN
 
     rate_hi = 1.0 / params.beta
     ln_omega_1 = tb * math.log(params.pt) - math.log(math.pi * params.lam)

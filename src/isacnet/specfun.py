@@ -1,7 +1,8 @@
 """Special functions and quadrature underlying the analytic expressions.
 
-Everything here is pure and deterministic: incomplete Beta / Gamma kernels
-(thin vectorized wrappers over scipy.special), a Gauss-Kronrod adaptive
+Everything here is pure and deterministic: the incomplete Beta that coverage
+and the radar kernels share and the incomplete Gamma (vectorized wrappers
+over scipy.special), a Gauss-Kronrod adaptive
 integrator with a log-substitution engine for semi-infinite integrals, and
 the fixed composite Gauss-Kronrod rules that the deterministic analytic
 paths evaluate in one array pass.  Integrands passed to the adaptive
@@ -67,14 +68,23 @@ DEFAULT_QUAD = QuadratureSpec()
 PHYSICAL_QUAD = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=4000)
 
 
-def beta_incomplete(x, a, b):
-    """Non-regularized incomplete Beta, int_0^x t^(a-1) (1-t)^(b-1) dt.
+def beta_incomplete(num, den, a, b):
+    """Non-regularized incomplete Beta B(x; a, b) = int_0^x t^(a-1)
+    (1-t)^(b-1) dt at x = num / (num + den).
 
-    scipy's regularized `betainc` times the complete Beta, for 0 <= x <= 1
-    and a, b > 0 (not checked); integrable endpoint singularities (a < 1 or
-    b < 1) are fine.
+    scipy's regularized `betainc` I times the complete Beta, for num, den
+    >= 0 (den = inf is x = 0) and a, b > 0 (not checked); integrable
+    endpoint singularities (a < 1 or b < 1) are fine.  Near x = 1, x keeps
+    few digits of the 1 - x on which B depends like (1 - x)^b, so past the
+    mean x = a/(a+b) it is B(a, b) (1 - I(1 - x; b, a)) with 1 - x =
+    den / (num + den) exact.  At the mean I is of order 1/2, so 1 - I
+    cancels little; at x = 1/2, I(x; q + 2/beta, 1 - 2/beta) can be 3e-4,
+    and cutting there lost three digits of the echo's Beta term.
     """
-    return betainc(a, b, x) * beta(a, b)
+    upper = num * b > den * a
+    part = betainc(np.where(upper, b, a), np.where(upper, a, b),
+                   np.where(upper, den, num) / (num + den))
+    return beta(a, b) * np.where(upper, 1.0 - part, part)
 
 
 def gamma_reg_lower(s, x):
@@ -252,6 +262,9 @@ def integrate_semi_infinite(f, lo, spec=None, scale=None, full_output=False):
 # edge lies where an integrand decaying like exp(-rate * distance) has
 # fallen by e^-63, below double precision.
 _TAIL_EDGES = 2.0 ** np.arange(7) - 1.0
+# How far, in decay lengths, the core of a coverage or radar rule reaches
+# beyond the bend it covers.
+_MARGIN = 4.0
 
 
 def panel_edges(lo, hi, panels, rate_lo=None, rate_hi=None):

@@ -7,21 +7,23 @@ import pytest
 from scipy import integrate
 
 from isacnet import (ConvergenceError, McConfig, SystemParams, coverage,
-                     mc_coverage)
-from isacnet.coverage import (CoverageCurve, _h_core, _pareto_sum_density,
-                              _power_sum_integral, _z_rule,
-                              coverage_closed_form, coverage_curve,
+                     mc_coverage, radar, radar_rate, specfun)
+from isacnet.coverage import (CoverageCurve, _exponent_ratios,
+                              _pareto_sum_density, _power_sum_integral,
+                              _z_rule, coverage_closed_form, coverage_curve,
                               coverage_integral)
+from isacnet.radar import interference_laplace_kernel
 from isacnet.specfun import gk_rule, gk_sum, panel_edges
 
 
 def exponent(distances, n, threshold, params):
-    """`_h_core` at ordered distances in meters and term index n: the
-    interference Laplace exponent H (units of area) of exp(-pi lam H)."""
+    """The interference Laplace exponent H (units of area) of
+    exp(-pi lam H) at ordered distances in meters and term index n: twice
+    `interference_laplace_kernel` at z = a / sum r^-beta, eta = 1 / r_L."""
     r = np.asarray(distances, dtype=float)
     a = params.alpha() * n * threshold * params.pt / (params.q_shape * params.pc)
-    return float(_h_core(np.sum(r ** -params.beta), r[-1] ** -params.beta,
-                         np.array([a]), params.beta)[0])
+    return float(2.0 * interference_laplace_kernel(
+        a / np.sum(r ** -params.beta), 1.0 / r[-1], params))
 
 
 def quad_exponent_oracle(distances, n, threshold, params):
@@ -41,7 +43,57 @@ def quad_exponent_oracle(distances, n, threshold, params):
     return 2.0 * val
 
 
+# K(zeta) = (2/beta) zeta^(2/beta) B(zeta/(1 + zeta); 1 - 2/beta, 2/beta) at
+# 50-digit mpmath (mpmath.betainc) at the zeta of `k_oracle_zeta`
+K_ORACLE = {
+    2.5: [
+        3.999999333333697e-06, 3.9999933333696964e-05, 0.0003999933336969447,
+        0.003999333696719887, 0.03993369448859202, 0.39367373249441956,
+        0.4902378070040683, 0.9631935253800836, 1.8674174165252817,
+        3.5532542906071547, 26.02049209428095, 169.2285661400075,
+        1073.042221029623, 6775.745518392729, 42757.37328906822,
+        269786.0966200352, 1702240.5005812275, 10740416.76870683,
+        67767453.73951142, 427583731.846238, 2697870965.1959076,
+        17022415004.811829],
+    4.0: [
+        9.999996666668667e-07, 9.999966666866664e-06, 9.999666686665239e-05,
+        0.0009996668665239205, 0.009966865249116203, 0.09685340823403893,
+        0.4352098756835516, 0.7853981633974483, 0.7853981633974483,
+        1.35102171771208, 3.9987600505576615, 14.711276743037345,
+        48.67327446245658, 156.07966601082313, 495.72941662311837,
+        1569.7963271282297, 4966.2941329313835, 15706.9632679523,
+        49671.941328980836, 157078.6326794897, 496728.41328980506,
+        1570795.3267948965],
+    20.0: [
+        1.1111105847956664e-07, 1.1111058479876988e-06,
+        1.1110584829801833e-05, 0.00011105851398930173, 0.0011058821815887493,
+        0.010616902443177112, 0.07854645143016714, 0.19980367802031856,
+        0.2760147791855871, 0.28851957895123254, 0.3622679422407547,
+        0.6121713465891659, 1.0285558148215554, 1.5536951670981527,
+        2.2149012047449403, 3.0473197694984795, 4.095273602121751,
+        5.41456940721939, 7.075464431412369, 9.16640738463961,
+        11.798748603164148, 15.112669855687395],
+}
+
+
+def k_oracle_zeta(beta):
+    """zeta = 10^-6 .. 10^12 by decades, and zeta* / 2, zeta* and 2 zeta*
+    with zeta* = (1 - 2/beta)/(2/beta), where the Beta function turns to
+    its complement."""
+    cut = (1.0 - 2.0 / beta) / (2.0 / beta)
+    return np.sort(np.concatenate([10.0 ** np.arange(-6.0, 13.0),
+                                   [cut / 2, cut, 2 * cut]]))
+
+
 class TestInterferenceExponent:
+    @pytest.mark.parametrize("beta", sorted(K_ORACLE))
+    def test_ratio_against_mpmath(self, beta):
+        # the x form, B at x = zeta/(1 + zeta) throughout, lost 1e9 eps at
+        # beta = 20
+        k, _ = _exponent_ratios(k_oracle_zeta(beta), SystemParams(beta=beta))
+        assert np.all(np.abs(k / K_ORACLE[beta] - 1.0)
+                      <= 16.0 * np.finfo(float).eps)
+
     def test_vanishing_threshold(self, paper_params):
         h = exponent(np.array([1.0]), 1, 1e-12, paper_params)
         assert 0.0 <= h < 1e-9
@@ -122,12 +174,10 @@ class TestCoverageIntegral:
         t = 2.0
         q = params.q_shape
         total = 0.0
-        from isacnet.specfun import beta_incomplete
         tb = 2.0 / params.beta
         for n in range(1, q + 1):
             a = params.alpha() * n * t * params.pt / (q * params.pc)
-            x = a / (1.0 + a)
-            h0 = tb * a ** tb * beta_incomplete(x, 1.0 - tb, tb)
+            h0 = tb * a ** tb * specfun.beta_incomplete(a, 1.0, 1.0 - tb, tb)
             total += (-1) ** (n + 1) * math.comb(q, n) / (1.0 + h0)
         assert coverage_integral(params, t) == pytest.approx(total, rel=1e-6)
 
@@ -208,33 +258,43 @@ class TestRoundingBound:
             coverage_curve(SystemParams(mt=1100), ORACLE_T)
 
     def test_value_within_its_bound_of_one(self, caplog):
-        # the sum is 1 + 5e-8 here, inside its own bound: clipped, not logged
-        curve = coverage_curve(SystemParams(mt=32), [10 ** -0.6])
+        # the sum is 1 + 3.1e-8 here, inside its own bound: clipped, not logged
+        curve = coverage_curve(SystemParams(mt=32), [0.1])
         assert curve.values[0] == 1.0
-        assert curve.quad_error[0] == pytest.approx(6.9e-7, rel=0.01)
+        assert curve.quad_error[0] == pytest.approx(6.8e-7, rel=0.01)
         assert caplog.records == []
 
     def test_value_beyond_its_bound_raises(self, monkeypatch):
         # a negative exponent puts the sum near 2, far beyond its bound
-        monkeypatch.setattr(coverage, "_h_core",
-                            lambda pow_sum, pow_last, a, beta: -0.5 + 0.0 * a)
+        monkeypatch.setattr(coverage, "interference_laplace_kernel",
+                            lambda z, eta, params: -0.25 + 0.0 * z)
         with pytest.raises(ConvergenceError, match="outside"):
             coverage_curve(SystemParams(mt=4), ORACLE_T)
 
 
 class TestCoverageCurve:
-    @pytest.mark.parametrize("L", (2, 3, 4, 5))
+    @pytest.mark.parametrize("L", (2, 3, 4, 5, pytest.param(None,
+                                                           id="radar_rate")))
     def test_one_beta_point_per_node_and_term(self, monkeypatch, L):
         # every L reads the ratios through Z alone: one Beta point per node
-        # of Z's rule and antenna term, none for Z's law itself
+        # of Z's rule and antenna term, none for Z's law itself.  Coverage
+        # reaches the Beta function through radar's kernel, and the radar
+        # rates call the one in specfun, so a wrapper of it sees them all.
         points = []
-        original = coverage.beta_incomplete
+        original = radar.beta_incomplete
+        assert original is specfun.beta_incomplete
 
-        def counted(x, a, b):
-            points.append(np.broadcast(x, a, b).size)
-            return original(x, a, b)
+        def counted(num, den, a, b):
+            points.append(np.broadcast(num, den, a).size)
+            return original(num, den, a, b)
 
-        monkeypatch.setattr(coverage, "beta_incomplete", counted)
+        monkeypatch.setattr(radar, "beta_incomplete", counted)
+        if L is None:
+            # the nodes of the echo and interference lattices plus one GK15
+            # panel per outer node
+            radar_rate(SystemParams(N=3))
+            assert sum(points) == 9585
+            return
         params = SystemParams(L=L, mt=10)
         t = 10 ** (np.arange(-10.0, 21.0, 2.0) / 10.0)
         coverage_curve(params, t)

@@ -20,7 +20,7 @@ import pytest
 from scipy import integrate, special
 
 from isacnet import SystemParams, coverage, radar
-from isacnet.coverage import (_h_core, _signed_binomials, _threshold_terms,
+from isacnet.coverage import (_signed_binomials, _threshold_terms,
                               coverage_closed_form, coverage_curve)
 from isacnet.radar import (echo_laplace_exponent, hole_exclusion_integral,
                            interference_laplace_factor,
@@ -37,6 +37,18 @@ INNER_QUAD = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14, max_subdivisions=4000)
 
 
 # ---------------------------------------------------------------- the oracle
+
+def exponent(pow_sum, pow_last, a, params):
+    """The interference exponent at power-law aggregates: pow_sum is
+    sum_i d_i^-beta over the cluster, pow_last the edge's term and `a` the
+    scales of the binomial terms; (m,) aggregates broadcast against (q,)
+    terms.  Twice `interference_laplace_kernel` at z = a / pow_sum and
+    eta^beta = pow_last."""
+    pow_sum = np.asarray(pow_sum, dtype=float)[..., None]
+    pow_last = np.asarray(pow_last, dtype=float)[..., None]
+    return 2.0 * interference_laplace_kernel(
+        a / pow_sum, pow_last ** (1.0 / params.beta), params)
+
 
 def oracle_echo_complement(z, params):
     """E[1 - exp(-z X)] over the cluster-edge law, adaptive in s."""
@@ -105,7 +117,7 @@ def oracle_coverage_l2(params, threshold):
 
     def survival(s):
         p = s ** (-params.beta / 2.0)
-        h = _h_core(p.sum(axis=1), p[:, -1], a, params.beta)
+        h = exponent(p.sum(axis=1), p[:, -1], a, params)
         return (signed * np.exp(-h)).sum(axis=1)
 
     def outer(t1_arr):
@@ -133,7 +145,7 @@ def quad_coverage_l2(params, threshold):
     def f(x):
         rho = math.exp(x)
         p = (1.0 + rho) ** (-params.beta / 2.0)
-        g = _h_core(np.array([1.0 + p]), np.array([p]), a, params.beta)[0]
+        g = exponent(np.array([1.0 + p]), np.array([p]), a, params)[0]
         return float((signed * rho / (1.0 + rho + g) ** 2).sum())
 
     val, _ = integrate.quad(f, -60.0, 60.0, limit=1000, epsabs=0.0,
@@ -158,8 +170,8 @@ def sampled_coverage(params, thresholds, samples=1_000_000, seed=0,
         s = np.cumsum(rng.standard_exponential((chunk, params.L)), axis=1)
         pow_terms = s ** (-params.beta / 2.0)
         for j, a_terms in enumerate(a):
-            h = _h_core(pow_terms.sum(axis=1), pow_terms[:, -1], a_terms,
-                        params.beta)
+            h = exponent(pow_terms.sum(axis=1), pow_terms[:, -1], a_terms,
+                         params)
             vals[j, i:i + chunk] = (signed * np.exp(-h)).sum(axis=-1)
     return (vals.mean(axis=1),
             1.96 * vals.std(axis=1, ddof=1) / math.sqrt(samples))
@@ -201,11 +213,11 @@ def tensor_theta_integrals(u, a_terms, params, rule):
                  * pow_last[..., None] ** (1.0 - 2.0 / beta) / x_last)
     edge = 1.0 + (L - 1) * pow_last
     f_edge, _ = coverage._antenna_sum(
-        _h_core(edge, pow_last, a_terms, beta) / x_last,
+        exponent(edge, pow_last, a_terms, params) / x_last,
         cond_last / edge[..., None], L)
     pow_sum = 1.0 + pow_last + np.exp(-0.5 * beta * c * theta) @ counts.T
     f, f_round = coverage._antenna_sum(
-        _h_core(pow_sum, pow_last, a_terms, beta) / x_last,
+        exponent(pow_sum, pow_last, a_terms, params) / x_last,
         cond_last / pow_sum[..., None], L)
     density = np.exp(c * (counts @ theta) + (L - 2) * np.log(c / rho))
     y = (f - f_edge) * density
@@ -248,7 +260,7 @@ WIDE = {(radar, "_Z_STEP"): 1.0,
         (radar, "_ECHO_STEP"): 1.0, (radar, "_RATIO_STEP"): 1.0,
         (radar, "_HOLE_V_STEP"): 0.5, (radar, "_DEPTH"): 45.0,
         # the core margin, which the radar rates share with coverage
-        (coverage, "_MARGIN"): 8.0}
+        (radar, "_MARGIN"): 8.0}
 
 
 def wide_rule(monkeypatch, f, *args):
@@ -400,7 +412,7 @@ def test_single_station_coverage_is_the_finite_sum(beta):
         total = 0.0
         for n in range(1, q + 1):
             a = params.alpha() * n * t * params.pt / (q * params.pc)
-            h0 = tb * a ** tb * beta_incomplete(a / (1.0 + a), 1.0 - tb, tb)
+            h0 = tb * a ** tb * beta_incomplete(a, 1.0, 1.0 - tb, tb)
             total += (-1) ** (n + 1) * math.comb(q, n) / (1.0 + h0)
         value = coverage.coverage_integral(params, t)
         assert value == pytest.approx(total, rel=1e-12)

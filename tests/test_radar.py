@@ -479,11 +479,13 @@ class TestCooperativeLattice:
         # pair of outer and inner node
         points = []
 
-        def counted(a, b, x):
-            points.append(np.size(x))
-            return special.betainc(a, b, x)
+        original = radar.beta_incomplete
 
-        monkeypatch.setattr(radar, "betainc", counted)
+        def counted(num, den, a, b):
+            points.append(np.broadcast(num, den, a).size)
+            return original(num, den, a, b)
+
+        monkeypatch.setattr(radar, "beta_incomplete", counted)
         radar_rate(paper_params.with_(N=3))
         assert 0 < sum(points) <= 15_000
 

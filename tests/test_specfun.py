@@ -49,17 +49,19 @@ BETA_INCOMPLETE_ORACLE = [
 
 class TestBetaIncomplete:
     def test_empty_interval(self):
-        assert beta_incomplete(0.0, 2.0, 3.0) == 0.0
+        assert beta_incomplete(0.0, 1.0, 2.0, 3.0) == 0.0
 
     def test_full_interval_is_complete(self):
-        assert beta_incomplete(1.0, 0.5, 0.5) == pytest.approx(math.pi, rel=1e-12)
+        assert (beta_incomplete(1.0, 0.0, 0.5, 0.5)
+                == pytest.approx(math.pi, rel=1e-12))
 
     def test_arcsine_identity_midpoint(self):
-        assert beta_incomplete(0.5, 0.5, 0.5) == pytest.approx(math.pi / 2, rel=1e-10)
+        assert (beta_incomplete(0.5, 0.5, 0.5, 0.5)
+                == pytest.approx(math.pi / 2, rel=1e-10))
 
     def test_arcsine_identity_grid(self):
         x = np.linspace(1e-6, 1.0 - 1e-6, 1000)
-        ours = beta_incomplete(x, 0.5, 0.5)
+        ours = beta_incomplete(x, 1.0 - x, 0.5, 0.5)
         ref = 2.0 * np.arcsin(np.sqrt(x))
         assert np.max(np.abs(ours / ref - 1.0)) < 1e-9
 
@@ -68,7 +70,7 @@ class TestBetaIncomplete:
             a = rng.uniform(0.1, 8.0)
             b = rng.uniform(0.1, 8.0)
             x = np.sort(rng.uniform(0.0, 1.0, 50))
-            vals = beta_incomplete(x, a, b)
+            vals = beta_incomplete(x, 1.0 - x, a, b)
             assert np.all(np.diff(vals) >= -1e-12)
             assert vals[-1] <= special.beta(a, b) * (1 + 1e-12)
 
@@ -76,13 +78,14 @@ class TestBetaIncomplete:
         x = rng.uniform(0.0, 1.0, 500)
         a = rng.uniform(0.05, 15.0, 500)
         b = rng.uniform(0.05, 15.0, 500)
-        ours = beta_incomplete(x, a, b)
+        ours = beta_incomplete(x, 1.0 - x, a, b)
         ref = special.betainc(a, b, x) * special.beta(a, b)
         assert np.allclose(ours, ref, rtol=2e-11, atol=1e-300)
 
     def test_frozen_oracle_values(self):
         x, a, b, ref = np.array(BETA_INCOMPLETE_ORACLE).T
-        assert np.allclose(beta_incomplete(x, a, b), ref, rtol=1e-13, atol=0.0)
+        assert np.allclose(beta_incomplete(x, 1.0 - x, a, b), ref, rtol=1e-13,
+                           atol=0.0)
 
 
 class TestGammaRegLower:
