@@ -17,7 +17,11 @@ size), with ln z outside.  Each inner transform runs in a variable where
 its kernel no longer depends on the outer node: tau = ln(c0 z r_far^-beta)
 for the echo and t = ln(z eta^beta) for the interference of a cluster, and
 ln(omega s) for the single station.  So each kernel runs once per rate, on
-a lattice of panels that every outer node shares.  Each rule's range
+a lattice of panels that every outer node shares.  In the cluster's two
+lattices, which are uniform, an outer node's window starts at a lattice
+edge, so its inner variable at each slot is its offset from that edge plus
+one table per rate; the exponentials of that table are taken once, and
+each outer node multiplies them by one of its own.  Each rule's range
 follows from its integrand's tail decay rates and transition points; the
 embedded 7-point Gauss sums bound its error.
 """
@@ -52,6 +56,8 @@ __all__ = [
 _Z_STEP = 2.0
 _U_MAX = 700.0
 _ECHO_STEP = 2.0        # panel width in tau = ln(c0 z r_far^-beta), echo
+_ECHO_SPAN = 10.3       # sigma span of the Gamma(N) window below which
+                        # echo panels narrow with it; Gamma(5)'s is 10.31
 _RATIO_STEP = 2.0       # panel width in t = ln(z eta^beta), interference
 _HOLE_V_STEP = 1.0      # panel width in ln(omega s), single station with the disk
 _HOLE_LEFT = 40.0       # decay lengths its core reaches below the hole's bend
@@ -134,13 +140,21 @@ def _echo_transform(u_ends, params, complement):
     cost).  transform(ln_z), for a 1-D array, integrates each ln z over the
     panels that cover its window and returns (values, error bounds); cost
     is the lattice nodes one window spans.  Panels are _ECHO_STEP wide, or
-    _ECHO_STEP / 2 units of sigma where that is narrower.
+    _ECHO_STEP / 2 units of sigma where that is narrower, times the
+    window's span in sigma over _ECHO_SPAN where that is below 1: the law
+    narrows like 1/sqrt(N), and so a window holds a number of panels that
+    does not grow with N.
+
+    A window starts at a lattice edge, so sigma at its slot (k, m) is
+    delta + S[k, m], with delta in [0, (2/beta) width) the offset of ln z
+    above that edge and S one table for every ln z; s is e^delta e^S.
     """
     n = params.N
     tb = 2.0 / params.beta
-    width = _ECHO_STEP * min(params.beta / 4.0, 1.0)
     sig_lo = math.log(gammaincinv(n, _GAMMA_TAIL))
     sig_hi = math.log(gammainccinv(n, _GAMMA_TAIL))
+    width = (_ECHO_STEP * min(params.beta / 4.0, 1.0)
+             * min((sig_hi - sig_lo) / _ECHO_SPAN, 1.0))
     shift = (math.log(params.sigma2 * params.mr * params.ps)
              + math.log(math.pi * params.lam) / tb)
     panels = math.ceil((sig_hi - sig_lo) / tb / width) + 1
@@ -156,15 +170,18 @@ def _echo_transform(u_ends, params, complement):
     phi = tb * echo_laplace_exponent(np.exp(np.minimum(tau, _U_MAX)), 1.0,
                                      unit)
     log_norm = math.log(tb) - math.lgamma(n)
+    sig_rel = tb * (u_ends[0] + shift - tau[:panels])
+    s_rel = np.exp(sig_rel)
 
     def transform(ln_z):
-        first = np.floor((ln_z - u_ends[0]) / width).astype(int)
-        idx = first[:, None] + np.arange(panels)
-        sig = tb * (ln_z[:, None, None] + shift - tau[idx])
-        s = np.exp(sig)
+        first = np.floor((ln_z - u_ends[0]) / width)
+        delta = (tb * (ln_z - u_ends[0] - width * first))[:, None, None]
+        idx = first.astype(int)[:, None] + np.arange(panels)
+        s = np.exp(delta) * s_rel
         w = s * phi[idx]
         core = -np.expm1(-w) if complement else np.exp(-w)
-        return gk_sum(core * np.exp(n * sig - s + log_norm), wk, wg)
+        return gk_sum(core * np.exp(n * (delta + sig_rel) - s + log_norm),
+                      wk, wg)
 
     return transform, 15 * panels
 
@@ -177,7 +194,8 @@ def _interference_factor(u_ends, params):
     t = ln z - (beta/2) x: z and eta enter psi only through t.  In t the
     factor at ln z is the integral below t = ln z of (2/beta) law(x) /
     (1 + 2 e^x psi(t)), law(x) = (N-1) (1 - e^-x)^(N-2) e^-x the law of x,
-    which is regular at x = 0.
+    which is regular at x = 0.  In E = e^-x the integrand is the rational
+    (N-1) (1 - E)^(N-2) E^2 / (E + 2 psi).
 
     Builds one lattice of GK15 panels in t below every ln z in [u_ends],
     evaluates psi on it once, and returns (transform, cost).
@@ -188,6 +206,11 @@ def _interference_factor(u_ends, params):
     integrand is at most the law, so the bound adds the law's mass beyond
     x_cut.  cost is the nodes one ln z spans.  Panels are _RATIO_STEP
     wide, or _RATIO_STEP / 2 units of x where that is narrower.
+
+    The lattice panels of ln z end at the last lattice edge below it, so
+    x at its slot (k, m) is delta + D[k, m], with delta in
+    [0, (2/beta) width) the offset of ln z above that edge and D one table
+    for every ln z; E is e^-delta e^-D, one exp per ln z.
     """
     n = params.N
     tb = 2.0 / params.beta
@@ -199,25 +222,27 @@ def _interference_factor(u_ends, params):
         math.ceil((u_ends[1] - t_lo) / width) + 1)
     t = gk_rule(edges)[0]
     _, wk, wg = gk_rule(tb * edges[:2])     # in x, for every panel
-    psi = interference_laplace_kernel(np.exp(t), 1.0, params)
+    two_psi = 2.0 * interference_laplace_kernel(np.exp(t), 1.0, params)
+    e_rel = np.exp(-tb * (edges[panels] - t[:panels]))
+    unit_x, unit_wk, unit_wg = gk_rule(np.array([0.0, 1.0]))
     cut_mass = -math.expm1((n - 1) * math.log1p(-math.exp(-x_cut)))
 
-    def integrand(x, psi):
-        ex = np.exp(-x)
-        return ((n - 1) * (-np.expm1(-x)) ** (n - 2) * ex
-                / (1.0 + 2.0 * psi / ex))
+    def integrand(e, one_minus_e, two_psi):
+        return (n - 1) * one_minus_e ** (n - 2) * e * e / (e + two_psi)
 
     def transform(ln_z):
-        last = np.floor((ln_z - t_lo) / width).astype(int)
-        idx = last[:, None] + np.arange(-panels, 0)
-        lz = ln_z[:, None, None]
-        value, err = gk_sum(integrand(tb * (lz - t[idx]), psi[idx]),
-                            wk, wg)
-        x, ek, eg = gk_rule(np.stack(
-            (np.zeros_like(ln_z), tb * (ln_z - edges[last])), axis=-1))
-        end_psi = interference_laplace_kernel(np.exp(lz - x / tb), 1.0,
-                                              params)
-        end_value, end_err = gk_sum(integrand(x, end_psi), ek, eg)
+        last = np.floor((ln_z - t_lo) / width)
+        delta = (tb * (ln_z - t_lo - width * last))[:, None, None]
+        idx = last.astype(int)[:, None] + np.arange(-panels, 0)
+        e = np.exp(-delta) * e_rel
+        value, err = gk_sum(integrand(e, 1.0 - e, two_psi[idx]), wk, wg)
+        # the end panel, x in [0, delta]
+        x = delta * unit_x
+        end_psi = 2.0 * interference_laplace_kernel(
+            np.exp(ln_z[:, None, None] - x / tb), 1.0, params)
+        end_value, end_err = gk_sum(
+            integrand(np.exp(-x), -np.expm1(-x), end_psi),
+            delta * unit_wk, delta * unit_wg)
         return value + end_value, err + end_err + cut_mass
 
     return transform, 15 * (panels + 1)

@@ -300,15 +300,23 @@ def gk_rule(edges):
     return mid + half * _NODES, half * _WEIGHTS_K, half * _WEIGHTS_G15
 
 
+# A panel's bound is at least this share of its absolute integral.
+_FLOOR = 50.0 * np.finfo(float).eps
+
+
 def gk_sum(y, wk, wg):
     """Integral of the node values y over the last two axes, with its bound.
 
     The bound is the sum over panels of |K15 - G7|, floored per panel at 50
-    machine epsilons of the panel's absolute integral.
+    machine epsilons of the panel's absolute integral.  The weights
+    broadcast against y: one (1, 15) row that every panel shares, or one
+    row per panel.  Each of the three panel sums is one `einsum`
+    contraction over the 15 nodes, which forms no product array and runs
+    no BLAS call, so its result does not depend on threads.
     """
-    vk = (y * wk).sum(axis=-1)
-    vg = (y * wg).sum(axis=-1)
-    floor = 50.0 * np.finfo(float).eps * (np.abs(y) * np.abs(wk)).sum(axis=-1)
+    vk = np.einsum("...i,...i->...", y, wk)
+    vg = np.einsum("...i,...i->...", y, wg)
+    floor = _FLOOR * np.einsum("...i,...i->...", np.abs(y), np.abs(wk))
     return vk.sum(axis=-1), np.maximum(np.abs(vk - vg), floor).sum(axis=-1)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ class TestCooperativeRate:
         est = radar_rate(paper_params.with_(N=2))
         assert est.method == "cooperative-integral"
         assert est.value > 0
+
+    @pytest.mark.parametrize("n", (3, 32))
+    def test_bitwise_repeatable_and_thread_safe(self, paper_params, n):
+        # gk_sum's contractions must not depend on call order or threads
+        params = paper_params.with_(N=n)
+        first = radar_rate(params)
+        assert radar_rate(params) == first
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(lambda _: radar_rate(params), range(6)))
+        assert all(r.value == first.value and r.quad_error == first.quad_error
+                   for r in results)
 
 
 class TestSingleStationRate:

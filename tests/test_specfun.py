@@ -8,8 +8,8 @@ import pytest
 from scipy import integrate, special
 
 from isacnet.specfun import (ConvergenceError, QuadratureSpec, beta_incomplete,
-                             gamma_reg_lower, integrate_finite,
-                             integrate_semi_infinite)
+                             gamma_reg_lower, gk_rule, gk_sum,
+                             integrate_finite, integrate_semi_infinite)
 
 # frozen before the build from a quadrature oracle of t^8 e^-t / Gamma(9)
 P_9_9 = 0.5443473956775813
@@ -111,6 +111,45 @@ class TestGammaRegLower:
         x = rng.uniform(0.0, 60.0, 400)
         assert np.allclose(gamma_reg_lower(s, x), special.gammainc(s, x),
                            rtol=1e-11, atol=1e-300)
+
+
+class TestGkSum:
+    """The panel sums, contracted over the nodes, against the elementwise
+    products they replace, panel by panel (one panel per group of the
+    last two axes)."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def weights(rng, shared):
+        edges = np.cumsum(rng.uniform(0.01, 3.0, size=(7, 40)), axis=-1)
+        _, wk, wg = gk_rule(edges)
+        if shared:
+            return wk[0, :1], wg[0, :1]
+        return wk[..., None, :], wg[..., None, :]
+
+    @pytest.mark.parametrize("shared", (True, False))
+    def test_value_and_bound_match_the_products(self, rng, shared):
+        wk, wg = self.weights(rng, shared)
+        y = np.exp(rng.uniform(-30.0, 30.0, size=(7, 39, 1, 15)))
+        value, bound = gk_sum(y, wk, wg)
+        vk = (y * wk).sum(axis=-1)[..., 0]
+        vg = (y * wg).sum(axis=-1)[..., 0]
+        assert np.all(np.abs(value - vk) <= 4.0 * self.EPS * vk)
+        # K15 - G7 cancels, so its rounding is measured against the sums
+        assert np.all(np.abs(bound - np.abs(vk - vg))
+                      <= 4.0 * self.EPS * (vk + vg))
+
+    @pytest.mark.parametrize("shared", (True, False))
+    def test_floor_matches_the_products(self, rng, shared):
+        # both rules integrate a constant, so the floor is the bound
+        wk, wg = self.weights(rng, shared)
+        y = np.broadcast_to(np.exp(rng.uniform(-30.0, 30.0,
+                                               size=(7, 39, 1, 1))),
+                            (7, 39, 1, 15))
+        _, bound = gk_sum(y, wk, wg)
+        floor = 50.0 * self.EPS * (np.abs(y) * np.abs(wk)).sum(axis=-1)[..., 0]
+        assert np.all(np.abs(bound - floor) <= 4.0 * self.EPS * floor)
 
 
 class TestQuadratureSpec:
