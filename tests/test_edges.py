@@ -5,7 +5,7 @@ raises ConvergenceError with a finite bound; none returns NaN or clamps
 silently.  The edges: path-loss exponents just above 2 and up to 20, up to
 64 transmit antennas, sensing shares 0 and 1, densities from 1e-9 to 1e3
 stations per square meter, and clusters of up to 8 (coverage) or 4 (radar)
-stations, with sensing clusters of up to 1000 stations at fixed points.
+stations, with sensing clusters of up to 5000 stations at fixed points.
 """
 
 import math
@@ -76,7 +76,7 @@ def test_steep_single_station_rate_matches_simulation(beta, lam):
     params = SystemParams(beta=beta, lam=lam, N=1)
     est = radar_rate_single(params)
     sim = mc_radar_rate(params, McConfig(trials=200_000, seed=7))
-    assert est.quad_error <= max(1e-12, 1e-6 * est.value)
+    assert est.quad_error <= 1e-6 * est.value
     assert abs(est.value - sim.value) <= 3.0 * sim.uncertainty
 
 
@@ -106,16 +106,14 @@ def test_large_cluster_rate_converges(n, beta, lam):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", (400, 1000))
-def test_huge_cluster_rate_is_finite_or_fails_cleanly(n):
+@pytest.mark.parametrize("n", (400, 1000, 5000))
+def test_huge_cluster_rate_converges(n):
     # with warnings as errors, an overflow or an invalid value raises
     for beta in LARGE_CLUSTER_BETAS + (20.0,):
         for lam in EDGE_LAMS:
-            est = finite_or_clean_failure(
-                lambda: radar_rate(SystemParams(beta=beta, lam=lam, N=n)))
-            if est is not None:
-                assert math.isfinite(est.value) and est.value > 0.0
-                assert math.isfinite(est.quad_error)
+            est = radar_rate(SystemParams(beta=beta, lam=lam, N=n))
+            assert math.isfinite(est.value) and est.value > 0.0
+            assert est.quad_error <= max(1e-12, 1e-6 * est.value)
 
 
 class TestCliEdges:
