@@ -191,7 +191,7 @@ def _run_batches(batch, cfg, k):
     return [[sum(stat) for stat in zip(*point)] for point in zip(*parts)]
 
 
-def _simulate(batch, summary, points, cfg, m, decays):
+def _simulate(batch, summary, cfg, m, decays):
     """Choose K, run the batches, and return per point (estimate, CI, bias,
     McResult).
 
@@ -330,7 +330,7 @@ def mc_coverage_sweep(points, thresholds, cfg):
         return values, ci, _upper_mean(b_sum, b_sq, n) * (scale / n)
 
     batch, m = _coverage_batch(points, thresholds)
-    runs = _simulate(batch, summary, points, cfg, m,
+    runs = _simulate(batch, summary, cfg, m,
                      [(p.beta - 1.0) / (2.0 if _first_order(p) else 1.0)
                       for p in points])
     return [CoverageCurve(
@@ -513,7 +513,7 @@ def mc_radar_rate_sweep(points, cfg):
                 float(_upper_mean(b_sum, b_sq, n)))
 
     batch, m = _rate_batch(points)
-    runs = _simulate(batch, summary, points, cfg, m, [p.beta - 1.0 for p in points])
+    runs = _simulate(batch, summary, cfg, m, [p.beta - 1.0 for p in points])
     return [RateEstimate(value=max(mean, 0.0), method="monte-carlo",
                          uncertainty=ci, mc_result=result)
             for mean, ci, _, result in runs]

@@ -23,7 +23,8 @@ edge, so its inner variable at each slot is its offset from that edge plus
 one table per rate; the exponentials of that table are taken once, and
 each outer node multiplies them by one of its own.  Each rule's range
 follows from its integrand's tail decay rates and transition points; the
-embedded 7-point Gauss sums bound its error.
+inner lattices span the outer range, whose ends `_outer_rate` hands to
+the rate.  Embedded 7-point Gauss sums bound each rule's error.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as beta_fn
 from scipy.special import erfcx, gammainccinv, gammaincinv
 
-from .specfun import (_MARGIN, _TAIL_EDGES, beta_incomplete, check_bound,
-                      gk_rule, gk_sum, in_chunks, panel_edges)
+from .specfun import (_DEPTH, _MARGIN, _UNIT_PANEL, beta_incomplete,
+                      check_bound, gk_rule, gk_sum, in_chunks, panel_edges)
 
 __all__ = [
     "RateEstimate",
@@ -62,7 +64,6 @@ _RATIO_STEP = 2.0       # panel width in t = ln(z eta^beta), interference
 _HOLE_V_STEP = 1.0      # panel width in ln(omega s), single station with the disk
 _HOLE_LEFT = 40.0       # decay lengths its core reaches below the hole's bend
 _GAMMA_TAIL = 1e-16     # Gamma(N) mass left outside each end of the echo window
-_DEPTH = 36.0           # e-folds below its scale at which a core may stop
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,6 @@ def _interference_factor(u_ends, params):
     _, wk, wg = gk_rule(tb * edges[:2])     # in x, for every panel
     two_psi = 2.0 * interference_laplace_kernel(np.exp(t), 1.0, params)
     e_rel = np.exp(-tb * (edges[panels] - t[:panels]))
-    unit_x, unit_wk, unit_wg = gk_rule(np.array([0.0, 1.0]))
     cut_mass = -math.expm1((n - 1) * math.log1p(-math.exp(-x_cut)))
 
     def integrand(e, one_minus_e, two_psi):
@@ -237,12 +237,11 @@ def _interference_factor(u_ends, params):
         e = np.exp(-delta) * e_rel
         value, err = gk_sum(integrand(e, 1.0 - e, two_psi[idx]), wk, wg)
         # the end panel, x in [0, delta]
-        x = delta * unit_x
+        x, end_wk, end_wg = (delta * r for r in _UNIT_PANEL)
         end_psi = 2.0 * interference_laplace_kernel(
             np.exp(ln_z[:, None, None] - x / tb), 1.0, params)
         end_value, end_err = gk_sum(
-            integrand(np.exp(-x), -np.expm1(-x), end_psi),
-            delta * unit_wk, delta * unit_wg)
+            integrand(np.exp(-x), -np.expm1(-x), end_psi), end_wk, end_wg)
         return value + end_value, err + end_err + cut_mass
 
     return transform, 15 * (panels + 1)
@@ -291,71 +290,15 @@ def interference_laplace_factor(z, params):
     return float(value[0])
 
 
-# the positive nodes and their weights of the 96-point Gauss-Legendre rule
-# on [-1, 1], the bits of scipy.special.roots_legendre(96) (which loads
-# scipy.linalg), for the exclusion-disk integral; the rule is symmetric
-_HOLE_HALF = (
-    ("0x1.0aad9db41ed22p-6", "0x1.0aa79616b36f6p-5"),
-    ("0x1.8fe03fd8f166cp-5", "0x1.0a5f3e4f01659p-5"),
-    ("0x1.4cfe9a44433dep-4", "0x1.09cea25ffee30p-5"),
-    ("0x1.d1b2bd5ea8deep-4", "0x1.08f5e9851bf0bp-5"),
-    ("0x1.2af4445425b87p-3", "0x1.07d54e8a324a4p-5"),
-    ("0x1.6cbe0eea4ecf1p-3", "0x1.066d1fbb91d63p-5"),
-    ("0x1.ae24e54c8365bp-3", "0x1.04bdbed0c2ae3p-5"),
-    ("0x1.ef17092e0b4abp-3", "0x1.02c7a0d202757p-5"),
-    ("0x1.17c16df589d1cp-2", "0x1.008b4df88432ap-5"),
-    ("0x1.37ab71a834a7fp-2", "0x1.fc12c312f6982p-6"),
-    ("0x1.5740e72ca83cap-2", "0x1.f6851357f7649p-6"),
-    ("0x1.76793cf117fdfp-2", "0x1.f06f0e737512ep-6"),
-    ("0x1.954bfaa76531ap-2", "0x1.e9d25b1578b53p-6"),
-    ("0x1.b3b0c39160c9ap-2", "0x1.e2b0c477fd75fp-6"),
-    ("0x1.d19f58c592f54p-2", "0x1.db0c39e25a800p-6"),
-    ("0x1.ef0f9b6beae32p-2", "0x1.d2e6ce22e4bbap-6"),
-    ("0x1.05fcc778dda8cp-1", "0x1.ca42b6feed50bp-6"),
-    ("0x1.142aad9a3576ap-1", "0x1.c1224c9943c5cp-6"),
-    ("0x1.220da75121028p-1", "0x1.b78808cf6574ep-6"),
-    ("0x1.2fa1f02860e0bp-1", "0x1.ad76868d864b1p-6"),
-    ("0x1.3ce3d903f9f6ep-1", "0x1.a2f08119a2179p-6"),
-    ("0x1.49cfc92112ad0p-1", "0x1.97f8d355c6cdcp-6"),
-    ("0x1.56623f0fc0010p-1", "0x1.8c9276f9cbc21p-6"),
-    ("0x1.6297d1a67ebb0p-1", "0x1.80c083c4ab897p-6"),
-    ("0x1.6e6d30ef16b46p-1", "0x1.74862ea5b8b58p-6"),
-    ("0x1.79df270ca7f30p-1", "0x1.67e6c8dde7b4fp-6"),
-    ("0x1.84ea991aa3314p-1", "0x1.5ae5bf196aac4p-6"),
-    ("0x1.8f8c8804715d4p-1", "0x1.4d869881dde58p-6"),
-    ("0x1.99c211558f960p-1", "0x1.3fccf5c945f24p-6"),
-    ("0x1.a3887001e73f4p-1", "0x1.31bc902e22a85p-6"),
-    ("0x1.acdcfd262be7cp-1", "0x1.23593878dc81ap-6"),
-    ("0x1.b5bd30c00af2ep-1", "0x1.14a6d5f2d424fp-6"),
-    ("0x1.be26a25dfb412p-1", "0x1.05a965575fb47p-6"),
-    ("0x1.c61709c67d7d8p-1", "0x1.ecc9ef7e07c25p-7"),
-    ("0x1.cd8c3f96a03d6p-1", "0x1.cdbb630a7cb8cp-7"),
-    ("0x1.d4843dd79deb4p-1", "0x1.ae2f92527e501p-7"),
-    ("0x1.dafd208b6da2ap-1", "0x1.8e2f0c53ffc87p-7"),
-    ("0x1.e0f5263024178p-1", "0x1.6dc27fbc991a8p-7"),
-    ("0x1.e66ab03a073fap-1", "0x1.4cf2b89333e10p-7"),
-    ("0x1.eb5c438440c02p-1", "0x1.2bc89dde79095p-7"),
-    ("0x1.efc888b82da16p-1", "0x1.0a4d2f4ea77c2p-7"),
-    ("0x1.f3ae4cab74f04p-1", "0x1.d11305f70bebep-8"),
-    ("0x1.f70c80b584621p-1", "0x1.8d0d86cd514f7p-8"),
-    ("0x1.f9e23afe86f4dp-1", "0x1.489c5ccbe0a2cp-8"),
-    ("0x1.fc2eb6cf783d8p-1", "0x1.03d22f3a11fb1p-8"),
-    ("0x1.fdf155061469fp-1", "0x1.7d83f3ee4f7cdp-9"),
-    ("0x1.ff299d8fa5cb6p-1", "0x1.e60133d38b42ep-10"),
-    ("0x1.ffd74d7aaa774p-1", "0x1.a1bf9ee7f5802p-11"),
-)
-_HOLE_NODES = 2 * len(_HOLE_HALF)
+_HOLE_NODES = 96        # Gauss-Legendre nodes of the exclusion-disk rule
 
 
 @cache
 def _hole_rule():
     """The exclusion-disk rule after the substitution t = 2 - v^2, which
     removes the arccos endpoint singularity: its nodes t and its weights
-    times the kernel."""
-    v_pos, w_pos = np.array([[float.fromhex(h) for h in pair]
-                             for pair in _HOLE_HALF]).T
-    v = np.concatenate((-v_pos[::-1], v_pos))
-    w = np.concatenate((w_pos[::-1], w_pos))
+    times the kernel.  numpy's Gauss-Legendre rule, built on first use."""
+    v, w = leggauss(_HOLE_NODES)
     hv = (v + 1.0) * (math.sqrt(2.0) / 2.0)
     hw = w * (math.sqrt(2.0) / 2.0)
     ht = 2.0 - hv * hv
@@ -389,18 +332,22 @@ def hole_exclusion_integral(c, beta):
     return (ratio * weights).sum(axis=-1)
 
 
-def _outer_rate(lo, hi, panels, rate_lo, rate_hi, integrand, cost, what):
+def _outer_rate(lo, hi, panels, rate_lo, rate_hi, build, what):
     """A radar rate's outer integral over u = ln z and its error bound.
 
     `panels` core panels on [lo, hi], then tails where the integrand decays
     at least at rate_lo and rate_hi per unit u, cut at |u| = _U_MAX.
-    integrand(z) returns (values, inner error bounds); it runs in slices
-    holding `cost` temporaries per z.  The bound adds K15 - G7, the inner
-    bounds and each cut tail's outermost value / rate; a bound that misses
-    PHYSICAL_QUAD raises ConvergenceError.
+    build(u_ends) gets the ends of that range, an array (lowest, highest),
+    so that a rate can lay its inner lattices over every node; it returns
+    (integrand, cost).  integrand(z) returns (values, inner error bounds);
+    it runs in slices holding `cost` temporaries per z.  The bound adds
+    K15 - G7, the inner bounds and each cut tail's outermost value / rate;
+    a bound that misses PHYSICAL_QUAD raises ConvergenceError.
     """
     edges = panel_edges(lo, hi, panels, rate_lo, rate_hi)
-    u, wk, wg = gk_rule(np.clip(edges, -_U_MAX, _U_MAX))
+    clipped = np.clip(edges, -_U_MAX, _U_MAX)
+    integrand, cost = build(clipped[[0, -1]])
+    u, wk, wg = gk_rule(clipped)
     y, inner_err = in_chunks(integrand, np.exp(u.ravel()), cost)
     value, err = gk_sum(y.reshape(u.shape), wk, wg)
     err += np.sum(inner_err.reshape(u.shape) * wk)
@@ -435,24 +382,23 @@ def radar_rate(params):
     lo = min(u_echo, 0.0) - _MARGIN / tb
     hi = max(u_echo, 0.0) + _MARGIN / tb
 
-    # ln z at the outermost nodes `_outer_rate` will place
-    u_ends = np.clip((lo - _TAIL_EDGES[-1] / tb, hi + _TAIL_EDGES[-1] / tb),
-                     -_U_MAX, _U_MAX)
-    echo, echo_cost = _echo_transform(u_ends, params, complement=True)
-    factor, factor_cost = _interference_factor(u_ends, params)
+    def build(u_ends):
+        echo, echo_cost = _echo_transform(u_ends, params, complement=True)
+        factor, factor_cost = _interference_factor(u_ends, params)
 
-    def integrand(z):
-        ln_z = np.log(z)
-        comp, comp_err = echo(ln_z)
-        f, f_err = factor(ln_z)
-        return comp * f, comp_err * f + comp * f_err
+        def integrand(z):
+            ln_z = np.log(z)
+            comp, comp_err = echo(ln_z)
+            f, f_err = factor(ln_z)
+            return comp * f, comp_err * f + comp * f_err
+
+        return integrand, echo_cost + factor_cost
 
     # at most 4 _Z_STEP wide in ln z: the integrand's bends do not widen
     # with beta, and at N = 2 wider panels miss the tolerance from beta = 15
     step = _Z_STEP * min(1.0, 8.0 / params.beta)
     value, err = _outer_rate(lo, hi, math.ceil(tb * (hi - lo) / step),
-                             tb, tb, integrand, echo_cost + factor_cost,
-                             "radar_rate")
+                             tb, tb, build, "radar_rate")
     return RateEstimate(value=value, method="cooperative-integral",
                         quad_error=err)
 
@@ -546,26 +492,26 @@ def radar_rate_single(params, include_hole=True):
     lo = min(u_echo, u_hole) - _MARGIN
     hi = max(u_echo, u_hole) + _MARGIN
 
-    rate_hi = 1.0 / params.beta
     ln_omega_1 = tb * math.log(params.pt) - math.log(math.pi * params.lam)
-    cost = 1
-    if include_hole:
-        # ln omega at the outermost nodes `_outer_rate` will place
-        u_ends = np.clip((lo - _TAIL_EDGES[-1], hi + _TAIL_EDGES[-1] / rate_hi),
-                         -_U_MAX, _U_MAX)
-        transform, cost = _hole_transform(tb * u_ends + ln_omega_1,
-                                          params.beta, k)
 
-    def integrand(z):
-        echo = -np.expm1(-params.q_shape * np.log1p(z * c_echo))
+    def build(u_ends):
+        cost = 1
         if include_hole:
-            t, t_err = transform(tb * np.log(z) + ln_omega_1)
-        else:   # closed form: int_0^inf exp(-s - k omega s^2) ds
-            omega = (z * params.pt) ** tb / (math.pi * params.lam)
-            r = 0.5 / np.sqrt(k * omega)
-            t, t_err = math.sqrt(math.pi) * r * erfcx(r), 0.0
-        return echo * t, echo * t_err
+            transform, cost = _hole_transform(tb * u_ends + ln_omega_1,
+                                              params.beta, k)
+
+        def integrand(z):
+            echo = -np.expm1(-params.q_shape * np.log1p(z * c_echo))
+            if include_hole:
+                t, t_err = transform(tb * np.log(z) + ln_omega_1)
+            else:   # closed form: int_0^inf exp(-s - k omega s^2) ds
+                omega = (z * params.pt) ** tb / (math.pi * params.lam)
+                r = 0.5 / np.sqrt(k * omega)
+                t, t_err = math.sqrt(math.pi) * r * erfcx(r), 0.0
+            return echo * t, echo * t_err
+
+        return integrand, cost
 
     value, err = _outer_rate(lo, hi, math.ceil((hi - lo) / _Z_STEP), 1.0,
-                             rate_hi, integrand, cost, method)
+                             1.0 / params.beta, build, method)
     return RateEstimate(value=value, method=method, quad_error=err)

@@ -262,9 +262,10 @@ def integrate_semi_infinite(f, lo, spec=None, scale=None, full_output=False):
 # edge lies where an integrand decaying like exp(-rate * distance) has
 # fallen by e^-63, below double precision.
 _TAIL_EDGES = 2.0 ** np.arange(7) - 1.0
-# How far, in decay lengths, the core of a coverage or radar rule reaches
-# beyond the bend it covers.
+# A coverage or radar rule's core reaches _MARGIN decay lengths past its
+# bend and may stop _DEPTH e-folds below its integrand's scale.
 _MARGIN = 4.0
+_DEPTH = 36.0
 
 
 def panel_edges(lo, hi, panels, rate_lo=None, rate_hi=None):
@@ -300,6 +301,8 @@ def gk_rule(edges):
     return mid + half * _NODES, half * _WEIGHTS_K, half * _WEIGHTS_G15
 
 
+# gk_rule on the panel [0, 1]; on [a, a + h] its parts are a + h x, h wk, h wg
+_UNIT_PANEL = gk_rule(np.array([0.0, 1.0]))
 # A panel's bound is at least this share of its absolute integral.
 _FLOOR = 50.0 * np.finfo(float).eps
 

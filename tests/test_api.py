@@ -23,26 +23,62 @@ def test_every_exported_name_resolves():
     assert len(set(isacnet.__all__)) == len(isacnet.__all__)
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs 50-80 ms and 6-7.5 MB; neither importing the package
-    # or its CLI nor a single-station rate (its hole rule) may load it, and
-    # neither these nor an L=3 coverage curve (its law of Z) scipy.integrate
+def _run_python(code, **env_vars):
+    """Run code in a fresh interpreter on this checkout's sources; return
+    its stdout.  env_vars set (a str) or unset (None) environment variables."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, isacnet, isacnet.cli; "
-            "isacnet.radar_rate_single(isacnet.SystemParams()); "
-            "isacnet.coverage_curve(isacnet.SystemParams(L=3), [0.1, 10.0]); "
-            "print(isacnet.__file__); print('scipy.linalg' in sys.modules); "
-            "print('scipy.integrate' in sys.modules)")
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    path, linalg, integrate = proc.stdout.split()
+    return proc.stdout
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs 50-80 ms and 6-7.5 MB; neither importing the package
+    # or its CLI nor a single-station rate (its hole rule) may load it, and
+    # neither these nor an L=3 coverage curve (its law of Z) scipy.integrate;
+    # once the package and its CLI are imported, no analytic call loads a
+    # module at all
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, isacnet, isacnet.cli; before = set(sys.modules); "
+            "P = isacnet.SystemParams; "
+            "isacnet.radar_rate_single(P()); "
+            "isacnet.radar_rate(P(N=3)); "
+            "isacnet.coverage_curve(P(L=3), [0.1, 10.0]); "
+            "isacnet.coverage_curve(P(L=5), [0.1, 10.0]); "
+            "print(isacnet.__file__); print('scipy.linalg' in sys.modules); "
+            "print('scipy.integrate' in sys.modules); "
+            "print(sorted(set(sys.modules) - before))")
+    path, linalg, integrate, added = _run_python(code).splitlines()
     assert Path(path).resolve().is_relative_to(src)
     assert linalg == "False"
     assert integrate == "False"
+    assert added == "[]"
+
+
+def test_hole_rates_do_not_depend_on_blas_threads():
+    # the hole rule comes from LAPACK (numpy's leggauss), so its bits, and
+    # the rates', must be the same whatever the number of OpenBLAS threads
+    points = ((1e-4, 4.0), (0.1, 2.5), (0.1, 8.0))
+    code = ("import isacnet\n"
+            f"for lam, beta in {points!r}:\n"
+            "    e = isacnet.radar_rate_single("
+            "isacnet.SystemParams(lam=lam, beta=beta))\n"
+            "    print(e.value.hex(), e.quad_error.hex())")
+    default = _run_python(code, OPENBLAS_NUM_THREADS=None)
+    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == default
+    here = [isacnet.radar_rate_single(isacnet.SystemParams(lam=lam, beta=beta))
+            for lam, beta in points]
+    assert default.split() == [x.hex() for e in here
+                               for x in (e.value, e.quad_error)]
 
 
 def test_each_module_imports_first():

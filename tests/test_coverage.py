@@ -362,7 +362,7 @@ def z_rule_nodes(L, beta, ln_a):
     tb = 2.0 / beta
     y, wk, _ = gk_rule(panel_edges(-coverage._MARGIN,
                                    coverage._MARGIN / tb + ln_a,
-                                   coverage._RHO_PANELS, L - 1.0, tb))
+                                   coverage._Z_PANELS, L - 1.0, tb))
     return y, _z_rule(L, beta, ln_a)[1] / wk
 
 

@@ -442,7 +442,7 @@ def test_peak_traced_allocation(f, params):
     (radar, "_RATIO_STEP", lambda: radar_rate(SystemParams(N=3))),
     (radar, "_HOLE_V_STEP", lambda: radar_rate_single(SystemParams())),
     (radar, "_Z_STEP", lambda: radar_rate_single(SystemParams(), False)),
-    (coverage, "_RHO_PANELS",
+    (coverage, "_Z_PANELS",
      lambda: coverage_curve(SystemParams(L=2), [0.1, 1.0, 10.0])),
     (coverage, "_SIGMA_STEP",
      lambda: coverage_curve(SystemParams(L=4), [0.1, 1.0, 10.0])),
@@ -459,7 +459,7 @@ def test_starved_rule_raises(monkeypatch, module, name, call):
 
 @pytest.mark.parametrize("L", (3, 5))
 def test_starved_rho_rule_raises_for_clusters(monkeypatch, L):
-    monkeypatch.setattr(coverage, "_RHO_PANELS", 1)
+    monkeypatch.setattr(coverage, "_Z_PANELS", 1)
     with pytest.raises(ConvergenceError):
         coverage_curve(SystemParams(L=L), [0.1, 10.0])
 

@@ -1,11 +1,14 @@
 """Analytic radar rate: transform kernels, marginalized factors, rates."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 from scipy.special import roots_legendre
 
@@ -225,8 +228,8 @@ class TestHoleIntegral:
 
     @pytest.mark.parametrize("beta", [2.5, 4.0, 8.0])
     def test_bitwise_the_legendre_rule(self, beta):
-        # the rule built on first use is the 96-point one, to the bit
-        v, w = roots_legendre(96)
+        # the rule built on first use is numpy's 96-point one, to the bit
+        v, w = leggauss(96)
         hv = (v + 1.0) * (math.sqrt(2.0) / 2.0)
         hw = w * (math.sqrt(2.0) / 2.0)
         t = 2.0 - hv * hv
@@ -234,6 +237,45 @@ class TestHoleIntegral:
         c = np.logspace(-12.0, 12.0, 97)
         ref = (1.0 / (1.0 + t ** beta / c[:, None]) * (kernel * hw)).sum(axis=-1)
         assert np.array_equal(hole_exclusion_integral(c, beta), ref)
+
+    def test_numpy_rule_tracks_scipy(self, monkeypatch, paper_params):
+        # numpy's rule is a few ulp off scipy's, and moves the rates no more
+        v, w = leggauss(96)
+        v_ref, w_ref = roots_legendre(96)
+        assert np.all(np.abs(v - v_ref) <= 8 * np.spacing(np.abs(v_ref)))
+        assert np.all(np.abs(w - w_ref) <= 1e-11 * w_ref)
+        points = [paper_params.with_(lam=lam, beta=beta)
+                  for lam in (1e-9, 1e-4, 0.1, 1e3) for beta in (2.5, 4.0, 8.0)]
+        rates = [radar_rate_single(p).value for p in points]
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(radar, "leggauss", roots_legendre)
+                radar._hole_rule.cache_clear()
+                ref = [radar_rate_single(p).value for p in points]
+        finally:
+            radar._hole_rule.cache_clear()
+        assert rates == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    def test_bitwise_from_threads_on_a_cold_rule(self, paper_params):
+        # threads that all find the rule's cache empty build the same bits
+        params = paper_params.with_(lam=0.1)
+        first = radar_rate_single(params)
+        barrier = threading.Barrier(4)
+
+        def rate(_):
+            barrier.wait(timeout=60)
+            return radar_rate_single(params)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                radar._hole_rule.cache_clear()
+                with ThreadPoolExecutor(4) as pool:
+                    results = list(pool.map(rate, range(4)))
+                assert results == [first] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCooperativeRate:
